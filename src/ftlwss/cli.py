@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
     count = args.count if args.count is not None else config.training.n_train
-    rng = harness.dataset_rng(config, args.domain, args.purpose,
-                              None if args.noiseless else (args.snr_db or config.training.snr_db))
+    snr_db = config.training.snr_db if args.snr_db is None else args.snr_db
+    rng = harness.dataset_rng(config, args.domain, args.purpose, None if args.noiseless else snr_db)
     dataset = harness.build_dataset(config, args.domain, count, rng,
-                                    snr_db=args.snr_db, noiseless=args.noiseless)
+                                    snr_db=snr_db, noiseless=args.noiseless)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"dataset_{args.domain}_{args.purpose}.bin"
     harness.save_dataset(dataset, path, seed=config.seed,

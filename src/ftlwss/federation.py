@@ -167,7 +167,7 @@ def local_training(
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng)
-            grads = backward(spec, local, cache, labels[idx])
+            grads = backward(spec, local, cache, labels[idx], scope="ds_only")
             local = sgd_step(local, grads, cfg.lr, scope="ds_only")
             for name in DS_GRADIENT_NAMES:
                 acc[name] += getattr(grads, name).astype(dtype, copy=False)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, federation, multicoset, pruning, signal_model, tensornet
+from .codec import DecodeError
 
 ALL_STAGES = ("train", "prune", "ftl", "rt", "eval")
 
@@ -349,11 +350,12 @@ def build_dataset(
     for i in range(count):
         occupancy = signal_model.draw_occupancy(ell, scenario.n_active_pus, rng)
         placement = signal_model.place_pus(occupancy, scenario, rng)
+        clean = signal_model.noiseless_signal(placement, scenario, instants)
         if noiseless or len(placement) == 0:
             noise_var = 0.0
         else:
-            noise_var = signal_model.awgn_sigma(snr_db, placement, scenario, instants) / len(placement)
-        samples = signal_model.sample_received_signal(placement, scenario, instants, rng, noise_var)
+            noise_var = signal_model.noise_variance(snr_db, clean) / len(placement)
+        samples = signal_model.add_awgn(clean, rng, noise_var)
         coset_spectra = multicoset.coset_dft(samples, pattern)
         xhat = multicoset.recover_feature(pinv, coset_spectra)[reorder]
         xbar = multicoset.normalize_feature(xhat)
@@ -397,7 +399,11 @@ def load_dataset(path) -> LabeledDataset:
     feature_shape = tuple(sidecar["feature_shape"])
     label_bits = sidecar["label_bits_per_sample"]
     feature_bytes = 4 * count * int(np.prod(feature_shape))
+    expected = feature_bytes + (count * label_bits + 7) // 8
     raw = path.read_bytes()
+    if len(raw) != expected:
+        raise DecodeError(f"dataset file holds {len(raw)} bytes, its sidecar implies {expected}",
+                          min(len(raw), expected))
     features = np.frombuffer(raw[:feature_bytes], dtype="<f4").reshape((count,) + feature_shape).copy()
     packed = np.frombuffer(raw[feature_bytes:], dtype=np.uint8)
     labels = np.unpackbits(packed, count=count * label_bits, bitorder="little")
@@ -536,8 +542,10 @@ def _domain_datasets(config: ExperimentConfig, domain: str):
     return tr, va
 
 
-def _train_domain_model(config: ExperimentConfig, domain: str, log=lambda msg: None) -> tensornet.TrainResult:
-    """Offline training with the saddle-escape restart policy.
+def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDataset,
+                        va: LabeledDataset, log=lambda msg: None) -> tensornet.TrainResult:
+    """Offline training on the domain's train/val sets with the
+    saddle-escape restart policy.
 
     A short probe run must pull the validation loss below
     ``restart_margin`` times its starting value; stuck probes are reseeded.
@@ -545,7 +553,6 @@ def _train_domain_model(config: ExperimentConfig, domain: str, log=lambda msg: N
     """
     spec = config.detector_spec()
     t = config.training
-    tr, va = _domain_datasets(config, domain)
     probe_hyper = tensornet.TrainConfig(
         lr=t.lr, batch_size=t.batch_size, max_epochs=t.restart_epochs,
         patience=t.restart_epochs, lr_decay_factor=1.0,
@@ -577,10 +584,9 @@ def _train_domain_model(config: ExperimentConfig, domain: str, log=lambda msg: N
     return result
 
 
-def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights) -> float:
+def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights,
+                          test: LabeledDataset) -> float:
     spec = config.detector_spec()
-    test = build_dataset(config, "S", config.training.n_test,
-                         dataset_rng(config, "S", "test", config.training.snr_db))
     preds = predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
     return prediction_accuracy(preds, test.labels)
 
@@ -646,10 +652,13 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
     if needs_source:
         try:
             log("stage train: offline training on the source domain")
-            train_result = _train_domain_model(config, "S", log)
+            tr, va = _domain_datasets(config, "S")
+            train_result = _train_domain_model(config, "S", tr, va, log)
             result.source_model = train_result.weights
             tensornet.save_checkpoint(outdir / "model_source.bin", spec, result.source_model)
-            result.source_p_acc_unpruned = _source_test_accuracy(config, result.source_model)
+            test = build_dataset(config, "S", config.training.n_test,
+                                 dataset_rng(config, "S", "test", config.training.snr_db))
+            result.source_p_acc_unpruned = _source_test_accuracy(config, result.source_model, test)
             log(f"stage train: source test accuracy {result.source_p_acc_unpruned:.4f} "
                 f"(best epoch {train_result.best_epoch})")
         except Exception as exc:
@@ -659,7 +668,6 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
         try:
             log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
             pruned, report = pruning.prune_model(result.source_model, config.prune.ratio)
-            tr, va = _domain_datasets(config, "S")
             hyper = tensornet.TrainConfig(
                 lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
                 max_epochs=config.prune.finetune_epochs,
@@ -670,7 +678,7 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
             result.pruned_model = tuned.weights
             result.prune_report = report
             tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, result.pruned_model)
-            result.source_p_acc_pruned = _source_test_accuracy(config, result.pruned_model)
+            result.source_p_acc_pruned = _source_test_accuracy(config, result.pruned_model, test)
             payload = {
                 **json.loads(report.to_json()),
                 "p_acc_source_unpruned": result.source_p_acc_unpruned,
@@ -682,6 +690,9 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
                 f"source accuracy {result.source_p_acc_unpruned:.4f} -> {result.source_p_acc_pruned:.4f}")
         except Exception as exc:
             raise StageError("prune", exc) from exc
+    # the source sets built by the train stage also served the prune stage;
+    # drop them so the later stages do not hold them alongside their own
+    tr = va = test = None
 
     if "ftl" in stages:
         try:
@@ -708,7 +719,7 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
         try:
             for domain in config.domains.target_names():
                 log(f"stage rt: regular training on {domain}")
-                rt = _train_domain_model(config, domain, log)
+                rt = _train_domain_model(config, domain, *_domain_datasets(config, domain), log)
                 result.rt_models[domain] = rt.weights
                 tensornet.save_checkpoint(outdir / f"model_rt_{domain}.bin", spec, rt.weights)
         except Exception as exc:

@@ -116,6 +116,27 @@ def noiseless_signal(placement: PuPlacement, config: ScenarioConfig, instants: n
     return out
 
 
+def noise_variance(snr_db: float, clean: np.ndarray) -> float:
+    """Noise variance that realises ``snr_db`` against the average power of
+    the noiseless samples ``clean``: sigma^2 = P_sig / 10^(snr_db / 10).
+    """
+    p_sig = float(np.mean(np.abs(clean) ** 2))
+    return p_sig / (10.0 ** (snr_db / 10.0))
+
+
+def add_awgn(clean: np.ndarray, rng: np.random.Generator, noise_var: float) -> np.ndarray:
+    """``clean`` plus circular complex Gaussian noise of total variance
+    ``noise_var`` (half per quadrature); no draw is made when it is zero.
+    """
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
+    if noise_var > 0:
+        scale = np.sqrt(noise_var / 2.0)
+        noise = rng.normal(scale=scale, size=clean.shape) + 1j * rng.normal(scale=scale, size=clean.shape)
+        clean = clean + noise
+    return clean
+
+
 def awgn_sigma(
     snr_db: float,
     placement: PuPlacement,
@@ -125,14 +146,12 @@ def awgn_sigma(
     """Noise variance that realises the requested SNR for this realization.
 
     SNR is referenced to the average noiseless signal power over the sampling
-    instants: sigma^2 = P_sig / 10^(snr_db / 10). Undefined for an empty
-    placement (no signal power to reference).
+    instants (see `noise_variance`). Undefined for an empty placement (no
+    signal power to reference).
     """
     if len(placement) == 0:
         raise ValueError("SNR is undefined with no active PU; supply the noise variance directly")
-    clean = noiseless_signal(placement, config, instants)
-    p_sig = float(np.mean(np.abs(clean) ** 2))
-    return p_sig / (10.0 ** (snr_db / 10.0))
+    return noise_variance(snr_db, noiseless_signal(placement, config, instants))
 
 
 def sample_received_signal(
@@ -143,14 +162,6 @@ def sample_received_signal(
     noise_var: float = 0.0,
 ) -> np.ndarray:
     """Received signal at the given instants: PU superposition plus circular
-    complex Gaussian noise of total variance ``noise_var`` (half per
-    quadrature).
+    complex Gaussian noise of total variance ``noise_var`` (see `add_awgn`).
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be non-negative")
-    out = noiseless_signal(placement, config, instants)
-    if noise_var > 0:
-        scale = np.sqrt(noise_var / 2.0)
-        noise = rng.normal(scale=scale, size=out.shape) + 1j * rng.normal(scale=scale, size=out.shape)
-        out = out + noise
-    return out
+    return add_awgn(noiseless_signal(placement, config, instants), rng, noise_var)

@@ -124,25 +124,15 @@ class ModelWeights:
 
 @dataclass
 class Gradients:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
+    # the general-feature fields are None after backward(..., scope="ds_only")
+    conv1_w: np.ndarray | None
+    conv1_b: np.ndarray | None
+    conv2_w: np.ndarray | None
+    conv2_b: np.ndarray | None
     fc1_w: np.ndarray
     fc1_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def scaled(self, factor) -> "Gradients":
-        return Gradients(**{n: factor * getattr(self, n) for n in PARAM_NAMES})
-
-    def add_(self, other: "Gradients") -> "Gradients":
-        for name in PARAM_NAMES:
-            getattr(self, name).__iadd__(getattr(other, name))
-        return self
 
 
 def init_weights(spec: DetectorSpec, rng: np.random.Generator, dtype=np.float32) -> ModelWeights:
@@ -169,15 +159,20 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(patches).reshape(b, ho * wo, -1)
 
 
-def _col2im(dcols: np.ndarray, out_shape: tuple[int, ...]) -> np.ndarray:
-    """Scatter-add (B, Ho*Wo, 9*C) patch gradients back to (B, H, W, C)."""
-    b, h, w, c = out_shape
-    ho, wo = h - 2, w - 2
-    d = dcols.reshape(b, ho, wo, 3, 3, c)
-    out = np.zeros(out_shape, dtype=dcols.dtype)
+def _conv_input_grad(dz: np.ndarray, w: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient w.r.t. the (B, H, W, C) input of a valid 3x3 conv from the
+    (B, (H-2)*(W-2), F) output gradient and the (3, 3, C, F) kernel: one GEMM
+    per tap, added into the window that tap read, in (u, v) order. Each entry
+    sums the same products in the same order as the unrolled
+    ``dz @ w.reshape(-1, F).T`` plus 9-way scatter-add, so the bytes match it.
+    """
+    b, h, w_in, c = in_shape
+    ho, wo = h - 2, w_in - 2
+    rows = dz.reshape(-1, w.shape[-1])
+    out = np.zeros(in_shape, dtype=dz.dtype)
     for u in range(3):
         for v in range(3):
-            out[:, u:u + ho, v:v + wo, :] += d[:, :, :, u, v, :]
+            out[:, u:u + ho, v:v + wo, :] += (rows @ w[u, v].T).reshape(b, ho, wo, c)
     return out
 
 
@@ -299,12 +294,17 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(per_sample.mean())
 
 
-def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> Gradients:
+def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, labels: np.ndarray,
+             scope: str = "all") -> Gradients:
     """Exact gradient of `bce_loss(forward(...))` w.r.t. every parameter.
 
     Uses the fused sigmoid + cross-entropy form d/dz = (p - o) / batch and
-    honours the dropout masks captured in the cache.
+    honours the dropout masks captured in the cache. ``scope="ds_only"``
+    (as in `sgd_step`) stops after the fully connected layers: the
+    general-feature gradients are left as None and never computed.
     """
+    if scope not in ("all", "ds_only"):
+        raise ValueError(f"unknown scope {scope!r}")
     labels = np.atleast_2d(np.asarray(labels))
     probs = cache.probs
     if labels.shape != probs.shape:
@@ -324,6 +324,11 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     dz3 = dh3 * (cache.z3 > 0)
     g_fc1_w = cache.flat.T @ dz3
     g_fc1_b = dz3.sum(axis=0)
+    if scope == "ds_only":
+        return Gradients(
+            conv1_w=None, conv1_b=None, conv2_w=None, conv2_b=None,
+            fc1_w=g_fc1_w, fc1_b=g_fc1_b, out_w=g_out_w, out_b=g_out_b,
+        )
 
     dflat = dz3 @ weights.fc1_w.T
     da2 = dflat.reshape(batch, r2 * c2, f2)
@@ -333,8 +338,7 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     g_conv2_w = np.tensordot(cache.cols2, dz2, axes=([0, 1], [0, 1])).reshape(3, 3, f1, f2)
     g_conv2_b = dz2.sum(axis=(0, 1))
 
-    dcols2 = dz2 @ weights.conv2_w.reshape(-1, f2).T
-    da1 = _col2im(dcols2, cache.a1.shape).reshape(batch, r1 * c1, f1)
+    da1 = _conv_input_grad(dz2, weights.conv2_w, cache.a1.shape).reshape(batch, r1 * c1, f1)
     if cache.train:
         da1 = da1 * cache.mask1
     dz1 = da1 * (cache.z1 > 0)

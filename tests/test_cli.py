@@ -55,6 +55,23 @@ def test_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):
     assert sidecar["count"] == 5
 
 
+@pytest.mark.parametrize("snr_db", [0.0, -5.0])
+def test_gen_data_at_explicit_snr_uses_that_snr_stream(tiny_config_file, tmp_path, snr_db):
+    # 0 dB is a valid SNR, not "unset": it must seed from the 0 dB stream
+    out = tmp_path / "out"
+    code = cli.main(["gen-data", "--config", str(tiny_config_file), "--out", str(out),
+                     "--domain", "T2", "--count", "5", "--purpose", "test",
+                     "--snr-db", str(snr_db)])
+    assert code == cli.EXIT_OK
+    loaded = harness.load_dataset(out / "dataset_T2_test.bin")
+    config = harness.ExperimentConfig.from_json_file(tiny_config_file)
+    expected = harness.build_dataset(config, "T2", 5,
+                                     harness.dataset_rng(config, "T2", "test", snr_db),
+                                     snr_db=snr_db)
+    assert np.array_equal(loaded.features, expected.features)
+    assert np.array_equal(loaded.labels, expected.labels)
+
+
 def test_train_prune_ftl_eval_chain(tiny_config_file, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK

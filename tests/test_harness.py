@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ftlwss import harness
+from ftlwss import harness, multicoset, signal_model
 from ftlwss import tensornet as tn
+from ftlwss.codec import DecodeError
 
 
 def tiny_config(**overrides):
@@ -135,6 +136,59 @@ class TestBuildDataset:
             harness.build_dataset(tiny_config(), "T1", 0, np.random.default_rng(0))
 
 
+def _two_pass_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
+    """Reference loop that renders the clean signal twice per sample: once to
+    calibrate the noise (`awgn_sigma`), once under it (`sample_received_signal`)."""
+    sensing = config.sensing
+    pattern = sensing.pattern()
+    if snr_db is None and not noiseless:
+        snr_db = config.training.snr_db
+    scenario = config.scenario(domain, None if noiseless else snr_db)
+    instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
+    pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
+    reorder = multicoset.band_order(sensing.n_subbands)
+    features, labels, spectra = [], [], []
+    for _ in range(count):
+        occupancy = signal_model.draw_occupancy(sensing.n_subbands, scenario.n_active_pus, rng)
+        placement = signal_model.place_pus(occupancy, scenario, rng)
+        if noiseless or len(placement) == 0:
+            noise_var = 0.0
+        else:
+            noise_var = signal_model.awgn_sigma(snr_db, placement, scenario, instants) / len(placement)
+        samples = signal_model.sample_received_signal(placement, scenario, instants, rng, noise_var)
+        coset_spectra = multicoset.coset_dft(samples, pattern)
+        xbar = multicoset.normalize_feature(multicoset.recover_feature(pinv, coset_spectra)[reorder])
+        features.append(multicoset.to_tensor(xbar).astype(np.float32))
+        labels.append(occupancy)
+        spectra.append(coset_spectra.astype(np.complex64))
+    return np.stack(features), np.stack(labels), np.stack(spectra)
+
+
+class TestBuildDatasetOracle:
+    @pytest.mark.parametrize("snr_db,noiseless", [
+        (None, True), (-10.0, False), (0.0, False), (10.0, False),
+    ])
+    @pytest.mark.parametrize("domain", ["S", "T1", "T4"])
+    def test_bytes_equal_two_pass_loop(self, domain, snr_db, noiseless):
+        cfg = tiny_config()
+        rng_args = (cfg, domain, "test", None if noiseless else snr_db)
+        got = harness.build_dataset(cfg, domain, 12, harness.dataset_rng(*rng_args),
+                                    snr_db=snr_db, noiseless=noiseless, keep_spectra=True)
+        features, labels, spectra = _two_pass_dataset(
+            cfg, domain, 12, harness.dataset_rng(*rng_args), snr_db=snr_db, noiseless=noiseless)
+        assert got.features.tobytes() == features.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.coset_spectra.tobytes() == spectra.tobytes()
+
+    def test_one_clean_signal_pass_per_sample(self, monkeypatch):
+        calls = []
+        original = signal_model.noiseless_signal
+        monkeypatch.setattr(signal_model, "noiseless_signal",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        harness.build_dataset(tiny_config(), "T3", 7, np.random.default_rng(2), snr_db=0.0)
+        assert len(calls) == 7
+
+
 class TestDatasetPersistence:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -144,6 +198,21 @@ class TestDatasetPersistence:
         loaded = harness.load_dataset(path)
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda raw: raw[:-1], id="short-label-bits"),
+        pytest.param(lambda raw: raw[:100], id="short-features"),
+        pytest.param(lambda raw: raw + b"\0", id="trailing-byte"),
+        pytest.param(lambda raw: b"", id="empty"),
+    ])
+    def test_length_mismatch_raises_decode_error(self, tmp_path, edit):
+        cfg = tiny_config()
+        ds = harness.build_dataset(cfg, "T3", 5, np.random.default_rng(4))
+        path = tmp_path / "data.bin"
+        harness.save_dataset(ds, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DecodeError):
+            harness.load_dataset(path)
 
     def test_sidecar_contents(self, tmp_path):
         cfg = tiny_config()
@@ -294,4 +363,24 @@ class TestPipeline:
         harness.run_pipeline(cfg, tmp_path / "a")
         harness.run_pipeline(cfg, tmp_path / "b")
         for name in ("results.csv", "summary.json", "model_ftl.bin", "model_source.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_train_prune_builds_each_source_set_once(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+        built = []
+        original = harness.build_dataset
+
+        def counting(config, domain, count, rng, **kwargs):
+            built.append((domain, count))
+            return original(config, domain, count, rng, **kwargs)
+
+        monkeypatch.setattr(harness, "build_dataset", counting)
+        cfg = replace(tiny_config(), stages=("train", "prune"))
+        t = cfg.training
+        harness.run_pipeline(cfg, tmp_path / "a")
+        assert sorted(built) == sorted([("S", t.n_train), ("S", t.n_val), ("S", t.n_test)])
+        # nothing is cached across calls: a second run builds its own sets
+        harness.run_pipeline(cfg, tmp_path / "b")
+        assert len(built) == 6
+        for name in ("model_source.bin", "model_pruned.bin", "prune_report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -180,3 +180,26 @@ def test_noise_variance_calibration():
     out = sm.sample_received_signal(empty, cfg, np.zeros(100_000), rng, 3.7)
     measured = np.mean(np.abs(out) ** 2)
     assert abs(measured - 3.7) / 3.7 < 0.02
+
+
+class TestAddAwgn:
+    def test_zero_variance_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        clean = np.arange(4, dtype=np.complex128)
+        assert np.array_equal(sm.add_awgn(clean, rng, 0.0), clean)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_rejects_negative_variance(self):
+        with pytest.raises(ValueError):
+            sm.add_awgn(np.zeros(4, dtype=np.complex128), np.random.default_rng(0), -1.0)
+
+    def test_matches_sample_received_signal(self):
+        cfg = make_config(n_subbands=8, n_active=3)
+        placement = sm.place_pus(np.array([1, 0, 1, 0, 0, 1, 0, 0]), cfg, np.random.default_rng(2))
+        t = np.linspace(0, cfg.duration_s, 96)
+        clean = sm.noiseless_signal(placement, cfg, t)
+        sigma2 = sm.noise_variance(5.0, clean)
+        assert sigma2 == sm.awgn_sigma(5.0, placement, cfg, t)
+        got = sm.add_awgn(clean, np.random.default_rng(8), sigma2)
+        want = sm.sample_received_signal(placement, cfg, t, np.random.default_rng(8), sigma2)
+        assert got.tobytes() == want.tobytes()

@@ -200,6 +200,86 @@ class TestBackward:
                 assert rel.max() < 1e-4
 
 
+def _unrolled_conv_input_grad(dz, w, in_shape):
+    """Reference: the (B, Ho*Wo, 9*C) patch gradient of the unrolled conv,
+    scatter-added back tap by tap."""
+    b, h, w_in, c = in_shape
+    ho, wo = h - 2, w_in - 2
+    d = (dz @ w.reshape(-1, w.shape[-1]).T).reshape(b, ho, wo, 3, 3, c)
+    out = np.zeros(in_shape, dtype=dz.dtype)
+    for u in range(3):
+        for v in range(3):
+            out[:, u:u + ho, v:v + wo, :] += d[:, :, :, u, v, :]
+    return out
+
+
+DESK = tn.DetectorSpec(in_rows=16, in_cols=32, conv1_filters=16, conv2_filters=8, hidden_units=64)
+FULL = tn.DetectorSpec(in_rows=40, in_cols=64, conv1_filters=32, conv2_filters=16, hidden_units=128)
+
+
+class TestConvBackpropOracle:
+    @pytest.mark.parametrize("spec,batch", [
+        pytest.param(spec, batch, id=f"{name}-B{batch}")
+        for name, spec, batch in (("desk", DESK, 1), ("desk", DESK, 25), ("desk", DESK, 32),
+                                  ("desk", DESK, 64), ("full", FULL, 1), ("full", FULL, 32))
+    ])
+    def test_backward_bitwise_equal_to_unrolled_scatter_add(self, monkeypatch, spec, batch):
+        rng = np.random.default_rng(batch)
+        w = tn.init_weights(spec, rng)
+        x = rng.normal(size=(batch, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((batch, spec.in_rows)) < 0.4).astype(np.int8)
+        _, cache = tn.forward(spec, w, x, train=True, rng=rng)
+        fused = tn.backward(spec, w, cache, labels)
+        monkeypatch.setattr(tn, "_conv_input_grad", _unrolled_conv_input_grad)
+        reference = tn.backward(spec, w, cache, labels)
+        for name in tn.PARAM_NAMES:
+            assert np.array_equal(getattr(fused, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("batch", [1, 25, 32, 64])
+    def test_input_grad_bitwise_equal_on_sparse_gradients(self, batch):
+        rng = np.random.default_rng(100 + batch)
+        r1, c1, f1 = DESK.conv1_shape
+        r2, c2, f2 = DESK.conv2_shape
+        w = rng.normal(size=(3, 3, f1, f2)).astype(np.float32)
+        dz = (rng.normal(size=(batch, r2 * c2, f2)) * (rng.random((batch, r2 * c2, f2)) < 0.5))
+        dz = dz.astype(np.float32)
+        shape = (batch, r1, c1, f1)
+        assert np.array_equal(tn._conv_input_grad(dz, w, shape),
+                              _unrolled_conv_input_grad(dz, w, shape))
+
+
+class TestBackwardScope:
+    def test_ds_only_fc_gradients_bitwise_equal_to_all(self):
+        rng = np.random.default_rng(4)
+        w = tn.init_weights(DESK, rng)
+        x = rng.normal(size=(25, DESK.in_rows, DESK.in_cols, 2))
+        labels = (rng.random((25, DESK.in_rows)) < 0.4).astype(np.int8)
+        _, cache = tn.forward(DESK, w, x, train=True, rng=rng)
+        full = tn.backward(DESK, w, cache, labels)
+        ds = tn.backward(DESK, w, cache, labels, scope="ds_only")
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
+            assert np.array_equal(getattr(ds, name), getattr(full, name)), name
+        for name in tn.GENERAL_FEATURE_PARAMS:
+            assert getattr(ds, name) is None
+
+    def test_ds_only_gradients_drive_ds_only_step(self):
+        w = tiny_weights()
+        x, labels = tiny_batch()
+        _, cache = tn.forward(TINY, w, x)
+        step_all = tn.sgd_step(w, tn.backward(TINY, w, cache, labels), 0.1, scope="ds_only")
+        step_ds = tn.sgd_step(w, tn.backward(TINY, w, cache, labels, scope="ds_only"), 0.1,
+                              scope="ds_only")
+        for name in tn.PARAM_NAMES:
+            assert np.array_equal(getattr(step_all, name), getattr(step_ds, name))
+
+    def test_rejects_unknown_scope(self):
+        w = tiny_weights()
+        x, labels = tiny_batch()
+        _, cache = tn.forward(TINY, w, x)
+        with pytest.raises(ValueError):
+            tn.backward(TINY, w, cache, labels, scope="conv_only")
+
+
 class TestSgdStep:
     def test_zero_gradient_identity(self):
         w = tiny_weights()
