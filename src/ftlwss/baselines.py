@@ -6,6 +6,12 @@ one column per iteration, jointly re-fit the selected columns by least
 squares, subtract, and repeat until the prescribed sparsity is reached. The
 true occupancy count is assumed known (sparsity-aware operation).
 
+A batch of spectra (B x P x N) sharing A and the sparsity runs the greedy
+steps for all samples at once, with stacked SVD, QR, solves and matrix
+products. Each sample's support and residual are bit-identical to a call on
+that sample alone: every stacked product keeps the per-sample operand shapes
+and layouts of the single-sample form, which is the batch of one.
+
 Two atom-selection rules are provided:
 
 - ``rank_aware`` (default): correlate the projected, re-normalized atoms
@@ -52,10 +58,12 @@ class SompResult:
 
 
 def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gram = sub.conj().T @ sub
-    ridge = _LS_RIDGE * float(np.abs(np.diag(gram)).mean())
-    gram += max(ridge, np.finfo(float).tiny) * np.eye(sub.shape[1])
-    return np.linalg.solve(gram, sub.conj().T @ y)
+    """Ridge-guarded normal-equation solve, stacked over the leading axis."""
+    sub_h = sub.conj().swapaxes(-1, -2)
+    gram = sub_h @ sub
+    ridge = _LS_RIDGE * np.abs(np.diagonal(gram, axis1=-2, axis2=-1)).mean(axis=-1)
+    gram += np.maximum(ridge, np.finfo(float).tiny)[:, None, None] * np.eye(sub.shape[-1])
+    return np.linalg.solve(gram, sub_h @ y)
 
 
 def somp_detect(
@@ -63,8 +71,12 @@ def somp_detect(
     matrix: np.ndarray,
     sparsity: int,
     selection: str = "rank_aware",
-) -> SompResult:
+) -> SompResult | list[SompResult]:
     """Recover the ``sparsity`` strongest columns jointly explaining Y.
+
+    ``coset_spectra`` is one sample (P x N), giving one result, or a batch
+    (B x P x N), giving a list of B results, each equal to the result of
+    its sample alone.
 
     With sparsity above the number of cosets the least-squares subproblem is
     underdetermined; the result is still produced (best effort) and flagged
@@ -74,39 +86,49 @@ def somp_detect(
         raise ValueError(f"unknown selection rule {selection!r}")
     a = np.asarray(matrix)
     y = np.asarray(coset_spectra)
-    if a.ndim != 2 or y.ndim != 2 or a.shape[0] != y.shape[0]:
-        raise ValueError(f"incompatible shapes: matrix {a.shape}, spectra {y.shape}")
+    single = y.ndim == 2
+    if single:
+        y = y[None]
+    if a.ndim != 2 or y.ndim != 3 or a.shape[0] != y.shape[1]:
+        raise ValueError(f"incompatible shapes: matrix {a.shape}, spectra {np.shape(coset_spectra)}")
     n_cosets, n_cols = a.shape
     if sparsity < 0 or sparsity > n_cols:
         raise ValueError(f"sparsity must lie in [0, {n_cols}], got {sparsity}")
 
-    if sparsity == 0:
-        return SompResult((), float(np.linalg.norm(y)), 0)
-
     residual = y
-    selected: list[int] = []
-    for _ in range(sparsity):
+    selected = np.empty((y.shape[0], sparsity), dtype=np.intp)
+    samples = np.arange(y.shape[0])[:, None]
+    for step in range(sparsity):
+        chosen = selected[:, :step]
         if selection == "rank_aware":
-            scores = _rank_aware_scores(a, residual, selected, sparsity - len(selected))
+            scores = _rank_aware_scores(a, residual, chosen, sparsity - step)
         else:
-            corr = a.conj().T @ residual
-            scores = (np.abs(corr) ** 2).sum(axis=1)
-        if selected:
-            scores[np.asarray(selected)] = -np.inf
-        pick = int(np.argmax(scores))  # argmax takes the lowest index on ties
-        selected.append(pick)
-        sub = a[:, selected]
+            scores = (np.abs(a.conj().T @ residual) ** 2).sum(axis=-1)
+        scores[samples, chosen] = -np.inf
+        selected[:, step] = np.argmax(scores, axis=1)  # argmax takes the lowest index on ties
+        sub = _columns(a, selected[:, :step + 1])
         residual = y - sub @ _least_squares(sub, y)
 
-    return SompResult(
-        support=tuple(i + 1 for i in selected),
-        residual_norm=float(np.linalg.norm(residual)),
-        iterations=sparsity,
-        infeasible_sparsity=sparsity > n_cosets,
-    )
+    results = [
+        SompResult(
+            support=tuple(int(i) + 1 for i in cols),
+            residual_norm=float(np.linalg.norm(res)),
+            iterations=sparsity,
+            infeasible_sparsity=sparsity > n_cosets,
+        )
+        for cols, res in zip(selected, residual)
+    ]
+    return results[0] if single else results
 
 
-def _rank_aware_scores(a: np.ndarray, residual: np.ndarray, selected: list[int],
+def _columns(a: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Per-sample column selections ``a[:, selected[b]]`` stacked to
+    (B, P, k), each with the Fortran layout that ``a[:, cols]`` has.
+    """
+    return a.T[selected].swapaxes(-1, -2)
+
+
+def _rank_aware_scores(a: np.ndarray, residual: np.ndarray, selected: np.ndarray,
                        remaining: int) -> np.ndarray:
     """Correlation of each projected-normalized atom with the residual's
     dominant column space, truncated to the number of atoms still to be
@@ -114,21 +136,25 @@ def _rank_aware_scores(a: np.ndarray, residual: np.ndarray, selected: list[int],
     the residual by construction.
     """
     u, s, _ = np.linalg.svd(residual, full_matrices=False)
-    rank = int((s > _RANK_TOL * (s[0] if s.size else 1.0)).sum())
+    rank = (s > _RANK_TOL * s[:, :1]).sum(axis=1)
     # a basis spanning the whole measurement space scores every atom equally,
     # so always leave at least one dimension out (only binds when the
     # requested sparsity reaches the coset count, where the support is not
     # identifiable anyway)
-    rank = min(rank, remaining, residual.shape[0] - 1)
-    if rank == 0:
-        return np.zeros(a.shape[1])
-    basis = u[:, :rank]
-    if selected:
-        sub = a[:, selected]
-        q, _ = np.linalg.qr(sub)
-        atoms = a - q @ (q.conj().T @ a)
+    rank = np.minimum(rank, min(remaining, residual.shape[1] - 1))
+    if selected.shape[1]:
+        q, _ = np.linalg.qr(_columns(a, selected))
+        atoms = a - q @ (q.conj().swapaxes(-1, -2) @ a)
     else:
-        atoms = a
-    norms = np.linalg.norm(atoms, axis=0)
+        atoms = np.broadcast_to(a, residual.shape[:1] + a.shape)
+    norms = np.linalg.norm(atoms, axis=-2)
     safe = np.where(norms > 1e-12, norms, np.inf)
-    return (np.abs(basis.conj().T @ atoms) ** 2).sum(axis=0) / safe**2
+    scores = np.zeros(norms.shape)
+    # one stacked product per rank: BLAS rounds a row of basis^H @ atoms
+    # differently when the row count changes, so padding every sample to the
+    # largest rank would move near-tied scores
+    for r in set(rank.tolist()) - {0}:
+        rows = np.flatnonzero(rank == r)
+        basis_h = u[rows, :, :r].conj().swapaxes(-1, -2)
+        scores[rows] = (np.abs(basis_h @ atoms[rows]) ** 2).sum(axis=-2) / safe[rows]**2
+    return scores

@@ -14,9 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import federation, harness, pruning, tensornet
+from . import federation, harness, tensornet
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -115,26 +113,10 @@ def _cmd_prune(args, config: harness.ExperimentConfig) -> int:
     if not Path(model_path).exists():
         print(f"missing source checkpoint {model_path}; run `ftlwss train` first", file=sys.stderr)
         return EXIT_STAGE
-    # reuse the pipeline stage against the persisted source model
-    spec, weights = tensornet.load_checkpoint(model_path)
-    try:
-        pruned, report = pruning.prune_model(weights, config.prune.ratio)
-        tr, va = harness._domain_datasets(config, "S")
-        hyper = tensornet.TrainConfig(
-            lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
-            max_epochs=config.prune.finetune_epochs,
-        )
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, harness._STAGE_FINETUNE)))
-        tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
-                                  va.features, va.labels, hyper, rng)
-        args.out.mkdir(parents=True, exist_ok=True)
-        tensornet.save_checkpoint(args.out / "model_pruned.bin", spec, tuned.weights)
-        (args.out / "prune_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"pruned {report.zeroed_count}/{report.total_count} weights "
-              f"(threshold {report.threshold:.6g}); wrote {args.out / 'model_pruned.bin'}")
-        return EXIT_OK
-    except Exception as exc:
-        raise harness.StageError("prune", exc) from exc
+    _, weights = tensornet.load_checkpoint(model_path)
+    args.out.mkdir(parents=True, exist_ok=True)
+    harness.prune_stage(config, args.out, weights, log=print)
+    return EXIT_OK
 
 
 def _cmd_ftl(args, config: harness.ExperimentConfig) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -308,6 +309,11 @@ def dataset_rng(config: ExperimentConfig, domain: str, purpose: str, snr_db: flo
     return np.random.default_rng(seq)
 
 
+# samples per front-end batch: bounds the (B, P, N) and (B, L, N) work
+# arrays at full scale while keeping the per-call overhead amortised
+_FRONT_END_CHUNK = 256
+
+
 def build_dataset(
     config: ExperimentConfig,
     domain: str,
@@ -329,6 +335,11 @@ def build_dataset(
     against the whole received power is divided by the PU count, so the SNR
     axis refers to one PU's average power and does not silently improve as
     more sub-bands become occupied.
+
+    The random draws are made sample by sample (occupancy, placement, then
+    the two standard-normal noise blocks), so the generator stream is that of
+    a per-sample loop; rendering, noise scaling and the front end then run
+    over chunks of ``_FRONT_END_CHUNK`` samples at once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -338,31 +349,36 @@ def build_dataset(
         snr_db = config.training.snr_db
     scenario = config.scenario(domain, None if noiseless else snr_db)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
-    measurement = multicoset.build_measurement_matrix(pattern)
-    pinv = multicoset.pseudo_inverse(measurement)
-    reorder = multicoset.band_order(sensing.n_subbands)
+    n_pus = scenario.n_active_pus
+    noisy = not noiseless and n_pus > 0
 
     ell, n = sensing.n_subbands, sensing.n_snapshots
     features = np.empty((count, ell, n, 2), dtype=np.float32)
     labels = np.empty((count, ell), dtype=np.int8)
     spectra = np.empty((count, pattern.n_cosets, n), dtype=np.complex64) if keep_spectra else None
 
-    for i in range(count):
-        occupancy = signal_model.draw_occupancy(ell, scenario.n_active_pus, rng)
-        placement = signal_model.place_pus(occupancy, scenario, rng)
-        clean = signal_model.noiseless_signal(placement, scenario, instants)
-        if noiseless or len(placement) == 0:
-            noise_var = 0.0
-        else:
-            noise_var = signal_model.noise_variance(snr_db, clean) / len(placement)
-        samples = signal_model.add_awgn(clean, rng, noise_var)
-        coset_spectra = multicoset.coset_dft(samples, pattern)
-        xhat = multicoset.recover_feature(pinv, coset_spectra)[reorder]
-        xbar = multicoset.normalize_feature(xhat)
-        features[i] = multicoset.to_tensor(xbar).astype(np.float32)
-        labels[i] = occupancy
+    for start in range(0, count, _FRONT_END_CHUNK):
+        rows = slice(start, min(start + _FRONT_END_CHUNK, count))
+        size = rows.stop - rows.start
+        carrier_hz, offset_s, energy = (np.empty((size, n_pus)) for _ in range(3))
+        std_normal = np.empty((2, size) + instants.shape) if noisy else None
+        for i in range(size):
+            occupancy = signal_model.draw_occupancy(ell, n_pus, rng)
+            placement = signal_model.place_pus(occupancy, scenario, rng)
+            labels[start + i] = occupancy
+            carrier_hz[i], offset_s[i], energy[i] = placement.carrier_hz, placement.offset_s, placement.energy
+            if noisy:
+                rng.standard_normal(out=std_normal[0, i])
+                rng.standard_normal(out=std_normal[1, i])
+        samples = signal_model.noiseless_signal(
+            signal_model.PuPlacement(carrier_hz, offset_s, energy), scenario, instants)
+        if noisy:
+            noise_var = signal_model.noise_variance(snr_db, samples, batched=True) / n_pus
+            samples = signal_model.scale_noise(samples, std_normal, noise_var)
+        xhat, coset_spectra = multicoset.acquire_feature(samples, pattern)
+        features[rows] = multicoset.to_tensor(multicoset.normalize_feature(xhat))
         if spectra is not None:
-            spectra[i] = coset_spectra.astype(np.complex64)
+            spectra[rows] = coset_spectra
 
     return LabeledDataset(features=features, labels=labels, coset_spectra=spectra)
 
@@ -391,14 +407,32 @@ def save_dataset(dataset: LabeledDataset, path, seed: int | None = None,
         fh.write("\n")
 
 
+def _read_sidecar(path: Path) -> tuple[int, tuple[int, ...], int]:
+    """(count, feature shape, label bits per sample) from a dataset's JSON
+    sidecar; anything but non-negative integers there is a DecodeError.
+    """
+    try:
+        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"dataset sidecar is not JSON: {exc.msg}", exc.pos) from exc
+    if not isinstance(sidecar, dict):
+        raise DecodeError("dataset sidecar must be a JSON object", 0)
+    count, shape, bits = (sidecar.get(k) for k in ("count", "feature_shape", "label_bits_per_sample"))
+
+    def natural(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if not (natural(count) and natural(bits) and isinstance(shape, list) and all(map(natural, shape))):
+        raise DecodeError(f"dataset sidecar fields malformed: count={count!r}, "
+                          f"feature_shape={shape!r}, label_bits_per_sample={bits!r}", 0)
+    return count, tuple(shape), bits
+
+
 def load_dataset(path) -> LabeledDataset:
     path = Path(path)
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    count = sidecar["count"]
-    feature_shape = tuple(sidecar["feature_shape"])
-    label_bits = sidecar["label_bits_per_sample"]
-    feature_bytes = 4 * count * int(np.prod(feature_shape))
+    count, feature_shape, label_bits = _read_sidecar(path)
+    feature_bytes = 4 * count * math.prod(feature_shape)
     expected = feature_bytes + (count * label_bits + 7) // 8
     raw = path.read_bytes()
     if len(raw) != expected:
@@ -416,6 +450,13 @@ def load_dataset(path) -> LabeledDataset:
 
 def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
                   features: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """Eval-mode probabilities, ``chunk`` samples per forward pass.
+
+    Only one chunk's forward cache is alive at a time. The chunk size is part
+    of the result's bits: the output layer's GEMM rounds differently when
+    its row count is small (at the full-scale spec, a 160-row tail differs
+    from the same rows inside a 416-row call).
+    """
     features = np.asarray(features)
     single = features.ndim == 3
     if single:
@@ -423,8 +464,7 @@ def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
     out = np.empty((features.shape[0], spec.n_outputs), dtype=np.float64)
     for start in range(0, features.shape[0], chunk):
         sl = slice(start, min(start + chunk, features.shape[0]))
-        probs, _ = tensornet.forward(spec, weights, features[sl])
-        out[sl] = probs
+        out[sl] = tensornet.forward(spec, weights, features[sl])[0]
     return out[0] if single else out
 
 
@@ -584,11 +624,61 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
     return result
 
 
+def _source_test_set(config: ExperimentConfig) -> LabeledDataset:
+    return build_dataset(config, "S", config.training.n_test,
+                         dataset_rng(config, "S", "test", config.training.snr_db))
+
+
 def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights,
                           test: LabeledDataset) -> float:
     spec = config.detector_spec()
     preds = predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
     return prediction_accuracy(preds, test.labels)
+
+
+def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights,
+                sets: tuple[LabeledDataset, LabeledDataset, LabeledDataset] | None = None,
+                p_acc_unpruned: float | None = None, log=lambda msg: None):
+    """The prune stage: magnitude-prune ``source``, fine-tune it on the source
+    train/val sets, score both models on the source test set, and write
+    ``model_pruned.bin`` and ``prune_report.json`` under ``outdir``.
+
+    ``sets`` (train, val, test) and the unpruned test accuracy are built and
+    measured here when the caller does not already hold them. Returns the
+    pruned weights, the prune report and the pruned test accuracy; any
+    failure is raised as a ``StageError``.
+    """
+    outdir = Path(outdir)
+    try:
+        if sets is None:
+            sets = (*_domain_datasets(config, "S"), _source_test_set(config))
+        tr, va, test = sets
+        if p_acc_unpruned is None:
+            p_acc_unpruned = _source_test_accuracy(config, source, test)
+        log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
+        pruned, report = pruning.prune_model(source, config.prune.ratio)
+        hyper = tensornet.TrainConfig(
+            lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
+            max_epochs=config.prune.finetune_epochs,
+        )
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
+        spec = config.detector_spec()
+        tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
+                                  va.features, va.labels, hyper, rng)
+        tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, tuned.weights)
+        p_acc_pruned = _source_test_accuracy(config, tuned.weights, test)
+        payload = {
+            **json.loads(report.to_json()),
+            "p_acc_source_unpruned": p_acc_unpruned,
+            "p_acc_source_pruned_finetuned": p_acc_pruned,
+        }
+        (outdir / "prune_report.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        log(f"stage prune: zeroed {report.zeroed_count}/{report.total_count}, "
+            f"source accuracy {p_acc_unpruned:.4f} -> {p_acc_pruned:.4f}")
+        return tuned.weights, report, p_acc_pruned
+    except Exception as exc:
+        raise StageError("prune", exc) from exc
 
 
 def adaptation_sets(config: ExperimentConfig, domains: list[str]) -> list[federation.LocalSu]:
@@ -624,15 +714,11 @@ def run_adaptation(config: ExperimentConfig, init: tensornet.ModelWeights,
 def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: int) -> float:
     pattern = config.sensing.pattern()
     matrix = multicoset.build_measurement_matrix(pattern).values
-    reorder = multicoset.band_order(config.sensing.n_subbands)
-    correct = 0
-    for i in range(len(dataset)):
-        result = baselines.somp_detect(dataset.coset_spectra[i], matrix, n_active)
-        bits = np.zeros(config.sensing.n_subbands, dtype=np.int8)
-        for col in result.support:
-            bits[reorder[col - 1]] = 1  # measurement column -> physical band
-        correct += int((bits == dataset.labels[i]).sum())
-    return correct / (len(dataset) * config.sensing.n_subbands)
+    n_subbands = config.sensing.n_subbands
+    results = baselines.somp_detect(dataset.coset_spectra, matrix, n_active)
+    # measurement column -> physical band (band_order is its own inverse)
+    bits = np.stack([r.occupancy(n_subbands) for r in results])[:, multicoset.band_order(n_subbands)]
+    return int((bits == dataset.labels).sum()) / (len(dataset) * n_subbands)
 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:
@@ -656,8 +742,7 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
             train_result = _train_domain_model(config, "S", tr, va, log)
             result.source_model = train_result.weights
             tensornet.save_checkpoint(outdir / "model_source.bin", spec, result.source_model)
-            test = build_dataset(config, "S", config.training.n_test,
-                                 dataset_rng(config, "S", "test", config.training.snr_db))
+            test = _source_test_set(config)
             result.source_p_acc_unpruned = _source_test_accuracy(config, result.source_model, test)
             log(f"stage train: source test accuracy {result.source_p_acc_unpruned:.4f} "
                 f"(best epoch {train_result.best_epoch})")
@@ -665,31 +750,8 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
             raise StageError("train", exc) from exc
 
     if stages & {"prune", "ftl"}:
-        try:
-            log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
-            pruned, report = pruning.prune_model(result.source_model, config.prune.ratio)
-            hyper = tensornet.TrainConfig(
-                lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
-                max_epochs=config.prune.finetune_epochs,
-            )
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
-            tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
-                                      va.features, va.labels, hyper, rng)
-            result.pruned_model = tuned.weights
-            result.prune_report = report
-            tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, result.pruned_model)
-            result.source_p_acc_pruned = _source_test_accuracy(config, result.pruned_model, test)
-            payload = {
-                **json.loads(report.to_json()),
-                "p_acc_source_unpruned": result.source_p_acc_unpruned,
-                "p_acc_source_pruned_finetuned": result.source_p_acc_pruned,
-            }
-            (outdir / "prune_report.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            log(f"stage prune: zeroed {report.zeroed_count}/{report.total_count}, "
-                f"source accuracy {result.source_p_acc_unpruned:.4f} -> {result.source_p_acc_pruned:.4f}")
-        except Exception as exc:
-            raise StageError("prune", exc) from exc
+        result.pruned_model, result.prune_report, result.source_p_acc_pruned = prune_stage(
+            config, outdir, result.source_model, (tr, va, test), result.source_p_acc_unpruned, log)
     # the source sets built by the train stage also served the prune stage;
     # drop them so the later stages do not hold them alongside their own
     tr = va = test = None

@@ -18,6 +18,11 @@ whose index is (-l) mod L, not l itself (the DFT phase correction conjugates
 the coset offsets). ``band_order`` exposes that fixed involution so callers
 can reorder recovered rows into ascending physical band order; the ordering
 is its own inverse.
+
+Batch axis: ``coset_dft``, ``recover_feature``, ``acquire_feature``,
+``normalize_feature`` and ``to_tensor`` also take a stack of samples with
+leading axes, (B, P, N) -> (B, L, N), and give each sample the bits it gets
+when processed alone.
 """
 
 from __future__ import annotations
@@ -104,19 +109,20 @@ def coset_dft(samples: np.ndarray, pattern: CosetPattern) -> np.ndarray:
 
     Row p is DFT(y_p) multiplied bin-wise by exp(-2j*pi*f_n*c_p*T) on the
     frequency grid f_n = n / (N*L*T), which removes the phase each coset's
-    time offset imprints on its spectrum.
+    time offset imprints on its spectrum. ``samples`` is P x N or a batch
+    (..., P, N).
     """
     samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[0] != pattern.n_cosets:
+    if samples.ndim < 2 or samples.shape[-2] != pattern.n_cosets:
         raise ValueError(
             f"samples must be {pattern.n_cosets} x N, got shape {samples.shape}"
         )
-    n_snapshots = samples.shape[1]
+    n_snapshots = samples.shape[-1]
     ell = pattern.n_subbands
     c = np.asarray(pattern.offsets, dtype=np.float64)[:, None]
     bins = np.arange(n_snapshots, dtype=np.float64)[None, :]
     phase = np.exp(-2j * np.pi * bins * c / (n_snapshots * ell))
-    return phase * np.fft.fft(samples, axis=1)
+    return phase * np.fft.fft(samples, axis=-1)
 
 
 def pseudo_inverse(measurement: MeasurementMatrix) -> np.ndarray:
@@ -129,10 +135,12 @@ def pseudo_inverse(measurement: MeasurementMatrix) -> np.ndarray:
 
 
 def recover_feature(pinv: np.ndarray, coset_spectra: np.ndarray) -> np.ndarray:
-    """Rank-P recovery of the sub-band spectra: Xhat = A^+ @ Y."""
+    """Rank-P recovery of the sub-band spectra: Xhat = A^+ @ Y, for one
+    P x N block of coset spectra or a batch (..., P, N).
+    """
     pinv = np.asarray(pinv)
     coset_spectra = np.asarray(coset_spectra)
-    if pinv.shape[1] != coset_spectra.shape[0]:
+    if coset_spectra.ndim < 2 or pinv.shape[1] != coset_spectra.shape[-2]:
         raise ValueError(
             f"incompatible shapes {pinv.shape} @ {coset_spectra.shape}"
         )
@@ -148,15 +156,19 @@ def band_order(n_subbands: int) -> np.ndarray:
     return np.mod(-np.arange(n_subbands), n_subbands)
 
 
-def acquire_feature(samples: np.ndarray, pattern: CosetPattern) -> np.ndarray:
+def acquire_feature(samples: np.ndarray, pattern: CosetPattern) -> tuple[np.ndarray, np.ndarray]:
     """Full front end: coset DFT, pseudo-inverse recovery, and row reordering
-    into ascending physical band order. Returns the L x N complex matrix whose
-    row l covers the band [l*B0, (l+1)*B0).
+    into ascending physical band order, for one P x N block of coset samples
+    or a batch (..., P, N).
+
+    Returns ``(xhat, coset_spectra)``: the (..., L, N) complex matrix whose
+    row l covers the band [l*B0, (l+1)*B0), and the (..., P, N) coset
+    spectra it was recovered from.
     """
     measurement = build_measurement_matrix(pattern)
     spectra = coset_dft(samples, pattern)
     xhat = recover_feature(pseudo_inverse(measurement), spectra)
-    return xhat[band_order(pattern.n_subbands)]
+    return xhat[..., band_order(pattern.n_subbands), :], spectra
 
 
 def normalize_feature(xhat: np.ndarray, eps: float = NORMALIZE_EPS) -> np.ndarray:
@@ -174,7 +186,9 @@ def normalize_feature(xhat: np.ndarray, eps: float = NORMALIZE_EPS) -> np.ndarra
 
 
 def to_tensor(xbar: np.ndarray) -> np.ndarray:
-    """Stack real and imaginary parts on a trailing axis: L x N -> L x N x 2."""
+    """Stack real and imaginary parts on a trailing axis: (..., L, N) ->
+    (..., L, N, 2).
+    """
     xbar = np.asarray(xbar)
     return np.stack([xbar.real, xbar.imag], axis=-1)
 

@@ -12,6 +12,12 @@ with sinc(x) = sin(pi x) / (pi x) and sinc(0) = 1.
 All arithmetic here is double precision regardless of what the neural network
 downstream trains in. Every generator is a pure function of an explicit
 ``numpy.random.Generator`` so callers control reproducibility.
+
+The renderers also take a batch: a placement whose arrays carry a leading
+sample axis renders one signal per sample, bit-identical to rendering each
+sample's placement alone, and ``noise_variance``/``scale_noise`` work per
+sample on that axis. The random draws stay per sample, so a batch consumes
+the generator exactly as the single-sample calls would.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ class PuPlacement:
 
     Carriers sit exactly on sub-band centres, so the occupancy labels derived
     from a placement are unambiguous: PU k occupies the sub-band whose centre
-    equals ``carrier_hz[k]``.
+    equals ``carrier_hz[k]``. A batch of placements with the same PU count
+    stacks each field to (B, K).
     """
 
     carrier_hz: np.ndarray
@@ -68,7 +75,8 @@ class PuPlacement:
     energy: np.ndarray
 
     def __len__(self) -> int:
-        return self.carrier_hz.shape[0]
+        """Number of PUs (per sample, for a batch)."""
+        return self.carrier_hz.shape[-1]
 
 
 def draw_occupancy(n_subbands: int, n_active: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,23 +113,45 @@ def place_pus(occupancy: np.ndarray, config: ScenarioConfig, rng: np.random.Gene
 def noiseless_signal(placement: PuPlacement, config: ScenarioConfig, instants: np.ndarray) -> np.ndarray:
     """Evaluate the PU superposition (no noise) at the given instants.
 
-    Returns a complex128 array with the same shape as ``instants``.
+    Returns a complex128 array shaped like ``instants``, preceded by the
+    placement's batch axis when it has one: (B,) + instants.shape.
     """
     t = np.asarray(instants, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
+    batch = np.shape(placement.carrier_hz)[:-1]
+    out = np.zeros(batch + t.shape, dtype=np.complex128)
     b0 = config.subband_hz
-    for f_k, t_k, e_k in zip(placement.carrier_hz, placement.offset_s, placement.energy):
+    # (..., K) fields -> K columns shaped to broadcast against the instants
+    columns = [np.moveaxis(np.asarray(v), -1, 0).reshape((-1,) + batch + (1,) * t.ndim)
+               for v in (placement.carrier_hz, placement.offset_s, placement.energy)]
+    for f_k, t_k, e_k in zip(*columns):
         pulse = np.sqrt(e_k * b0) * np.sinc(b0 * (t - t_k))
         out += pulse * np.exp(2j * np.pi * f_k * t)
     return out
 
 
-def noise_variance(snr_db: float, clean: np.ndarray) -> float:
+def noise_variance(snr_db: float, clean: np.ndarray, batched: bool = False):
     """Noise variance that realises ``snr_db`` against the average power of
     the noiseless samples ``clean``: sigma^2 = P_sig / 10^(snr_db / 10).
+
+    With ``batched`` the first axis of ``clean`` indexes samples and the
+    result is one variance per sample, each equal to the unbatched value.
     """
-    p_sig = float(np.mean(np.abs(clean) ** 2))
+    power = np.abs(clean) ** 2
+    if batched:
+        p_sig = power.reshape(power.shape[0], -1).mean(axis=1)
+    else:
+        p_sig = float(np.mean(power))
     return p_sig / (10.0 ** (snr_db / 10.0))
+
+
+def scale_noise(clean: np.ndarray, std_normal: np.ndarray, noise_var: float | np.ndarray) -> np.ndarray:
+    """``clean`` plus complex noise built from two standard-normal blocks
+    ``std_normal = (real, imag)``, each scaled by sqrt(noise_var / 2).
+    ``noise_var`` is a scalar or one variance per sample of a batch.
+    """
+    scale = np.sqrt(np.asarray(noise_var) / 2.0)
+    scale = scale.reshape(scale.shape + (1,) * (clean.ndim - scale.ndim))
+    return clean + (scale * std_normal[0] + 1j * (scale * std_normal[1]))
 
 
 def add_awgn(clean: np.ndarray, rng: np.random.Generator, noise_var: float) -> np.ndarray:
@@ -131,9 +161,8 @@ def add_awgn(clean: np.ndarray, rng: np.random.Generator, noise_var: float) -> n
     if noise_var < 0:
         raise ValueError("noise_var must be non-negative")
     if noise_var > 0:
-        scale = np.sqrt(noise_var / 2.0)
-        noise = rng.normal(scale=scale, size=clean.shape) + 1j * rng.normal(scale=scale, size=clean.shape)
-        clean = clean + noise
+        std_normal = (rng.standard_normal(clean.shape), rng.standard_normal(clean.shape))
+        clean = scale_noise(clean, std_normal, noise_var)
     return clean
 
 

@@ -416,13 +416,14 @@ class TrainResult:
 
 def evaluate_loss(spec: DetectorSpec, weights: ModelWeights, features: np.ndarray,
                   labels: np.ndarray, chunk: int = 256) -> float:
-    """Eval-mode BCE over a whole dataset, averaged over all samples."""
+    """Eval-mode BCE over a whole dataset, averaged over all samples. Only one
+    chunk's forward cache is alive at a time.
+    """
     n = features.shape[0]
     total = 0.0
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        probs, _ = forward(spec, weights, features[sl])
-        total += bce_loss(probs, labels[sl]) * (sl.stop - sl.start)
+        total += bce_loss(forward(spec, weights, features[sl])[0], labels[sl]) * (sl.stop - sl.start)
     return total / n
 
 

@@ -140,3 +140,90 @@ class TestInvariants:
         y = a @ x
         result = baselines.somp_detect(y, a, 1)
         assert result.support == (4,)  # column 3 (0-based), not its duplicate 11
+
+
+# ---------------------------------------------------------------------------
+# Batched SOMP against the per-sample implementation it replaced
+# ---------------------------------------------------------------------------
+
+def _per_sample_least_squares(sub, y):
+    gram = sub.conj().T @ sub
+    ridge = baselines._LS_RIDGE * float(np.abs(np.diag(gram)).mean())
+    gram += max(ridge, np.finfo(float).tiny) * np.eye(sub.shape[1])
+    return np.linalg.solve(gram, sub.conj().T @ y)
+
+
+def _per_sample_rank_aware_scores(a, residual, selected, remaining):
+    u, s, _ = np.linalg.svd(residual, full_matrices=False)
+    rank = int((s > baselines._RANK_TOL * (s[0] if s.size else 1.0)).sum())
+    rank = min(rank, remaining, residual.shape[0] - 1)
+    if rank == 0:
+        return np.zeros(a.shape[1])
+    basis = u[:, :rank]
+    if selected:
+        q, _ = np.linalg.qr(a[:, selected])
+        atoms = a - q @ (q.conj().T @ a)
+    else:
+        atoms = a
+    norms = np.linalg.norm(atoms, axis=0)
+    safe = np.where(norms > 1e-12, norms, np.inf)
+    return (np.abs(basis.conj().T @ atoms) ** 2).sum(axis=0) / safe**2
+
+
+def _per_sample_somp(y, a, sparsity, selection):
+    """The one-sample SOMP loop that ran before the batch form, as reference:
+    (support, residual norm)."""
+    residual = y
+    selected = []
+    for _ in range(sparsity):
+        if selection == "rank_aware":
+            scores = _per_sample_rank_aware_scores(a, residual, selected, sparsity - len(selected))
+        else:
+            scores = (np.abs(a.conj().T @ residual) ** 2).sum(axis=1)
+        if selected:
+            scores[np.asarray(selected)] = -np.inf
+        selected.append(int(np.argmax(scores)))
+        sub = a[:, selected]
+        residual = y - sub @ _per_sample_least_squares(sub, y)
+    return tuple(i + 1 for i in selected), float(np.linalg.norm(residual))
+
+
+class TestBatchedOracle:
+    """Supports and residual norms of one batched call equal the per-sample
+    loop bit for bit on the evaluation grid of both presets: every target
+    domain (T4's 9 or 24 PUs exceed the coset count, where near-tied scores
+    are decided by rounding) at every grid SNR, on the complex64 spectra the
+    harness stores.
+    """
+
+    @pytest.mark.parametrize("selection", ["rank_aware", "correlation"])
+    @pytest.mark.parametrize("preset,count", [("scaled_default", 12), ("full_scale", 3)])
+    def test_batch_equals_per_sample_loop(self, preset, count, selection):
+        from ftlwss import harness
+        config = getattr(harness, preset)()
+        a = mc.build_measurement_matrix(config.sensing.pattern()).values
+        for domain in config.domains.target_names():
+            k = config.domains.n_active(domain)
+            for snr_db in config.evaluation.snr_grid:
+                spectra = harness.build_dataset(
+                    config, domain, count, harness.dataset_rng(config, domain, "test", snr_db),
+                    snr_db=snr_db, keep_spectra=True).coset_spectra
+                batch = baselines.somp_detect(spectra, a, k, selection=selection)
+                for y, got in zip(spectra, batch):
+                    assert (got.support, got.residual_norm) == _per_sample_somp(y, a, k, selection)
+                # the one-sample form is the batch of one
+                single = baselines.somp_detect(spectra[0], a, k, selection=selection)
+                assert single == batch[0]
+
+    def test_mixed_ranks_in_one_batch(self):
+        # noiseless samples of different true sparsity give residuals of
+        # different rank in the same step, so the scores are computed per
+        # rank group
+        rng = np.random.default_rng(11)
+        a = matrix_for(range(6))
+        ys = np.stack([row_sparse_spectra(a, rng.choice(16, size=s, replace=False), rng)
+                       for s in (1, 2, 3, 4, 5, 5, 3, 1)])
+        for selection in ("rank_aware", "correlation"):
+            batch = baselines.somp_detect(ys, a, 5, selection=selection)
+            for y, got in zip(ys, batch):
+                assert (got.support, got.residual_norm) == _per_sample_somp(y, a, 5, selection)

@@ -118,3 +118,18 @@ def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):
     a = harness.load_dataset(out_a / "dataset_T1_train.bin")
     b = harness.load_dataset(out_b / "dataset_T1_train.bin")
     assert not np.array_equal(a.features, b.features)
+
+
+def test_prune_command_writes_the_pipeline_prune_report(tiny_config_file, tmp_path):
+    # `ftlwss prune` runs the pipeline's prune stage: on the same source
+    # model it writes the same report, accuracies included, and checkpoint
+    from dataclasses import replace
+    config = harness.ExperimentConfig.from_json_file(tiny_config_file)
+    pipeline_out, cli_out = tmp_path / "pipeline", tmp_path / "cli"
+    harness.run_pipeline(replace(config, stages=("train", "prune")), pipeline_out)
+    assert cli.main(["prune", "--config", str(tiny_config_file), "--out", str(cli_out),
+                     "--model", str(pipeline_out / "model_source.bin")]) == cli.EXIT_OK
+    report = (cli_out / "prune_report.json").read_bytes()
+    assert report == (pipeline_out / "prune_report.json").read_bytes()
+    assert {"p_acc_source_unpruned", "p_acc_source_pruned_finetuned"} <= set(json.loads(report))
+    assert (cli_out / "model_pruned.bin").read_bytes() == (pipeline_out / "model_pruned.bin").read_bytes()

@@ -164,6 +164,40 @@ def _two_pass_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
     return np.stack(features), np.stack(labels), np.stack(spectra)
 
 
+def _per_sample_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
+    """The per-sample loop ``build_dataset`` ran before its front end was
+    batched, with the signal renderer and the noise draw of that time inline:
+    one PU at a time into the clean signal, ``rng.normal`` for the noise."""
+    sensing = config.sensing
+    pattern = sensing.pattern()
+    if snr_db is None and not noiseless:
+        snr_db = config.training.snr_db
+    scenario = config.scenario(domain, None if noiseless else snr_db)
+    instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
+    pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
+    reorder = multicoset.band_order(sensing.n_subbands)
+    b0 = scenario.subband_hz
+    features, labels, spectra = [], [], []
+    for _ in range(count):
+        occupancy = signal_model.draw_occupancy(sensing.n_subbands, scenario.n_active_pus, rng)
+        placement = signal_model.place_pus(occupancy, scenario, rng)
+        samples = np.zeros(instants.shape, dtype=np.complex128)
+        for f_k, t_k, e_k in zip(placement.carrier_hz, placement.offset_s, placement.energy):
+            pulse = np.sqrt(e_k * b0) * np.sinc(b0 * (instants - t_k))
+            samples += pulse * np.exp(2j * np.pi * f_k * instants)
+        if not noiseless and len(placement):
+            p_sig = float(np.mean(np.abs(samples) ** 2))
+            scale = np.sqrt(p_sig / (10.0 ** (snr_db / 10.0)) / len(placement) / 2.0)
+            samples = samples + (rng.normal(scale=scale, size=samples.shape)
+                                 + 1j * rng.normal(scale=scale, size=samples.shape))
+        coset_spectra = multicoset.coset_dft(samples, pattern)
+        xbar = multicoset.normalize_feature(multicoset.recover_feature(pinv, coset_spectra)[reorder])
+        features.append(multicoset.to_tensor(xbar).astype(np.float32))
+        labels.append(occupancy)
+        spectra.append(coset_spectra.astype(np.complex64))
+    return np.stack(features), np.stack(labels), np.stack(spectra)
+
+
 class TestBuildDatasetOracle:
     @pytest.mark.parametrize("snr_db,noiseless", [
         (None, True), (-10.0, False), (0.0, False), (10.0, False),
@@ -181,12 +215,34 @@ class TestBuildDatasetOracle:
         assert got.coset_spectra.tobytes() == spectra.tobytes()
 
     def test_one_clean_signal_pass_per_sample(self, monkeypatch):
-        calls = []
+        # the batched renderer draws every sample's signal exactly once: one
+        # call per front-end chunk, whose batch sizes add up to the count
+        chunk = harness._FRONT_END_CHUNK
+        batches = []
         original = signal_model.noiseless_signal
         monkeypatch.setattr(signal_model, "noiseless_signal",
-                            lambda *a, **k: calls.append(1) or original(*a, **k))
+                            lambda p, *a, **k: batches.append(p.carrier_hz.shape[0]) or original(p, *a, **k))
         harness.build_dataset(tiny_config(), "T3", 7, np.random.default_rng(2), snr_db=0.0)
-        assert len(calls) == 7
+        assert batches == [7]
+        batches.clear()
+        harness.build_dataset(tiny_config(), "T3", chunk + 1, np.random.default_rng(2), snr_db=0.0)
+        assert batches == [chunk, 1]
+
+    @pytest.mark.parametrize("count", [1, harness._FRONT_END_CHUNK - 1, harness._FRONT_END_CHUNK,
+                                       harness._FRONT_END_CHUNK + 1])
+    @pytest.mark.parametrize("domain,snr_db,noiseless", [
+        ("T4", None, True), ("S", -10.0, False), ("T1", 10.0, False),
+    ])
+    def test_bytes_equal_per_sample_loop(self, count, domain, snr_db, noiseless):
+        cfg = tiny_config()
+        rng_args = (cfg, domain, "test", None if noiseless else snr_db)
+        got = harness.build_dataset(cfg, domain, count, harness.dataset_rng(*rng_args),
+                                    snr_db=snr_db, noiseless=noiseless, keep_spectra=True)
+        features, labels, spectra = _per_sample_dataset(
+            cfg, domain, count, harness.dataset_rng(*rng_args), snr_db=snr_db, noiseless=noiseless)
+        assert got.features.tobytes() == features.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.coset_spectra.tobytes() == spectra.tobytes()
 
 
 class TestDatasetPersistence:
@@ -211,6 +267,26 @@ class TestDatasetPersistence:
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
         path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DecodeError):
+            harness.load_dataset(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda car: {**car, "count": "3"}, id="count-string"),
+        pytest.param(lambda car: {**car, "feature_shape": None}, id="shape-null"),
+        pytest.param(lambda car: {**car, "feature_shape": [8, 8.0, 2]}, id="shape-float"),
+        pytest.param(lambda car: {k: v for k, v in car.items() if k != "count"}, id="count-missing"),
+        pytest.param(lambda car: {k: v for k, v in car.items() if k != "label_bits_per_sample"},
+                     id="label-bits-missing"),
+        pytest.param(lambda car: [car], id="not-an-object"),
+        pytest.param(lambda car: '{"count": 3,', id="not-json"),
+    ])
+    def test_malformed_sidecar_raises_decode_error(self, tmp_path, edit):
+        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        path = tmp_path / "data.bin"
+        harness.save_dataset(ds, path)
+        sidecar = tmp_path / "data.bin.json"
+        edited = edit(json.loads(sidecar.read_text()))
+        sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         with pytest.raises(DecodeError):
             harness.load_dataset(path)
 
@@ -254,6 +330,41 @@ class TestPrediction:
         weights = tn.init_weights(spec, np.random.default_rng(0))
         with pytest.raises(ValueError):
             harness.predict_occupancy(spec, weights, np.zeros((8, 8, 2)), 0.0)
+
+
+def _traced_peak(fn) -> int:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictionMemory:
+    """Chunked eval-mode passes keep one chunk's forward cache alive at a
+    time: three chunks peak no higher than one (holding the previous cache
+    through the next forward pass doubled the peak)."""
+
+    def setup_method(self):
+        self.spec = harness.scaled_default().detector_spec()
+        self.weights = tn.init_weights(self.spec, np.random.default_rng(0))
+        shape = (96, self.spec.in_rows, self.spec.in_cols, 2)
+        self.features = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+        self.labels = (np.random.default_rng(2).random((96, self.spec.n_outputs)) < 0.4).astype(np.int8)
+
+    def test_predict_probs(self):
+        one = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features[:32], chunk=32))
+        three = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features, chunk=32))
+        assert three < 1.3 * one
+
+    def test_evaluate_loss(self):
+        one = _traced_peak(lambda: tn.evaluate_loss(self.spec, self.weights, self.features[:32],
+                                                    self.labels[:32], chunk=32))
+        three = _traced_peak(lambda: tn.evaluate_loss(self.spec, self.weights, self.features,
+                                                      self.labels, chunk=32))
+        assert three < 1.3 * one
 
 
 class TestPredictionAccuracy:

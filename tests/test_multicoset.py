@@ -243,5 +243,5 @@ def test_end_to_end_single_pu_band_argmax():
         truth = int(np.flatnonzero(occupancy)[0])
         placement = sm.place_pus(occupancy, config, rng)
         samples = sm.noiseless_signal(placement, config, instants)
-        xhat = mc.acquire_feature(samples, pattern)
+        xhat, _ = mc.acquire_feature(samples, pattern)
         assert int(np.argmax(np.sum(np.abs(xhat) ** 2, axis=1))) == truth
