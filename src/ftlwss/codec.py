@@ -4,10 +4,16 @@ Tensor sections are self-describing: a u32 rank, the u32 dimensions, then the
 row-major float32 payload. All integers and floats are little-endian. Decoding
 failures raise :class:`DecodeError` carrying the byte offset of the problem,
 and never leave partially constructed state behind.
+
+Encoders size their output first and write every section in place, so
+``encode_*`` returns a ``bytearray`` built in one pass. Decoded arrays are
+views of the message buffer (read-only when it is ``bytes``), copied only
+when their payload does not sit on a 4-byte boundary.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -21,24 +27,40 @@ class DecodeError(ValueError):
         self.offset = offset
 
 
-def encode_tensor(array: np.ndarray) -> bytes:
-    array = np.ascontiguousarray(array, dtype="<f4")
-    header = struct.pack("<I", array.ndim) + struct.pack(f"<{array.ndim}I", *array.shape)
-    return header + array.tobytes()
+def tensor_nbytes(array: np.ndarray) -> int:
+    """Encoded size of ``array``: rank, dimensions and float32 payload."""
+    return 4 * (1 + array.ndim + array.size)
+
+
+def write_tensor(buf, offset: int, array: np.ndarray) -> int:
+    """Write ``array`` as a tensor section at ``offset`` of the writable
+    buffer ``buf``, casting to float32 on the way; returns the end offset.
+    """
+    struct.pack_into(f"<{1 + array.ndim}I", buf, offset, array.ndim, *array.shape)
+    offset += 4 * (1 + array.ndim)
+    payload = np.frombuffer(buf, dtype="<f4", count=array.size, offset=offset)
+    payload.reshape(array.shape)[...] = array
+    return offset + 4 * array.size
+
+
+def encode_tensor(array: np.ndarray) -> bytearray:
+    array = np.ascontiguousarray(array)  # a 0-d array encodes as shape (1,)
+    buf = bytearray(tensor_nbytes(array))
+    write_tensor(buf, 0, array)
+    return buf
 
 
 class ByteReader:
     """Sequential reader tracking its offset for error reporting."""
 
-    def __init__(self, data: bytes):
-        self._data = data
+    def __init__(self, data):
+        self._data = memoryview(data)
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
-        if self.offset + count > len(self._data):
+    def take(self, count: int) -> memoryview:
+        if count > self.remaining:
             raise DecodeError(
-                f"truncated payload: wanted {count} bytes, {len(self._data) - self.offset} left",
-                self.offset,
+                f"truncated payload: wanted {count} bytes, {self.remaining} left", self.offset
             )
         chunk = self._data[self.offset:self.offset + count]
         self.offset += count
@@ -61,9 +83,18 @@ class ByteReader:
         if rank > 8:
             raise DecodeError(f"implausible tensor rank {rank}", self.offset - 4)
         shape = tuple(self.u32() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = self.take(4 * count)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        count = math.prod(shape)
+        if 4 * count > self.remaining:
+            raise DecodeError(
+                f"tensor of shape {shape} needs {4 * count} bytes, {self.remaining} left",
+                self.offset,
+            )
+        array = np.frombuffer(self._data, dtype="<f4", count=count, offset=self.offset)
+        self.offset += 4 * count
+        # BLAS takes only aligned operands; numpy's fallback rounds differently
+        if not array.flags.aligned:
+            array = array.copy()
+        return array.reshape(shape)
 
     def expect_end(self) -> None:
         if self.offset != len(self._data):

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ByteReader, DecodeError, encode_tensor
+from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
 from .tensornet import (
     DetectorSpec,
     ModelWeights,
     checkpoint_bytes,
+    kept_update,
     parse_checkpoint,
     backward,
     forward,
@@ -92,24 +93,29 @@ class GradientUpload:
         return {name: getattr(self, name) for name in DS_GRADIENT_NAMES}
 
 
-def encode_message(msg) -> bytes:
-    parts = [MESSAGE_MAGIC, struct.pack("<I", MESSAGE_VERSION)]
+_MESSAGE_HEADER = struct.Struct("<4sIBI")
+_UPLOAD_HEADER = struct.Struct("<IQ")
+
+
+def encode_message(msg) -> bytearray:
     if isinstance(msg, ModelBroadcast):
-        parts.append(struct.pack("<BI", MSG_BROADCAST, msg.round_idx))
-        parts.append(checkpoint_bytes(msg.spec, msg.weights))
-    elif isinstance(msg, GradientUpload):
-        parts.append(struct.pack("<BI", MSG_UPLOAD, msg.round_idx))
-        parts.append(struct.pack("<IQ", msg.su_id, msg.n_samples))
-        for name in DS_GRADIENT_NAMES:
-            parts.append(encode_tensor(getattr(msg, name)))
-    else:
+        header = _MESSAGE_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, MSG_BROADCAST, msg.round_idx)
+        return checkpoint_bytes(msg.spec, msg.weights, prefix=header)
+    if not isinstance(msg, GradientUpload):
         raise TypeError(f"cannot encode {type(msg).__name__}")
-    return b"".join(parts)
+    arrays = [getattr(msg, name) for name in DS_GRADIENT_NAMES]
+    offset = _MESSAGE_HEADER.size + _UPLOAD_HEADER.size
+    buf = bytearray(offset + sum(tensor_nbytes(a) for a in arrays))
+    _MESSAGE_HEADER.pack_into(buf, 0, MESSAGE_MAGIC, MESSAGE_VERSION, MSG_UPLOAD, msg.round_idx)
+    _UPLOAD_HEADER.pack_into(buf, _MESSAGE_HEADER.size, msg.su_id, msg.n_samples)
+    for array in arrays:
+        offset = write_tensor(buf, offset, array)
+    return buf
 
 
-def decode_message(data: bytes):
+def decode_message(data):
     reader = ByteReader(data)
-    magic = reader.take(4)
+    magic = bytes(reader.take(4))
     if magic != MESSAGE_MAGIC:
         raise DecodeError(f"bad message magic {magic!r}", 0)
     version = reader.u32()
@@ -159,16 +165,19 @@ def local_training(
     if n == 0:
         raise ValueError("SU dataset must be non-empty")
     rng = su_round_rng(seed, su_id, round_idx)
-    local = global_weights.copy()
+    local = global_weights
     dtype = local.dtype
     acc = {name: np.zeros_like(getattr(local, name)) for name in DS_GRADIENT_NAMES}
+    grads = None
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
+            if grads is not None:
+                # the previous batch's step, taken only when a batch reads it
+                local = sgd_step(local, grads, cfg.lr, scope="ds_only")
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng)
             grads = backward(spec, local, cache, labels[idx], scope="ds_only")
-            local = sgd_step(local, grads, cfg.lr, scope="ds_only")
             for name in DS_GRADIENT_NAMES:
                 acc[name] += getattr(grads, name).astype(dtype, copy=False)
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
@@ -179,8 +188,10 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
 
     Uploads are reduced in ascending SU-id order regardless of arrival order,
     in the model dtype, so aggregation is deterministic. The general-feature
-    arrays of the result are the same objects as the input's (models are
-    treated as immutable), and the prune mask is re-applied.
+    arrays and the prune mask of the result are the same objects as the
+    input's (models are treated as immutable). With a mask, the hidden-FC
+    sum and step are computed at the kept positions only and every pruned
+    weight is +0.0.
     """
     if not uploads:
         raise ValueError("aggregate needs at least one upload")
@@ -194,25 +205,33 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     total = sum(u.n_samples for u in ordered)
     if total <= 0:
         raise ValueError("total sample count must be positive")
-    dtype = weights.dtype
-    acc = {name: np.zeros_like(getattr(weights, name)) for name in DS_GRADIENT_NAMES}
     for upload in ordered:
-        coeff = dtype.type(upload.n_samples / total)
         for name in DS_GRADIENT_NAMES:
-            grad = getattr(upload, name).astype(dtype, copy=False)
-            if grad.shape != acc[name].shape:
+            shape, expected = getattr(upload, name).shape, getattr(weights, name).shape
+            if shape != expected:
                 raise ProtocolError(
-                    f"upload from SU {upload.su_id} has {name} shape {grad.shape}, "
-                    f"expected {acc[name].shape}"
+                    f"upload from SU {upload.su_id} has {name} shape {shape}, expected {expected}"
                 )
-            acc[name] += coeff * grad
-    fields = dict(weights.arrays())
-    for name in DS_GRADIENT_NAMES:
-        fields[name] = fields[name] - dtype.type(lr) * acc[name]
+    dtype = weights.dtype
+    rate = dtype.type(lr)
     mask = weights.prune_mask
-    if mask is not None:
-        fields["fc1_w"] = np.where(mask, fields["fc1_w"], dtype.type(0))
-        mask = mask.copy()
+    kept = None if mask is None else np.flatnonzero(mask)
+    fields = weights.arrays()
+    for name in DS_GRADIENT_NAMES:
+        sparse = kept is not None and name == "fc1_w"
+        acc = np.zeros(kept.size if sparse else fields[name].shape, dtype=dtype)
+        term = np.empty_like(acc)
+        for upload in ordered:
+            grad = getattr(upload, name)
+            if sparse:
+                grad = grad.reshape(-1)[kept]
+            coeff = dtype.type(upload.n_samples / total)
+            acc += np.multiply(grad.astype(dtype, copy=False), coeff, out=term)
+        acc *= rate
+        if sparse:
+            fields[name] = kept_update(fields[name], kept, acc)
+        else:
+            fields[name] = np.subtract(fields[name], acc, out=acc)
     return ModelWeights(**fields, prune_mask=mask)
 
 
@@ -253,32 +272,58 @@ class InProcessTransport(Transport):
         return uploads
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(struct.pack("<I", len(payload)) + payload)
+# Largest frame recv_frame accepts: well above a full-scale broadcast
+# (18.3 MB), so a corrupt length prefix cannot make it allocate gigabytes.
+MAX_FRAME_BYTES = 64 << 20
+
+# Both message headers are 1 mod 4 bytes long (13 and 25), so a frame read
+# 3 bytes into its buffer puts every float32 section on a 4-byte boundary
+# and decode_message can return views of it instead of copies.
+_FRAME_LEAD = 3
 
 
-def recv_frame(sock: socket.socket) -> bytes | None:
-    """Read one length-prefixed frame; None on clean EOF before a frame."""
-    header = _recv_exact(sock, 4, allow_eof=True)
-    if header is None:
+def send_frame(sock: socket.socket, payload) -> None:
+    """Send the u32 length prefix and the payload without joining them."""
+    view = memoryview(payload)
+    if view.nbytes > MAX_FRAME_BYTES:
+        raise ValueError(f"frame of {view.nbytes} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+    prefix = struct.pack("<I", view.nbytes)
+    sent = sock.sendmsg([prefix, view])
+    if sent < len(prefix):
+        sock.sendall(prefix[sent:])
+        sent = len(prefix)
+    sock.sendall(view[sent - len(prefix):])
+
+
+def recv_frame(sock: socket.socket) -> memoryview | None:
+    """Read one length-prefixed frame into a fresh buffer; None on clean EOF
+    before a frame. A prefix over ``MAX_FRAME_BYTES`` raises ``DecodeError``
+    before anything is allocated.
+    """
+    header = bytearray(4)
+    if not _recv_into(sock, memoryview(header), allow_eof=True):
         return None
     (length,) = struct.unpack("<I", header)
-    body = _recv_exact(sock, length, allow_eof=False)
+    if length > MAX_FRAME_BYTES:
+        raise DecodeError(f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap", 0)
+    body = memoryview(bytearray(_FRAME_LEAD + length))[_FRAME_LEAD:]
+    _recv_into(sock, body, allow_eof=False)
     return body
 
 
-def _recv_exact(sock: socket.socket, count: int, allow_eof: bool) -> bytes | None:
-    chunks = []
+def _recv_into(sock: socket.socket, view: memoryview, allow_eof: bool) -> bool:
+    """Fill ``view`` from the socket; False on EOF before the first byte
+    when ``allow_eof``.
+    """
     got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
+    while got < len(view):
+        count = sock.recv_into(view[got:])
+        if count == 0:
             if allow_eof and got == 0:
-                return None
+                return False
             raise DecodeError(f"connection closed mid-frame after {got} bytes", got)
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += count
+    return True
 
 
 class SocketServerTransport(Transport):

@@ -19,12 +19,14 @@ generators, so runs are bit-reproducible per seed.
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import ByteReader, DecodeError, encode_tensor
+from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
 
 CHECKPOINT_MAGIC = b"WSSN"
 CHECKPOINT_VERSION = 1
@@ -357,29 +359,40 @@ def sgd_step(weights: ModelWeights, grads: Gradients, lr: float, scope: str = "a
     """Plain gradient step theta <- theta - lr * g on the selected scope.
 
     ``scope="ds_only"`` leaves the convolutional (general-feature) parameters
-    byte-identical. The prune mask, when present, is re-applied so masked
-    hidden-FC weights stay exactly zero.
+    byte-identical. With a prune mask the hidden-FC step is computed at the
+    kept positions only and every pruned weight is +0.0. The result shares
+    the untouched arrays and the mask with ``weights`` and never writes
+    into it.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     if scope not in ("all", "ds_only"):
         raise ValueError(f"unknown scope {scope!r}")
     names = PARAM_NAMES if scope == "all" else DOMAIN_SPECIFIC_PARAMS
-    fields = {}
-    for name in PARAM_NAMES:
-        value = getattr(weights, name)
-        if name in names:
-            grad = getattr(grads, name)
-            if value.shape != grad.shape:
-                raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
-            fields[name] = value - value.dtype.type(lr) * grad
+    fields = weights.arrays()
+    for name in names:
+        value = fields[name]
+        grad = getattr(grads, name)
+        if value.shape != grad.shape:
+            raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
+        rate = value.dtype.type(lr)
+        if name == "fc1_w" and weights.prune_mask is not None:
+            kept = np.flatnonzero(weights.prune_mask)
+            fields[name] = kept_update(value, kept, rate * grad.reshape(-1)[kept])
         else:
-            fields[name] = value
-    mask = weights.prune_mask
-    if mask is not None:
-        fields["fc1_w"] = np.where(mask, fields["fc1_w"], fields["fc1_w"].dtype.type(0))
-        mask = mask.copy()
-    return ModelWeights(**fields, prune_mask=mask)
+            step = rate * grad
+            fields[name] = np.subtract(value, step, out=step)
+    return ModelWeights(**fields, prune_mask=weights.prune_mask)
+
+
+def kept_update(value: np.ndarray, kept: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``value - step`` at the flat indices ``kept``, +0.0 everywhere else.
+    ``step`` holds one entry per kept index and is overwritten.
+    """
+    np.subtract(value.reshape(-1)[kept], step, out=step)
+    out = np.zeros(value.shape, dtype=step.dtype)
+    out.reshape(-1)[kept] = step
+    return out
 
 
 def mask_gradients(grads: Gradients, prune_mask: np.ndarray | None) -> Gradients:
@@ -539,34 +552,48 @@ def finite_difference_check(
 # sections, then a tagged prune-mask bitset section.
 # ---------------------------------------------------------------------------
 
-def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights) -> bytes:
-    import struct
+_CHECKPOINT_HEADER = struct.Struct("<4sI5I2f")
 
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    parts.append(struct.pack(
-        "<5I2f",
+
+def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights,
+                     prefix: bytes = b"") -> bytearray:
+    """The checkpoint of ``weights``, written in one pass after ``prefix``
+    (a broadcast message puts its header there).
+    """
+    mask = weights.prune_mask
+    size = len(prefix) + _CHECKPOINT_HEADER.size + 1
+    size += sum(tensor_nbytes(getattr(weights, name)) for name in PARAM_NAMES)
+    if mask is not None:
+        bits = np.packbits(np.asarray(mask, dtype=bool).view(np.uint8).reshape(-1),
+                           bitorder="little")
+        size += 8 + bits.size
+    buf = bytearray(size)
+    buf[:len(prefix)] = prefix
+    offset = len(prefix)
+    _CHECKPOINT_HEADER.pack_into(
+        buf, offset, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
         spec.hidden_units, spec.dropout_conv, spec.dropout_fc,
-    ))
+    )
+    offset += _CHECKPOINT_HEADER.size
     for name in PARAM_NAMES:
-        parts.append(encode_tensor(getattr(weights, name)))
-    if weights.prune_mask is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        bits = np.packbits(weights.prune_mask.astype(np.uint8).reshape(-1), bitorder="little")
-        parts.append(struct.pack("<BQ", 1, weights.prune_mask.size))
-        parts.append(bits.tobytes())
-    return b"".join(parts)
+        offset = write_tensor(buf, offset, getattr(weights, name))
+    # the buffer starts zeroed, so without a mask its last byte is tag 0
+    if mask is not None:
+        struct.pack_into("<BQ", buf, offset, 1, mask.size)
+        buf[offset + 9:] = memoryview(bits)
+    return buf
 
 
-def parse_checkpoint(data: bytes) -> tuple[DetectorSpec, ModelWeights]:
+def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
     reader = ByteReader(data)
-    magic = reader.take(4)
+    magic = bytes(reader.take(4))
     if magic != CHECKPOINT_MAGIC:
         raise DecodeError(f"bad checkpoint magic {magic!r}", 0)
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise DecodeError(f"unsupported checkpoint version {version}", 4)
+    header_offset = reader.offset
     in_rows = reader.u32()
     in_cols = reader.u32()
     conv1 = reader.u32()
@@ -574,11 +601,14 @@ def parse_checkpoint(data: bytes) -> tuple[DetectorSpec, ModelWeights]:
     hidden = reader.u32()
     drop_conv = reader.f32()
     drop_fc = reader.f32()
-    spec = DetectorSpec(
-        in_rows=in_rows, in_cols=in_cols, conv1_filters=conv1,
-        conv2_filters=conv2, hidden_units=hidden,
-        dropout_conv=round(drop_conv, 6), dropout_fc=round(drop_fc, 6),
-    )
+    try:
+        spec = DetectorSpec(
+            in_rows=in_rows, in_cols=in_cols, conv1_filters=conv1,
+            conv2_filters=conv2, hidden_units=hidden,
+            dropout_conv=round(drop_conv, 6), dropout_fc=round(drop_fc, 6),
+        )
+    except ValueError as exc:
+        raise DecodeError(f"invalid spec header: {exc}", header_offset) from exc
     fields = {}
     expected = spec.param_shapes()
     for name in PARAM_NAMES:
@@ -597,7 +627,7 @@ def parse_checkpoint(data: bytes) -> tuple[DetectorSpec, ModelWeights]:
             raise DecodeError(f"mask bit count {nbits} does not cover fc1_w", reader.offset)
         raw = reader.take((nbits + 7) // 8)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=nbits, bitorder="little")
-        mask = bits.astype(bool).reshape(fields["fc1_w"].shape)
+        mask = bits.view(bool).reshape(fields["fc1_w"].shape)
     elif tag != 0:
         raise DecodeError(f"unknown mask section tag {tag}", reader.offset - 1)
     reader.expect_end()
@@ -610,5 +640,8 @@ def save_checkpoint(path, spec: DetectorSpec, weights: ModelWeights) -> None:
 
 
 def load_checkpoint(path) -> tuple[DetectorSpec, ModelWeights]:
+    """Read a checkpoint file; the weights are writable views of one buffer."""
     with open(path, "rb") as fh:
-        return parse_checkpoint(fh.read())
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    return parse_checkpoint(data)

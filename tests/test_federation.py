@@ -334,3 +334,208 @@ class TestFrames:
                 fed.recv_frame(b)
         finally:
             b.close()
+
+    def test_payload_larger_than_socket_buffer(self):
+        import socket
+
+        a, b = socket.socketpair()
+        try:
+            payload = np.random.default_rng(0).bytes(8 << 20)
+            assert len(payload) > a.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            b.settimeout(10)
+            sender = threading.Thread(target=fed.send_frame, args=(a, bytearray(payload)))
+            sender.start()
+            frame = fed.recv_frame(b)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            assert bytes(frame) == payload
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("first_send", [0, 1, 4, 7])
+    def test_partial_sendmsg_is_finished(self, first_send):
+        class ShortSocket:
+            def __init__(self):
+                self.wire = bytearray()
+
+            def sendmsg(self, buffers):
+                joined = b"".join(bytes(buf) for buf in buffers)
+                self.wire += joined[:first_send]
+                return first_send
+
+            def sendall(self, data):
+                self.wire += data
+
+        sock = ShortSocket()
+        fed.send_frame(sock, b"abcdefgh")
+        assert sock.wire == b"\x08\x00\x00\x00abcdefgh"
+
+    def test_oversized_length_prefix_rejected(self):
+        import socket
+        import struct
+
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(5)
+            a.sendall(struct.pack("<I", fed.MAX_FRAME_BYTES + 1) + b"xx")
+            with pytest.raises(DecodeError, match="cap"):
+                fed.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_cap_is_inclusive(self, monkeypatch):
+        import socket
+
+        monkeypatch.setattr(fed, "MAX_FRAME_BYTES", 16)
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(5)
+            fed.send_frame(a, bytes(16))
+            assert fed.recv_frame(b) == bytes(16)
+            with pytest.raises(ValueError, match="cap"):
+                fed.send_frame(a, bytes(17))
+        finally:
+            a.close()
+            b.close()
+
+    def test_received_broadcast_decodes_to_aligned_views(self):
+        import socket
+
+        weights = toy_weights(masked=True)
+        data = fed.encode_message(fed.ModelBroadcast(round_idx=2, spec=SPEC, weights=weights))
+        a, b = socket.socketpair()
+        try:
+            fed.send_frame(a, data)
+            frame = fed.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        decoded = fed.decode_message(frame).weights
+        for name in tn.PARAM_NAMES:
+            array = getattr(decoded, name)
+            assert array.flags.aligned and not array.flags.owndata, name
+            assert np.array_equal(array, getattr(weights, name)), name
+
+
+def old_aggregate(weights, uploads, lr):
+    """The dense sum, step and np.where that aggregate replaced."""
+    ordered = sorted(uploads, key=lambda u: u.su_id)
+    total = sum(u.n_samples for u in ordered)
+    dtype = weights.dtype
+    acc = {name: np.zeros_like(getattr(weights, name)) for name in fed.DS_GRADIENT_NAMES}
+    for upload in ordered:
+        coeff = dtype.type(upload.n_samples / total)
+        for name in fed.DS_GRADIENT_NAMES:
+            acc[name] += coeff * getattr(upload, name).astype(dtype, copy=False)
+    fields = dict(weights.arrays())
+    for name in fed.DS_GRADIENT_NAMES:
+        fields[name] = fields[name] - dtype.type(lr) * acc[name]
+    mask = weights.prune_mask
+    if mask is not None:
+        fields["fc1_w"] = np.where(mask, fields["fc1_w"], dtype.type(0))
+        mask = mask.copy()
+    return tn.ModelWeights(**fields, prune_mask=mask)
+
+
+def old_local_training(spec, global_weights, features, labels, su_id, round_idx, cfg, seed):
+    """local_training with an SGD step after every batch, the last included."""
+    n = features.shape[0]
+    rng = fed.su_round_rng(seed, su_id, round_idx)
+    local = global_weights.copy()
+    dtype = local.dtype
+    acc = {name: np.zeros_like(getattr(local, name)) for name in fed.DS_GRADIENT_NAMES}
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, cache = tn.forward(spec, local, features[idx], train=True, rng=rng)
+            grads = tn.backward(spec, local, cache, labels[idx], scope="ds_only")
+            local = tn.sgd_step(local, grads, cfg.lr, scope="ds_only")
+            for name in fed.DS_GRADIENT_NAMES:
+                acc[name] += getattr(grads, name).astype(dtype, copy=False)
+    return fed.GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
+
+
+def assert_bitwise_equal(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestAggregateOracle:
+    def hostile(self, weights_dtype, upload_dtype):
+        # garbage (NaN, nonzero) at pruned positions, -0.0 at kept positions
+        weights = toy_weights(masked=True).astype(weights_dtype)
+        mask = weights.prune_mask
+        pruned, kept = np.flatnonzero(~mask), np.flatnonzero(mask)
+        weights.fc1_w.reshape(-1)[pruned[::2]] = np.nan
+        weights.fc1_w.reshape(-1)[pruned[1::2]] = 3.0
+        weights.fc1_w.reshape(-1)[kept[:4]] = -0.0
+        uploads = [toy_upload(seed=s, su_id=s, n_samples=10 * s) for s in (3, 1, 2)]
+        for upload in uploads:
+            upload.fc1_w.reshape(-1)[pruned[::3]] = np.nan
+            upload.fc1_w.reshape(-1)[kept[:2]] = 0.0
+            upload.fc1_w.reshape(-1)[kept[2:4]] = -0.0
+            for name in fed.DS_GRADIENT_NAMES:
+                setattr(upload, name, getattr(upload, name).astype(upload_dtype))
+        return weights, uploads
+
+    @pytest.mark.parametrize("weights_dtype, upload_dtype", [
+        (np.float32, np.float32), (np.float64, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bitwise_equal_to_dense_where(self, weights_dtype, upload_dtype, masked):
+        weights, uploads = self.hostile(weights_dtype, upload_dtype)
+        if not masked:
+            weights.prune_mask = None
+        before = {n: getattr(weights, n).tobytes() for n in tn.PARAM_NAMES}
+        out = fed.aggregate(weights, uploads, lr=0.3)
+        assert_bitwise_equal(out, old_aggregate(weights, uploads, lr=0.3), tn.PARAM_NAMES)
+        for name in tn.PARAM_NAMES:
+            assert getattr(weights, name).tobytes() == before[name], name
+
+    def test_shape_mismatch_rejected(self):
+        upload = toy_upload(su_id=1)
+        upload.out_b = upload.out_b[:-1]
+        with pytest.raises(fed.ProtocolError, match="out_b"):
+            fed.aggregate(toy_weights(masked=True), [upload], lr=0.1)
+
+
+class TestLocalTrainingOracle:
+    @pytest.mark.parametrize("count, batch_size, epochs", [(20, 20, 1), (20, 6, 1), (15, 5, 2)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_upload_equals_every_step_training(self, count, batch_size, epochs, masked):
+        weights = toy_weights(masked=masked)
+        features, labels = toy_dataset(seed=4, count=count)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=epochs, batch_size=batch_size,
+                            lr=0.05)
+        got = fed.local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
+        want = old_local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
+        assert_bitwise_equal(got, want, fed.DS_GRADIENT_NAMES)
+
+    @pytest.mark.parametrize("count, batch_size, epochs, steps", [
+        (20, 20, 1, 0), (20, 6, 1, 3), (15, 5, 2, 5)])
+    def test_no_step_after_the_last_batch(self, monkeypatch, count, batch_size, epochs, steps):
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return tn.sgd_step(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "sgd_step", counting_step)
+        features, labels = toy_dataset(count=count)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=epochs, batch_size=batch_size)
+        fed.local_training(SPEC, toy_weights(), features, labels, 1, 0, cfg, seed=5)
+        assert len(calls) == steps
+
+    def test_trains_on_read_only_broadcast(self):
+        weights = toy_weights(masked=True)
+        _, read_only = tn.parse_checkpoint(bytes(tn.checkpoint_bytes(SPEC, weights)))
+        assert not read_only.fc1_w.flags.writeable
+        features, labels = toy_dataset()
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=2, batch_size=7)
+        got = fed.local_training(SPEC, read_only, features, labels, 1, 0, cfg, seed=5)
+        want = old_local_training(SPEC, weights, features, labels, 1, 0, cfg, seed=5)
+        assert_bitwise_equal(got, want, fed.DS_GRADIENT_NAMES)

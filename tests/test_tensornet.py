@@ -418,3 +418,69 @@ class TestCheckpoint:
         spec2, w2 = tn.load_checkpoint(path)
         assert spec2 == TINY
         assert np.array_equal(w2.fc1_w, w.fc1_w)
+
+
+def old_sgd_step(weights, grads, lr, scope="all"):
+    """The dense step followed by np.where that sgd_step replaced."""
+    names = tn.PARAM_NAMES if scope == "all" else tn.DOMAIN_SPECIFIC_PARAMS
+    fields = {}
+    for name in tn.PARAM_NAMES:
+        value = getattr(weights, name)
+        if name in names:
+            fields[name] = value - value.dtype.type(lr) * getattr(grads, name)
+        else:
+            fields[name] = value
+    mask = weights.prune_mask
+    if mask is not None:
+        fields["fc1_w"] = np.where(mask, fields["fc1_w"], fields["fc1_w"].dtype.type(0))
+        mask = mask.copy()
+    return tn.ModelWeights(**fields, prune_mask=mask)
+
+
+def hostile_masked_weights(dtype, seed=0):
+    """A masked model with garbage (NaN, nonzero) at pruned positions, -0.0
+    at some kept positions, and a gradient that is zero there and NaN at
+    some pruned positions.
+    """
+    rng = np.random.default_rng(seed)
+    w = tiny_weights(seed, dtype=dtype)
+    mask = rng.random(w.fc1_w.shape) > 0.4
+    pruned = np.flatnonzero(~mask)
+    kept = np.flatnonzero(mask)
+    w.fc1_w.reshape(-1)[pruned[::2]] = np.nan
+    w.fc1_w.reshape(-1)[kept[:5]] = -0.0
+    w.prune_mask = mask
+    g = tn.Gradients(**{n: rng.normal(size=getattr(w, n).shape).astype(dtype)
+                        for n in tn.PARAM_NAMES})
+    g.fc1_w.reshape(-1)[kept[:3]] = 0.0
+    g.fc1_w.reshape(-1)[kept[3:5]] = -0.0
+    g.fc1_w.reshape(-1)[pruned[1::3]] = np.nan
+    g.out_b[0] = -0.0
+    return w, g
+
+
+class TestSgdStepOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scope", ["all", "ds_only"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bitwise_equal_to_dense_where(self, dtype, scope, masked):
+        w, g = hostile_masked_weights(dtype)
+        if not masked:
+            w.prune_mask = None
+        before = {n: getattr(w, n).tobytes() for n in tn.PARAM_NAMES}
+        out = tn.sgd_step(w, g, 0.05, scope=scope)
+        expected = old_sgd_step(w, g, 0.05, scope=scope)
+        for name in tn.PARAM_NAMES:
+            got, want = getattr(out, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert getattr(w, name).tobytes() == before[name], name  # input untouched
+        if masked:
+            assert np.array_equal(out.prune_mask, w.prune_mask)
+
+    def test_read_only_weights_are_not_written(self):
+        w, g = hostile_masked_weights(np.float32)
+        for name in tn.PARAM_NAMES:
+            getattr(w, name).flags.writeable = False
+        out = tn.sgd_step(w, g, 0.1)
+        assert out.fc1_w.flags.writeable
