@@ -12,7 +12,8 @@ Library layout:
 - ``federation``: multi-SU adaptation rounds over in-process or socket
   transports
 - ``baselines``: sparsity-aware SOMP support recovery
-- ``harness``: configuration, datasets, metrics, the end-to-end pipeline
+- ``harness``: configuration, datasets, metrics, one function per pipeline
+  stage and the end-to-end pipeline
 - ``cli``: the ``ftlwss`` command
 """
 

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: gen-data, train, prune, ftl, eval,
-sweep, and all. Each takes --config (JSON; the built-in desk-scale preset
-when omitted), --seed (overrides the config seed) and --out (artifact
-directory). Exit codes: 0 success, 1 configuration error, 2 stage failure.
+sweep, and all; train, prune, ftl and sweep call the harness stage
+functions. Each takes --config (JSON; the built-in desk-scale preset when
+omitted), --seed (overrides the config seed) and --out (artifact
+directory). Exit codes: 0 success, 1 configuration error, 2 stage failure,
+a missing or malformed input checkpoint included.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import federation, harness, tensornet
+from . import harness, tensornet
+from .codec import DecodeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -24,7 +27,7 @@ EXIT_STAGE = 2
 def _load_config(args) -> harness.ExperimentConfig:
     if args.config is not None:
         config = harness.ExperimentConfig.from_json_file(args.config)
-    elif getattr(args, "full_scale", False):
+    elif args.full_scale:
         config = harness.full_scale()
     else:
         config = harness.scaled_default()
@@ -33,13 +36,16 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the options every subcommand takes."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", type=Path, default=None,
                         help="experiment config JSON (defaults to the scaled preset)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
     parser.add_argument("--full-scale", action="store_true",
                         help="use the full-size preset when no --config is given")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate and persist one labelled dataset")
-    _add_common(p)
+    p = _add_command(sub, "gen-data", "generate and persist one labelled dataset")
     p.add_argument("--domain", default="S", help="domain name: S or a target (default S)")
     p.add_argument("--count", type=int, default=None, help="sample count (default: training size)")
     p.add_argument("--snr-db", type=float, default=None, help="SNR override in dB")
@@ -58,33 +63,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which seeded stream to draw from")
     p.add_argument("--noiseless", action="store_true")
 
-    p = sub.add_parser("train", help="offline training on the source domain")
-    _add_common(p)
-
-    p = sub.add_parser("prune", help="magnitude-prune and fine-tune the source model")
-    _add_common(p)
+    _add_command(sub, "train", "offline training on the source domain")
+    p = _add_command(sub, "prune", "magnitude-prune and fine-tune the source model")
     p.add_argument("--model", type=Path, default=None,
                    help="source checkpoint (default <out>/model_source.bin)")
 
-    p = sub.add_parser("ftl", help="federated adaptation across the target SUs")
-    _add_common(p)
+    p = _add_command(sub, "ftl", "federated adaptation across the target SUs")
     p.add_argument("--model", type=Path, default=None,
                    help="pruned checkpoint (default <out>/model_pruned.bin)")
-    p.add_argument("--transport", choices=("inproc", "socket"), default="inproc",
+    p.add_argument("--transport", choices=sorted(harness._TRANSPORTS), default="inproc",
                    help="in-process simulation or local socket demo")
 
-    p = sub.add_parser("eval", help="score one model checkpoint on one domain")
-    _add_common(p)
+    p = _add_command(sub, "eval", "score one model checkpoint on one domain")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--snr-db", type=float, default=None)
 
-    p = sub.add_parser("sweep", help="evaluate persisted models over the SNR grid")
-    _add_common(p)
-
-    p = sub.add_parser("all", help="run the full pipeline")
-    _add_common(p)
-
+    _add_command(sub, "sweep", "evaluate persisted models over the SNR grid")
+    _add_command(sub, "all", "run the full pipeline")
     return parser
 
 
@@ -103,70 +99,35 @@ def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_train(args, config: harness.ExperimentConfig) -> int:
-    config = replace(config, stages=("train",))
-    harness.run_pipeline(config, args.out, progress=print)
+    harness.run_pipeline(replace(config, stages=("train",)), args.out, progress=print)
     return EXIT_OK
 
 
+def _load_model(stage: str, path: Path):
+    """(spec, weights) of a stage's input checkpoint; a missing or malformed
+    file fails that stage."""
+    try:
+        return tensornet.load_checkpoint(path)
+    except (OSError, DecodeError) as exc:
+        raise harness.StageError(stage, exc) from exc
+
+
 def _cmd_prune(args, config: harness.ExperimentConfig) -> int:
-    model_path = args.model or (args.out / "model_source.bin")
-    if not Path(model_path).exists():
-        print(f"missing source checkpoint {model_path}; run `ftlwss train` first", file=sys.stderr)
-        return EXIT_STAGE
-    _, weights = tensornet.load_checkpoint(model_path)
+    _, weights = _load_model("prune", args.model or args.out / "model_source.bin")
     args.out.mkdir(parents=True, exist_ok=True)
     harness.prune_stage(config, args.out, weights, log=print)
     return EXIT_OK
 
 
 def _cmd_ftl(args, config: harness.ExperimentConfig) -> int:
-    model_path = args.model or (args.out / "model_pruned.bin")
-    if not Path(model_path).exists():
-        print(f"missing pruned checkpoint {model_path}; run `ftlwss prune` first", file=sys.stderr)
-        return EXIT_STAGE
-    spec, weights = tensornet.load_checkpoint(model_path)
-    targets = config.domains.target_names()
-    try:
-        if args.transport == "inproc":
-            adapted = harness.run_adaptation(config, weights, targets)
-        else:
-            adapted = _ftl_over_socket(config, spec, weights, targets)
-        args.out.mkdir(parents=True, exist_ok=True)
-        tensornet.save_checkpoint(args.out / "model_ftl.bin", spec, adapted)
-        print(f"adapted over {len(targets)} SUs for {config.ftl.rounds} rounds; "
-              f"wrote {args.out / 'model_ftl.bin'}")
-        return EXIT_OK
-    except Exception as exc:
-        raise harness.StageError("ftl", exc) from exc
-
-
-def _ftl_over_socket(config, spec, weights, targets):
-    import threading
-
-    sus = harness.adaptation_sets(config, targets)
-    cfg = harness._ftl_config(config, len(sus))
-    server = federation.SocketServerTransport(
-        n_sus=len(sus), timeout_s=cfg.timeout_s, max_retries=cfg.max_retries)
-    workers = [
-        threading.Thread(
-            target=federation.run_su_client,
-            args=(server.address, su.su_id, su.features, su.labels, cfg, config.seed),
-            daemon=True,
-        )
-        for su in sus
-    ]
-    for worker in workers:
-        worker.start()
-    try:
-        return federation.run_ftl(spec, weights, cfg, server)
-    finally:
-        server.close()
-        for worker in workers:
-            worker.join(timeout=10)
+    _, weights = _load_model("ftl", args.model or args.out / "model_pruned.bin")
+    args.out.mkdir(parents=True, exist_ok=True)
+    harness.ftl_stage(config, args.out, weights, args.transport, log=print)
+    return EXIT_OK
 
 
 def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
-    spec, weights = tensornet.load_checkpoint(args.model)
+    spec, weights = _load_model("eval", args.model)
     snr_db = args.snr_db if args.snr_db is not None else config.evaluation.table_snr_db
     test = harness.build_dataset(
         config, args.domain, config.evaluation.n_test,
@@ -178,29 +139,24 @@ def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, config: harness.ExperimentConfig) -> int:
-    result = harness.PipelineResult(config=config, spec=config.detector_spec())
     loaded = []
-    for attr, name in (("ftl_model", "model_ftl.bin"), ("tl_model", "model_tl.bin"),
-                       ("zero_shot_model", "model_ftl_zero_shot.bin")):
+
+    def load(name: str):
         path = args.out / name
-        if path.exists():
-            _, weights = tensornet.load_checkpoint(path)
-            setattr(result, attr, weights)
-            loaded.append(name)
+        if not path.exists():
+            return None
+        loaded.append(name)
+        return _load_model("eval", path)[1]
+
+    models = harness.PipelineResult(
+        config=config, spec=config.detector_spec(), ftl_model=load("model_ftl.bin"),
+        tl_model=load("model_tl.bin"), zero_shot_model=load("model_ftl_zero_shot.bin"))
     for domain in config.domains.target_names():
-        path = args.out / f"model_rt_{domain}.bin"
-        if path.exists():
-            _, weights = tensornet.load_checkpoint(path)
-            result.rt_models[domain] = weights
-            loaded.append(path.name)
+        weights = load(f"model_rt_{domain}.bin")
+        if weights is not None:
+            models.rt_models[domain] = weights
     print(f"sweeping with checkpoints: {loaded or 'none (SOMP only)'}")
-    try:
-        rows = harness.evaluate_schemes(config, result, log=print)
-        harness.emit_results(rows, args.out / "results.csv", args.out / "summary.json",
-                             table_snr_db=config.evaluation.table_snr_db)
-    except Exception as exc:
-        raise harness.StageError("eval", exc) from exc
-    print(f"wrote {args.out / 'results.csv'}")
+    harness.eval_stage(config, args.out, models, log=print)
     return EXIT_OK
 
 

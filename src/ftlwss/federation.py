@@ -11,17 +11,18 @@ remain bit-identical to the initial model across any number of rounds, and
 the prune mask (when present) is enforced at every local and server step.
 
 Messages are a small binary format (magic "FTLM") so the same round logic
-runs over an in-process queue-style transport, used for deterministic
-simulation, or over length-prefixed frames on a local TCP socket. Both paths
-push every message through the codec, and all federation arithmetic is done
-in the model dtype in fixed SU order, so the two transports produce
-bit-identical models.
+runs in process (``InProcessTransport``) or over length-prefixed frames on a
+TCP socket (``SocketServerTransport`` against ``run_su_client`` peers, or
+``LoopbackSocketTransport``, both ends on localhost). Every path pushes every
+message through the codec, and all federation arithmetic is done in the
+model dtype in fixed SU order, so the transports give bit-identical models.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -88,9 +89,6 @@ class GradientUpload:
     fc1_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-
-    def ds_arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in DS_GRADIENT_NAMES}
 
 
 _MESSAGE_HEADER = struct.Struct("<4sIBI")
@@ -236,11 +234,22 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
 
 
 class Transport(ABC):
-    """Delivers one round's broadcast to every SU and returns their uploads."""
+    """Delivers one round's broadcast to every SU and returns their uploads.
+    A transport is a context manager that closes what it holds on exit.
+    """
 
     @abstractmethod
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
         ...
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass
@@ -409,6 +418,31 @@ def run_su_client(
             send_frame(sock, encode_message(upload))
     finally:
         sock.close()
+
+
+class LoopbackSocketTransport(SocketServerTransport):
+    """The socket deployment on one host: the server on localhost and one
+    ``run_su_client`` thread per SU. Takes what ``InProcessTransport`` takes
+    and gives the same bytes; ``close`` also joins the SU threads.
+    """
+
+    def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
+        super().__init__(n_sus=len(sus), timeout_s=cfg.timeout_s, max_retries=cfg.max_retries)
+        self.workers = [
+            threading.Thread(
+                target=run_su_client,
+                args=(self.address, su.su_id, su.features, su.labels, cfg, seed),
+                daemon=True,  # a crashed run must still exit; close() joins them otherwise
+            )
+            for su in sus
+        ]
+        for worker in self.workers:
+            worker.start()
+
+    def close(self) -> None:
+        super().close()
+        for worker in self.workers:
+            worker.join(timeout=10)
 
 
 def run_ftl(

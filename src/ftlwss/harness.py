@@ -14,6 +14,7 @@ identical output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -137,6 +138,10 @@ class TrainingConfig:
     restart_epochs: int = 12
     restart_margin: float = 0.93
 
+    def __post_init__(self):
+        if self.restart_epochs < 1:
+            raise ValueError("restart_epochs must be >= 1: a probe needs a validation loss")
+
 
 @dataclass(frozen=True)
 class PruneStageConfig:
@@ -210,15 +215,13 @@ class ExperimentConfig:
             dropout_fc=self.net.dropout_fc,
         )
 
-    def scenario(self, domain: str, snr_db: float | None) -> signal_model.ScenarioConfig:
+    def scenario(self, domain: str) -> signal_model.ScenarioConfig:
         return signal_model.ScenarioConfig(
             n_subbands=self.sensing.n_subbands,
             bandwidth_hz=self.sensing.bandwidth_hz,
             n_active_pus=self.domains.n_active(domain),
             duration_s=self.sensing.duration_s,
-            snr_db=snr_db,
             pu_energy=self.sensing.pu_energy,
-            seed=self.seed,
         )
 
     def to_dict(self) -> dict:
@@ -229,28 +232,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        kwargs = dict(data)
-        for name, sub in (
-            ("sensing", SensingConfig), ("domains", DomainsConfig), ("net", NetConfig),
-            ("training", TrainingConfig), ("prune", PruneStageConfig),
-            ("ftl", FtlStageConfig), ("evaluation", EvalConfig),
-        ):
-            if name in kwargs:
-                kwargs[name] = _from_dict(sub, kwargs[name], name)
-        if "stages" in kwargs:
-            kwargs["stages"] = tuple(kwargs["stages"])
-        return cls(**kwargs)
+        if isinstance(data, dict):
+            data = {key: _from_dict(_SECTIONS[key], value, key) if key in _SECTIONS else value
+                    for key, value in data.items()}
+        return _from_dict(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_SECTIONS = {
+    "sensing": SensingConfig, "domains": DomainsConfig, "net": NetConfig,
+    "training": TrainingConfig, "prune": PruneStageConfig, "ftl": FtlStageConfig,
+    "evaluation": EvalConfig,
+}
 
 
 def scaled_default() -> ExperimentConfig:
@@ -347,7 +344,7 @@ def build_dataset(
     pattern = sensing.pattern()
     if snr_db is None and not noiseless:
         snr_db = config.training.snr_db
-    scenario = config.scenario(domain, None if noiseless else snr_db)
+    scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     n_pus = scenario.n_active_pus
     noisy = not noiseless and n_pus > 0
@@ -553,6 +550,22 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def _stage(name: str):
+    """Make a stage function raise any failure as a ``StageError`` of stage
+    ``name``. A stage function takes the config, the artifact directory, its
+    inputs and a log callable, writes its artifacts and returns its outputs;
+    run_pipeline and the CLI subcommands call the same functions."""
+    def decorate(run):
+        @functools.wraps(run)
+        def staged(*args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+        return staged
+    return decorate
+
+
 @dataclass
 class PipelineResult:
     config: ExperimentConfig
@@ -598,13 +611,11 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
         patience=t.restart_epochs, lr_decay_factor=1.0,
     )
     probe = None
-    rng = _train_rng(config, domain)
     for attempt in range(max(1, t.restarts)):
         rng = _train_rng(config, domain, attempt)
         candidate = tensornet.train_offline(
             spec, tr.features, tr.labels, va.features, va.labels, probe_hyper, rng)
-        initial = candidate.val_losses[0] if candidate.val_losses else np.inf
-        achieved = min(candidate.val_losses) if candidate.val_losses else np.inf
+        initial, achieved = candidate.val_losses[0], min(candidate.val_losses)
         probe = candidate if probe is None or achieved < min(probe.val_losses) else probe
         if achieved < t.restart_margin * initial:
             probe = candidate
@@ -631,11 +642,26 @@ def _source_test_set(config: ExperimentConfig) -> LabeledDataset:
 
 def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights,
                           test: LabeledDataset) -> float:
-    spec = config.detector_spec()
-    preds = predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
+    preds = predict_occupancy(config.detector_spec(), weights, test.features, config.evaluation.threshold)
     return prediction_accuracy(preds, test.labels)
 
 
+@_stage("train")
+def train_stage(config: ExperimentConfig, outdir, log=lambda msg: None):
+    """The train stage: offline training on the source domain, written to
+    ``model_source.bin``. Returns the weights, their source test accuracy
+    and the source (train, val, test) sets, which the prune stage reuses."""
+    log("stage train: offline training on the source domain")
+    tr, va = _domain_datasets(config, "S")
+    trained = _train_domain_model(config, "S", tr, va, log)
+    tensornet.save_checkpoint(Path(outdir) / "model_source.bin", config.detector_spec(), trained.weights)
+    test = _source_test_set(config)
+    p_acc = _source_test_accuracy(config, trained.weights, test)
+    log(f"stage train: source test accuracy {p_acc:.4f} (best epoch {trained.best_epoch})")
+    return trained.weights, p_acc, (tr, va, test)
+
+
+@_stage("prune")
 def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights,
                 sets: tuple[LabeledDataset, LabeledDataset, LabeledDataset] | None = None,
                 p_acc_unpruned: float | None = None, log=lambda msg: None):
@@ -645,40 +671,36 @@ def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights
 
     ``sets`` (train, val, test) and the unpruned test accuracy are built and
     measured here when the caller does not already hold them. Returns the
-    pruned weights, the prune report and the pruned test accuracy; any
-    failure is raised as a ``StageError``.
+    pruned weights, the prune report and the pruned test accuracy.
     """
     outdir = Path(outdir)
-    try:
-        if sets is None:
-            sets = (*_domain_datasets(config, "S"), _source_test_set(config))
-        tr, va, test = sets
-        if p_acc_unpruned is None:
-            p_acc_unpruned = _source_test_accuracy(config, source, test)
-        log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
-        pruned, report = pruning.prune_model(source, config.prune.ratio)
-        hyper = tensornet.TrainConfig(
-            lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
-            max_epochs=config.prune.finetune_epochs,
-        )
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
-        spec = config.detector_spec()
-        tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
-                                  va.features, va.labels, hyper, rng)
-        tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, tuned.weights)
-        p_acc_pruned = _source_test_accuracy(config, tuned.weights, test)
-        payload = {
-            **json.loads(report.to_json()),
-            "p_acc_source_unpruned": p_acc_unpruned,
-            "p_acc_source_pruned_finetuned": p_acc_pruned,
-        }
-        (outdir / "prune_report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        log(f"stage prune: zeroed {report.zeroed_count}/{report.total_count}, "
-            f"source accuracy {p_acc_unpruned:.4f} -> {p_acc_pruned:.4f}")
-        return tuned.weights, report, p_acc_pruned
-    except Exception as exc:
-        raise StageError("prune", exc) from exc
+    if sets is None:
+        sets = (*_domain_datasets(config, "S"), _source_test_set(config))
+    tr, va, test = sets
+    if p_acc_unpruned is None:
+        p_acc_unpruned = _source_test_accuracy(config, source, test)
+    log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
+    pruned, report = pruning.prune_model(source, config.prune.ratio)
+    hyper = tensornet.TrainConfig(
+        lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
+        max_epochs=config.prune.finetune_epochs,
+    )
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
+    spec = config.detector_spec()
+    tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
+                              va.features, va.labels, hyper, rng)
+    tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, tuned.weights)
+    p_acc_pruned = _source_test_accuracy(config, tuned.weights, test)
+    payload = {
+        **json.loads(report.to_json()),
+        "p_acc_source_unpruned": p_acc_unpruned,
+        "p_acc_source_pruned_finetuned": p_acc_pruned,
+    }
+    (outdir / "prune_report.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    log(f"stage prune: zeroed {report.zeroed_count}/{report.total_count}, "
+        f"source accuracy {p_acc_unpruned:.4f} -> {p_acc_pruned:.4f}")
+    return tuned.weights, report, p_acc_pruned
 
 
 def adaptation_sets(config: ExperimentConfig, domains: list[str]) -> list[federation.LocalSu]:
@@ -692,23 +714,70 @@ def adaptation_sets(config: ExperimentConfig, domains: list[str]) -> list[federa
     return sus
 
 
-def _ftl_config(config: ExperimentConfig, n_sus: int) -> federation.FtlConfig:
-    f = config.ftl
-    return federation.FtlConfig(
-        n_sus=n_sus, rounds=f.rounds, local_epochs=f.local_epochs,
-        batch_size=f.batch_size, lr=f.lr, timeout_s=f.timeout_s,
-        max_retries=f.max_retries,
-    )
+_TRANSPORTS = {"inproc": federation.InProcessTransport, "socket": federation.LoopbackSocketTransport}
 
 
-def run_adaptation(config: ExperimentConfig, init: tensornet.ModelWeights,
-                   domains: list[str]) -> tensornet.ModelWeights:
-    """Federated adaptation over one SU per listed domain (in-process)."""
+@_stage("ftl")
+def ftl_stage(config: ExperimentConfig, outdir, pruned: tensornet.ModelWeights,
+              transport: str = "inproc", log=lambda msg: None):
+    """The ftl stage: federated adaptation of the pruned model over one SU
+    per target domain (``model_ftl.bin``), over the first target only
+    (``model_tl.bin``) and, with a ``zero_shot_domain``, over every other
+    target (``model_ftl_zero_shot.bin``). The runs share one SU set per
+    domain. ``transport`` is "inproc" or "socket"; both give the same bytes.
+    Returns the three models, the last None without a zero-shot domain.
+    """
+    outdir = Path(outdir)
     spec = config.detector_spec()
-    sus = adaptation_sets(config, domains)
-    cfg = _ftl_config(config, len(sus))
-    transport = federation.InProcessTransport(sus, cfg, config.seed)
-    return federation.run_ftl(spec, init, cfg, transport)
+    f = config.ftl
+    targets = config.domains.target_names()
+    if transport not in _TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}; expected one of {sorted(_TRANSPORTS)}")
+    sus = dict(zip(targets, adaptation_sets(config, targets)))
+
+    def adapt(domains: list[str], name: str) -> tensornet.ModelWeights:
+        cfg = federation.FtlConfig(n_sus=len(domains), rounds=f.rounds, local_epochs=f.local_epochs,
+                                   batch_size=f.batch_size, lr=f.lr, timeout_s=f.timeout_s,
+                                   max_retries=f.max_retries)
+        with _TRANSPORTS[transport]([sus[d] for d in domains], cfg, config.seed) as link:
+            model = federation.run_ftl(spec, pruned, cfg, link)
+        tensornet.save_checkpoint(outdir / name, spec, model)
+        return model
+
+    log(f"stage ftl: {f.rounds} rounds over SUs {targets}")
+    ftl = adapt(targets, "model_ftl.bin")
+    log(f"stage ftl: single-SU transfer using {targets[0]} only")
+    tl = adapt(targets[:1], "model_tl.bin")
+    zero_shot = None
+    if f.zero_shot_domain is not None:
+        log(f"stage ftl: zero-shot variant excluding {f.zero_shot_domain}")
+        zero_shot = adapt([d for d in targets if d != f.zero_shot_domain], "model_ftl_zero_shot.bin")
+    return ftl, tl, zero_shot
+
+
+@_stage("rt")
+def rt_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> dict[str, tensornet.ModelWeights]:
+    """The rt stage: regular training from scratch on each target domain,
+    written to ``model_rt_<domain>.bin``. Returns the models by domain."""
+    models = {}
+    for domain in config.domains.target_names():
+        log(f"stage rt: regular training on {domain}")
+        models[domain] = _train_domain_model(config, domain, *_domain_datasets(config, domain), log).weights
+        tensornet.save_checkpoint(Path(outdir) / f"model_rt_{domain}.bin", config.detector_spec(),
+                                  models[domain])
+    return models
+
+
+@_stage("eval")
+def eval_stage(config: ExperimentConfig, outdir, models: PipelineResult,
+               log=lambda msg: None) -> list[SweepRow]:
+    """The eval stage: `evaluate_schemes` on the models ``models`` holds,
+    written to ``results.csv`` and ``summary.json``. Returns the rows."""
+    rows = evaluate_schemes(config, models, log)
+    csv_path = Path(outdir) / "results.csv"
+    emit_results(rows, csv_path, Path(outdir) / "summary.json", table_snr_db=config.evaluation.table_snr_db)
+    log(f"stage eval: wrote {len(rows)} rows to {csv_path}")
+    return rows
 
 
 def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: int) -> float:
@@ -723,82 +792,31 @@ def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:
     """Execute the configured stages end to end, writing checkpoints, the
-    prune report, and the sweep CSV/JSON under ``outdir``.
+    prune report, and the sweep CSV/JSON under ``outdir``. The prune and ftl
+    stages need the train stage's source model, so either runs it.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     log = progress if progress is not None else (lambda msg: None)
-    spec = config.detector_spec()
-    result = PipelineResult(config=config, spec=spec)
+    result = PipelineResult(config=config, spec=config.detector_spec())
     stages = set(config.stages)
-    needs_source = bool(stages & {"train", "prune", "ftl"})
-
     (outdir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
 
-    if needs_source:
-        try:
-            log("stage train: offline training on the source domain")
-            tr, va = _domain_datasets(config, "S")
-            train_result = _train_domain_model(config, "S", tr, va, log)
-            result.source_model = train_result.weights
-            tensornet.save_checkpoint(outdir / "model_source.bin", spec, result.source_model)
-            test = _source_test_set(config)
-            result.source_p_acc_unpruned = _source_test_accuracy(config, result.source_model, test)
-            log(f"stage train: source test accuracy {result.source_p_acc_unpruned:.4f} "
-                f"(best epoch {train_result.best_epoch})")
-        except Exception as exc:
-            raise StageError("train", exc) from exc
-
-    if stages & {"prune", "ftl"}:
-        result.pruned_model, result.prune_report, result.source_p_acc_pruned = prune_stage(
-            config, outdir, result.source_model, (tr, va, test), result.source_p_acc_unpruned, log)
-    # the source sets built by the train stage also served the prune stage;
-    # drop them so the later stages do not hold them alongside their own
-    tr = va = test = None
-
+    if stages & {"train", "prune", "ftl"}:
+        result.source_model, result.source_p_acc_unpruned, source_sets = train_stage(config, outdir, log)
+        if stages & {"prune", "ftl"}:
+            result.pruned_model, result.prune_report, result.source_p_acc_pruned = prune_stage(
+                config, outdir, result.source_model, source_sets, result.source_p_acc_unpruned, log)
+        # the source sets served the train and prune stages; drop them so the
+        # later stages do not hold them alongside their own
+        del source_sets
     if "ftl" in stages:
-        try:
-            targets = config.domains.target_names()
-            log(f"stage ftl: {config.ftl.rounds} rounds over SUs {targets}")
-            result.ftl_model = run_adaptation(config, result.pruned_model, targets)
-            tensornet.save_checkpoint(outdir / "model_ftl.bin", spec, result.ftl_model)
-            first = targets[0]
-            log(f"stage ftl: single-SU transfer using {first} only")
-            result.tl_model = run_adaptation(config, result.pruned_model, [first])
-            tensornet.save_checkpoint(outdir / "model_tl.bin", spec, result.tl_model)
-            zs = config.ftl.zero_shot_domain
-            if zs is not None:
-                rest = [d for d in targets if d != zs]
-                log(f"stage ftl: zero-shot variant excluding {zs}")
-                result.zero_shot_model = run_adaptation(config, result.pruned_model, rest)
-                tensornet.save_checkpoint(outdir / "model_ftl_zero_shot.bin", spec, result.zero_shot_model)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("ftl", exc) from exc
-
+        result.ftl_model, result.tl_model, result.zero_shot_model = ftl_stage(
+            config, outdir, result.pruned_model, "inproc", log)
     if "rt" in stages:
-        try:
-            for domain in config.domains.target_names():
-                log(f"stage rt: regular training on {domain}")
-                rt = _train_domain_model(config, domain, *_domain_datasets(config, domain), log)
-                result.rt_models[domain] = rt.weights
-                tensornet.save_checkpoint(outdir / f"model_rt_{domain}.bin", spec, rt.weights)
-        except Exception as exc:
-            raise StageError("rt", exc) from exc
-
+        result.rt_models = rt_stage(config, outdir, log)
     if "eval" in stages:
-        try:
-            rows = evaluate_schemes(config, result, log)
-            result.rows = rows
-            emit_results(rows, outdir / "results.csv", outdir / "summary.json",
-                         table_snr_db=config.evaluation.table_snr_db)
-            log(f"stage eval: wrote {len(rows)} rows to {outdir / 'results.csv'}")
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("eval", exc) from exc
-
+        result.rows = eval_stage(config, outdir, result, log)
     return result
 
 
@@ -812,25 +830,20 @@ def evaluate_schemes(config: ExperimentConfig, result: PipelineResult, log=lambd
     n_test = config.evaluation.n_test
     for domain in config.domains.target_names():
         n_active = config.domains.n_active(domain)
+        zero_shot = result.zero_shot_model if domain == config.ftl.zero_shot_domain else None
+        models = [(SCHEME_FTL, result.ftl_model), (SCHEME_TL, result.tl_model),
+                  (SCHEME_FTL_ZERO_SHOT, zero_shot), (SCHEME_RT, result.rt_models.get(domain))]
         for snr_db in config.evaluation.snr_grid:
             test = build_dataset(
                 config, domain, n_test,
                 dataset_rng(config, domain, "test", snr_db),
                 snr_db=snr_db, keep_spectra=True,
             )
-            scored: list[tuple[str, float]] = []
-            if result.ftl_model is not None:
-                preds = predict_occupancy(spec, result.ftl_model, test.features, threshold)
-                scored.append((SCHEME_FTL, prediction_accuracy(preds, test.labels)))
-            if result.tl_model is not None:
-                preds = predict_occupancy(spec, result.tl_model, test.features, threshold)
-                scored.append((SCHEME_TL, prediction_accuracy(preds, test.labels)))
-            if result.zero_shot_model is not None and domain == config.ftl.zero_shot_domain:
-                preds = predict_occupancy(spec, result.zero_shot_model, test.features, threshold)
-                scored.append((SCHEME_FTL_ZERO_SHOT, prediction_accuracy(preds, test.labels)))
-            if domain in result.rt_models:
-                preds = predict_occupancy(spec, result.rt_models[domain], test.features, threshold)
-                scored.append((SCHEME_RT, prediction_accuracy(preds, test.labels)))
+            scored = [
+                (scheme, prediction_accuracy(predict_occupancy(spec, model, test.features, threshold),
+                                             test.labels))
+                for scheme, model in models if model is not None
+            ]
             scored.append((SCHEME_SOMP, _somp_accuracy(config, test, n_active)))
             for scheme, p_acc in scored:
                 rows.append(SweepRow(domain=domain, scheme=scheme, snr_db=snr_db,

@@ -37,10 +37,6 @@ class PruneReport:
     zeroed_count: int
     total_count: int
 
-    @property
-    def achieved_ratio(self) -> float:
-        return self.zeroed_count / self.total_count
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
@@ -98,9 +94,10 @@ def fine_tune(
 ) -> TrainResult:
     """Re-train the surviving weights for a fixed number of epochs.
 
-    Gradients at masked positions are zeroed and the mask is re-applied after
-    every step, so pruned weights stay exactly zero while everything else
-    (both convolutions, surviving FC weights, output layer) updates normally.
+    Every step is an ``sgd_step``, which updates only the kept hidden-FC
+    entries and writes +0.0 at the pruned ones, so pruned weights stay
+    exactly zero while everything else (both convolutions, surviving FC
+    weights, output layer) updates normally.
     """
     if model.prune_mask is None:
         raise RuntimeError("fine_tune requires a pruned model (prune_mask missing)")
@@ -111,7 +108,5 @@ def fine_tune(
         max_epochs=hyper.max_epochs,
         patience=hyper.max_epochs,
     )
-    return train_offline(
-        spec, train_features, train_labels, val_features, val_labels,
-        schedule, rng, init=model, enforce_mask=True,
-    )
+    return train_offline(spec, train_features, train_labels, val_features, val_labels,
+                         schedule, rng, init=model)

@@ -32,16 +32,14 @@ class ScenarioConfig:
     """Static description of one sensing scenario.
 
     The sub-band width is derived as ``bandwidth_hz / n_subbands`` so the
-    partition is exact by construction. ``snr_db=None`` means noiseless.
+    partition is exact by construction.
     """
 
     n_subbands: int
     bandwidth_hz: float
     n_active_pus: int
     duration_s: float
-    snr_db: float | None = None
     pu_energy: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_subbands < 1:

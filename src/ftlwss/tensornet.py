@@ -8,9 +8,9 @@ over sub-bands and averaged over the samples in the batch, with plain SGD.
 
 The parameter set splits into general-feature layers (both convolutions) and
 domain-specific layers (both fully connected layers); `sgd_step` can restrict
-updates to the domain-specific half, and an optional prune mask over the
-hidden FC weight matrix is re-applied after every step so pruned weights stay
-exactly zero.
+updates to the domain-specific half. Under an optional prune mask over the
+hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
++0.0 at the pruned ones, so pruned weights stay exactly zero.
 
 Everything is plain numpy. Forward/backward are pure with respect to the
 weights; all randomness (init, shuffling, dropout) flows through explicit
@@ -449,7 +449,6 @@ def train_offline(
     hyper: TrainConfig,
     rng: np.random.Generator,
     init: ModelWeights | None = None,
-    enforce_mask: bool = False,
 ) -> TrainResult:
     """Mini-batch SGD with per-epoch shuffling and patience-based early
     stopping on the validation loss; returns the best-validation snapshot.
@@ -475,8 +474,6 @@ def train_offline(
             idx = order[start:start + hyper.batch_size]
             probs, cache = forward(spec, weights, train_features[idx], train=True, rng=rng)
             grads = backward(spec, weights, cache, train_labels[idx])
-            if enforce_mask:
-                grads = mask_gradients(grads, weights.prune_mask)
             weights = sgd_step(weights, grads, lr, scope="all")
             epoch_loss += bce_loss(probs, train_labels[idx]) * len(idx)
         result.train_losses.append(epoch_loss / n)

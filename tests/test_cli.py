@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,34 +80,96 @@ def test_train_prune_ftl_eval_chain(tiny_config_file, tmp_path):
     assert cli.main(["prune", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
     assert (out / "model_pruned.bin").exists()
     assert cli.main(["ftl", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
-    assert (out / "model_ftl.bin").exists()
+    assert (out / "model_ftl.bin").exists() and (out / "model_tl.bin").exists()
+    assert not (out / "model_ftl_zero_shot.bin").exists()  # no zero-shot domain configured
     assert cli.main(["eval", "--config", str(tiny_config_file), "--out", str(out),
                      "--model", str(out / "model_ftl.bin"), "--domain", "T2"]) == cli.EXIT_OK
 
 
+def _with_zero_shot(config_file, tmp_path):
+    config = harness.ExperimentConfig.from_json_file(config_file)
+    path = tmp_path / "zero_shot.json"
+    path.write_text(replace(config, ftl=replace(config.ftl, zero_shot_domain="T2")).to_json())
+    return str(path)
+
+
+ADAPTED = ("model_ftl.bin", "model_tl.bin", "model_ftl_zero_shot.bin")
+
+
 def test_ftl_over_socket_matches_in_process(tiny_config_file, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert cli.main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
-        assert cli.main(["prune", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
-    assert cli.main(["ftl", "--config", str(tiny_config_file), "--out", str(out_a),
+    # the staged chain over either transport writes the adapted checkpoints
+    # `ftlwss all` writes, byte for byte
+    config = _with_zero_shot(tiny_config_file, tmp_path)
+    out_all, out_a, out_b = tmp_path / "all", tmp_path / "a", tmp_path / "b"
+    assert cli.main(["all", "--config", config, "--out", str(out_all)]) == cli.EXIT_OK
+    assert cli.main(["train", "--config", config, "--out", str(out_a)]) == cli.EXIT_OK
+    assert cli.main(["prune", "--config", config, "--out", str(out_a)]) == cli.EXIT_OK
+    assert cli.main(["ftl", "--config", config, "--out", str(out_a),
                      "--transport", "inproc"]) == cli.EXIT_OK
-    assert cli.main(["ftl", "--config", str(tiny_config_file), "--out", str(out_b),
-                     "--transport", "socket"]) == cli.EXIT_OK
-    _, wa = tn.load_checkpoint(out_a / "model_ftl.bin")
-    _, wb = tn.load_checkpoint(out_b / "model_ftl.bin")
-    for name in tn.PARAM_NAMES:
-        assert np.array_equal(getattr(wa, name), getattr(wb, name))
+    assert cli.main(["ftl", "--config", config, "--out", str(out_b),
+                     "--model", str(out_a / "model_pruned.bin"), "--transport", "socket"]) == cli.EXIT_OK
+    for name in ("model_source.bin", "model_pruned.bin", "prune_report.json") + ADAPTED:
+        assert (out_a / name).read_bytes() == (out_all / name).read_bytes(), name
+    for name in ADAPTED:
+        assert (out_b / name).read_bytes() == (out_all / name).read_bytes(), name
 
 
 def test_sweep_from_persisted_models(tiny_config_file, tmp_path):
     out = tmp_path / "out"
-    assert cli.main(["all", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
-    (out / "results.csv").unlink()
-    assert cli.main(["sweep", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
-    text = (out / "results.csv").read_text()
-    assert text.startswith("domain,scheme,snr_db,p_acc,n_test")
-    assert ",rt," in text and ",somp," in text and ",ftl," in text
+    config = _with_zero_shot(tiny_config_file, tmp_path)
+    assert cli.main(["all", "--config", config, "--out", str(out)]) == cli.EXIT_OK
+    written = {name: (out / name).read_bytes() for name in ("results.csv", "summary.json")}
+    for name in written:
+        (out / name).unlink()
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == cli.EXIT_OK
+    for name, expected in written.items():
+        assert (out / name).read_bytes() == expected, name
+    text = written["results.csv"].decode()
+    assert ",rt," in text and ",somp," in text and ",ftl," in text and ",ftl_zero_shot," in text
+
+
+def _truncated_checkpoint(config_file, path):
+    config = harness.ExperimentConfig.from_json_file(config_file)
+    spec = config.detector_spec()
+    data = tn.checkpoint_bytes(spec, tn.init_weights(spec, np.random.default_rng(0)))
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _assert_one_line_stage_error(capsys, stage):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: stage {stage!r} failed"), lines
+
+
+@pytest.mark.parametrize("command,stage", [("eval", "eval"), ("prune", "prune"), ("ftl", "ftl")])
+@pytest.mark.parametrize("broken", ["missing", "truncated"])
+def test_bad_input_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys, command, stage, broken):
+    model = tmp_path / "model.bin"
+    if broken == "truncated":
+        _truncated_checkpoint(tiny_config_file, model)
+    argv = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "out"),
+            "--model", str(model)]
+    if command == "eval":
+        argv += ["--domain", "T2"]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    _assert_one_line_stage_error(capsys, stage)
+
+
+def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    _truncated_checkpoint(tiny_config_file, out / "model_rt_T3.bin")
+    assert cli.main(["sweep", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_STAGE
+    _assert_one_line_stage_error(capsys, "eval")
+    assert not (out / "results.csv").exists()
+
+
+def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys):
+    data = json.loads(tiny_config_file.read_text())
+    data["training"]["restart_epochs"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "restart_epochs" in capsys.readouterr().err
 
 
 def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):
@@ -123,7 +186,6 @@ def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):
 def test_prune_command_writes_the_pipeline_prune_report(tiny_config_file, tmp_path):
     # `ftlwss prune` runs the pipeline's prune stage: on the same source
     # model it writes the same report, accuracies included, and checkpoint
-    from dataclasses import replace
     config = harness.ExperimentConfig.from_json_file(tiny_config_file)
     pipeline_out, cli_out = tmp_path / "pipeline", tmp_path / "cli"
     harness.run_pipeline(replace(config, stages=("train", "prune")), pipeline_out)

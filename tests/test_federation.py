@@ -198,26 +198,6 @@ class TestAggregate:
             assert np.allclose(step2, 2 * step1, atol=1e-6)
 
 
-def run_socket_ftl(spec, init, sus, cfg, seed):
-    server = fed.SocketServerTransport(n_sus=cfg.n_sus, timeout_s=cfg.timeout_s,
-                                       max_retries=cfg.max_retries)
-    workers = [
-        threading.Thread(
-            target=fed.run_su_client,
-            args=(server.address, su.su_id, su.features, su.labels, cfg, seed),
-            daemon=True)
-        for su in sus
-    ]
-    for worker in workers:
-        worker.start()
-    try:
-        return fed.run_ftl(spec, init, cfg, server)
-    finally:
-        server.close()
-        for worker in workers:
-            worker.join(timeout=10)
-
-
 class TestRunFtl:
     def make_sus(self, n=3, count=15):
         sus = []
@@ -288,9 +268,22 @@ class TestRunFtl:
         sus = self.make_sus()
         cfg = fed.FtlConfig(n_sus=3, rounds=3, local_epochs=2, batch_size=5, lr=0.05)
         inproc = fed.run_ftl(SPEC, weights, cfg, fed.InProcessTransport(sus, cfg, seed=13))
-        socketed = run_socket_ftl(SPEC, weights, sus, cfg, seed=13)
+        with fed.LoopbackSocketTransport(sus, cfg, seed=13) as transport:
+            socketed = fed.run_ftl(SPEC, weights, cfg, transport)
         for name in tn.PARAM_NAMES:
             assert np.array_equal(getattr(inproc, name), getattr(socketed, name)), name
+        # leaving the block closed the server and joined one thread per SU
+        assert len(transport.workers) == 3
+        assert not any(worker.is_alive() for worker in transport.workers)
+
+    def test_loopback_transport_joins_its_threads_on_error(self):
+        sus = self.make_sus()
+        cfg = fed.FtlConfig(n_sus=3, rounds=1)
+        with pytest.raises(RuntimeError, match="before any round"):
+            with fed.LoopbackSocketTransport(sus, cfg, seed=13) as transport:
+                transport.wait_for_clients()
+                raise RuntimeError("before any round")
+        assert not any(worker.is_alive() for worker in transport.workers)
 
     def test_upload_count_mismatch_detected(self):
         class DroppingTransport(fed.Transport):

@@ -36,6 +36,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.ExperimentConfig.from_dict({"bogus_section": {}})
 
+    def test_rejects_non_object(self):
+        with pytest.raises(ValueError, match="expected an object"):
+            harness.ExperimentConfig.from_dict(["sensing"])
+        with pytest.raises(ValueError, match="expected an object"):
+            harness.ExperimentConfig.from_dict({"training": 3})
+
+    def test_rejects_zero_restart_epochs(self):
+        # a zero-epoch probe has no validation loss to compare a restart with
+        with pytest.raises(ValueError, match="restart_epochs"):
+            harness.TrainingConfig(restart_epochs=0, restarts=3)
+
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):
             harness.ExperimentConfig(stages=("train", "deploy"))
@@ -143,7 +154,7 @@ def _two_pass_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
     pattern = sensing.pattern()
     if snr_db is None and not noiseless:
         snr_db = config.training.snr_db
-    scenario = config.scenario(domain, None if noiseless else snr_db)
+    scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
     reorder = multicoset.band_order(sensing.n_subbands)
@@ -172,7 +183,7 @@ def _per_sample_dataset(config, domain, count, rng, snr_db=None, noiseless=False
     pattern = sensing.pattern()
     if snr_db is None and not noiseless:
         snr_db = config.training.snr_db
-    scenario = config.scenario(domain, None if noiseless else snr_db)
+    scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
     reorder = multicoset.band_order(sensing.n_subbands)
@@ -495,3 +506,27 @@ class TestPipeline:
         assert len(built) == 6
         for name in ("model_source.bin", "model_pruned.bin", "prune_report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_ftl_builds_each_adaptation_set_once(self, tmp_path, monkeypatch):
+        # the all-SU, tl and zero-shot runs share one build per target domain
+        built = []
+        original = harness.build_dataset
+
+        def counting(config, domain, count, rng, **kwargs):
+            built.append(domain)
+            return original(config, domain, count, rng, **kwargs)
+
+        monkeypatch.setattr(harness, "build_dataset", counting)
+        from dataclasses import replace
+        harness.run_pipeline(replace(tiny_config(), stages=("ftl",)), tmp_path)
+        assert sorted(d for d in built if d != "S") == ["T1", "T2", "T3", "T4"]
+        for name in ("model_ftl.bin", "model_tl.bin", "model_ftl_zero_shot.bin"):
+            assert (tmp_path / name).exists(), name
+
+    def test_unknown_transport_is_ftl_stage_failure(self, tmp_path):
+        cfg = tiny_config()
+        spec = cfg.detector_spec()
+        weights = tn.init_weights(spec, np.random.default_rng(0), dtype=np.float32)
+        with pytest.raises(harness.StageError, match="unknown transport") as info:
+            harness.ftl_stage(cfg, tmp_path, weights, "carrier-pigeon")
+        assert info.value.stage == "ftl"
