@@ -16,14 +16,22 @@ TCP socket (``SocketServerTransport`` against ``run_su_client`` peers, or
 ``LoopbackSocketTransport``, both ends on localhost). Every path pushes every
 message through the codec, and all federation arithmetic is done in the
 model dtype in fixed SU order, so the transports give bit-identical models.
+
+The SUs of a round are independent: each trains from the broadcast with its
+own per-round generator and never writes into the broadcast weights. Both
+transports therefore run them concurrently (one thread per SU connection,
+or a per-round thread pool in process) and still give the bytes of a serial
+replay, because ``aggregate`` reduces the uploads in SU-id order.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import threading
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +173,10 @@ def local_training(
     rng = su_round_rng(seed, su_id, round_idx)
     local = global_weights
     dtype = local.dtype
+    # the kept fc1_w indices serve the steps between batches; one batch takes none
+    kept = None
+    if local.prune_mask is not None and (cfg.local_epochs > 1 or n > cfg.batch_size):
+        kept = np.flatnonzero(local.prune_mask)
     acc = {name: np.zeros_like(getattr(local, name)) for name in DS_GRADIENT_NAMES}
     grads = None
     for _ in range(cfg.local_epochs):
@@ -172,16 +184,18 @@ def local_training(
         for start in range(0, n, cfg.batch_size):
             if grads is not None:
                 # the previous batch's step, taken only when a batch reads it
-                local = sgd_step(local, grads, cfg.lr, scope="ds_only")
+                local = sgd_step(local, grads, cfg.lr, scope="ds_only", kept=kept)
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng)
             grads = backward(spec, local, cache, labels[idx], scope="ds_only")
+            del cache  # else this batch's activations stay alive through the next forward
             for name in DS_GRADIENT_NAMES:
                 acc[name] += getattr(grads, name).astype(dtype, copy=False)
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
-def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -> ModelWeights:
+def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *,
+              kept: np.ndarray | None = None) -> ModelWeights:
     """Server step: theta_ds <- theta_ds - lr * sum_i (n_i / N) * G_i.
 
     Uploads are reduced in ascending SU-id order regardless of arrival order,
@@ -189,7 +203,9 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     arrays and the prune mask of the result are the same objects as the
     input's (models are treated as immutable). With a mask, the hidden-FC
     sum and step are computed at the kept positions only and every pruned
-    weight is +0.0.
+    weight is +0.0. ``kept`` is ``np.flatnonzero(weights.prune_mask)``,
+    passed by a caller that aggregates many rounds under one mask; it is
+    computed here when omitted.
     """
     if not uploads:
         raise ValueError("aggregate needs at least one upload")
@@ -213,7 +229,10 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     dtype = weights.dtype
     rate = dtype.type(lr)
     mask = weights.prune_mask
-    kept = None if mask is None else np.flatnonzero(mask)
+    if mask is None:
+        kept = None
+    elif kept is None:
+        kept = np.flatnonzero(mask)
     fields = weights.arrays()
     for name in DS_GRADIENT_NAMES:
         sparse = kept is not None and name == "fc1_w"
@@ -260,8 +279,15 @@ class LocalSu:
 
 
 class InProcessTransport(Transport):
-    """Runs every SU inline, in ascending id order. Messages still round-trip
-    through the codec so results are interchangeable with the socket path.
+    """Runs the SUs of a round concurrently on a thread pool of
+    ``min(n_sus, os.cpu_count())`` workers, opened and joined within the
+    round so a transport that is never closed leaves no thread behind.
+
+    The broadcast is decoded once per round into an aligned, read-only
+    buffer that every SU reads. Each upload still round-trips through the
+    codec, so results are interchangeable with the socket path, and uploads
+    come back in ascending SU id order. If an SU raises, the round raises
+    the error of the lowest such SU id once the running SUs have finished.
     """
 
     def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
@@ -270,15 +296,21 @@ class InProcessTransport(Transport):
         self.seed = seed
 
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
-        uploads = []
-        for su in self.sus:
-            msg = decode_message(broadcast_bytes)
+        buf = _frame_buffer(len(broadcast_bytes))
+        buf[:] = broadcast_bytes
+        msg = decode_message(buf.toreadonly())
+
+        def train(su: LocalSu) -> GradientUpload:
             upload = local_training(
                 msg.spec, msg.weights, su.features, su.labels,
                 su.su_id, msg.round_idx, self.cfg, self.seed,
             )
-            uploads.append(decode_message(encode_message(upload)))
-        return uploads
+            return decode_message(encode_message(upload))
+
+        # the heavy numpy work (GEMMs, the im2col copy, dropout draws)
+        # releases the GIL, so the SUs overlap on the cores
+        with ThreadPoolExecutor(max_workers=min(len(self.sus), os.cpu_count() or 1)) as pool:
+            return list(pool.map(train, self.sus))
 
 
 # Largest frame recv_frame accepts: well above a full-scale broadcast
@@ -315,9 +347,16 @@ def recv_frame(sock: socket.socket) -> memoryview | None:
     (length,) = struct.unpack("<I", header)
     if length > MAX_FRAME_BYTES:
         raise DecodeError(f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap", 0)
-    body = memoryview(bytearray(_FRAME_LEAD + length))[_FRAME_LEAD:]
+    body = _frame_buffer(length)
     _recv_into(sock, body, allow_eof=False)
     return body
+
+
+def _frame_buffer(nbytes: int) -> memoryview:
+    """A fresh writable buffer for one message, placed so that
+    ``decode_message`` returns aligned views of it instead of copies.
+    """
+    return memoryview(bytearray(_FRAME_LEAD + nbytes))[_FRAME_LEAD:]
 
 
 def _recv_into(sock: socket.socket, view: memoryview, allow_eof: bool) -> bool:
@@ -401,13 +440,22 @@ def run_su_client(
     """SU side of the socket demo: serve local training for every broadcast
     until the server closes the connection. Stateless across rounds, so
     server-side round retries just re-trigger the same deterministic work.
+
+    A server that closes before its first broadcast ends the client as a
+    clean EOF does, whether the connection was refused or reset (a listener
+    closed with this SU mid-handshake or still in its accept backlog resets
+    it).
     """
-    sock = socket.create_connection(address)
     try:
-        while True:
+        sock = socket.create_connection(address)
+    except (ConnectionRefusedError, ConnectionResetError):
+        return
+    with sock:
+        try:
             frame = recv_frame(sock)
-            if frame is None:
-                return
+        except ConnectionResetError:
+            return
+        while frame is not None:
             msg = decode_message(frame)
             if not isinstance(msg, ModelBroadcast):
                 raise ProtocolError(f"SU {su_id} expected a broadcast, got type {type(msg).__name__}")
@@ -416,8 +464,7 @@ def run_su_client(
                 su_id, msg.round_idx, cfg, seed,
             )
             send_frame(sock, encode_message(upload))
-    finally:
-        sock.close()
+            frame = recv_frame(sock)
 
 
 class LoopbackSocketTransport(SocketServerTransport):
@@ -440,6 +487,14 @@ class LoopbackSocketTransport(SocketServerTransport):
             worker.start()
 
     def close(self) -> None:
+        # Accept the SUs that have not been yet, so each reads a clean EOF.
+        # Closing the listener on them would reset them instead, and a reset
+        # the kernel drops (seen under load) leaves an SU blocked forever.
+        self._listener.settimeout(self.timeout_s)
+        try:
+            self.wait_for_clients()
+        except TimeoutError:  # an SU thread died before it connected
+            pass
         super().close()
         for worker in self.workers:
             worker.join(timeout=10)
@@ -458,6 +513,7 @@ def run_ftl(
     to ``init``'s.
     """
     weights = init.copy()
+    kept = None if weights.prune_mask is None else np.flatnonzero(weights.prune_mask)
     for round_idx in range(cfg.rounds):
         broadcast = ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights)
         uploads = transport.run_round(encode_message(broadcast))
@@ -468,5 +524,5 @@ def run_ftl(
                 raise ProtocolError(
                     f"round {round_idx}: upload from SU {upload.su_id} is for round {upload.round_idx}"
                 )
-        weights = aggregate(weights, uploads, cfg.lr)
+        weights = aggregate(weights, uploads, cfg.lr, kept=kept)
     return weights

@@ -355,14 +355,17 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     )
 
 
-def sgd_step(weights: ModelWeights, grads: Gradients, lr: float, scope: str = "all") -> ModelWeights:
+def sgd_step(weights: ModelWeights, grads: Gradients, lr: float, scope: str = "all", *,
+             kept: np.ndarray | None = None) -> ModelWeights:
     """Plain gradient step theta <- theta - lr * g on the selected scope.
 
     ``scope="ds_only"`` leaves the convolutional (general-feature) parameters
     byte-identical. With a prune mask the hidden-FC step is computed at the
     kept positions only and every pruned weight is +0.0. The result shares
     the untouched arrays and the mask with ``weights`` and never writes
-    into it.
+    into it. ``kept`` is ``np.flatnonzero(weights.prune_mask)``, passed by
+    a caller that steps many times under one mask; it is computed here when
+    omitted.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
@@ -377,7 +380,8 @@ def sgd_step(weights: ModelWeights, grads: Gradients, lr: float, scope: str = "a
             raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
         rate = value.dtype.type(lr)
         if name == "fc1_w" and weights.prune_mask is not None:
-            kept = np.flatnonzero(weights.prune_mask)
+            if kept is None:
+                kept = np.flatnonzero(weights.prune_mask)
             fields[name] = kept_update(value, kept, rate * grad.reshape(-1)[kept])
         else:
             step = rate * grad
@@ -467,6 +471,7 @@ def train_offline(
     best_val = evaluate_loss(spec, weights, val_features, val_labels)
     stall = 0
     lr = hyper.lr
+    kept = None if weights.prune_mask is None else np.flatnonzero(weights.prune_mask)
     for epoch in range(hyper.max_epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -474,7 +479,8 @@ def train_offline(
             idx = order[start:start + hyper.batch_size]
             probs, cache = forward(spec, weights, train_features[idx], train=True, rng=rng)
             grads = backward(spec, weights, cache, train_labels[idx])
-            weights = sgd_step(weights, grads, lr, scope="all")
+            del cache  # else this batch's activations stay alive through the next forward
+            weights = sgd_step(weights, grads, lr, scope="all", kept=kept)
             epoch_loss += bce_loss(probs, train_labels[idx]) * len(idx)
         result.train_losses.append(epoch_loss / n)
         val_loss = evaluate_loss(spec, weights, val_features, val_labels)

@@ -1,4 +1,6 @@
+import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +287,126 @@ class TestRunFtl:
                 raise RuntimeError("before any round")
         assert not any(worker.is_alive() for worker in transport.workers)
 
+    def test_threaded_round_matches_serial_replay_and_socket(self, monkeypatch):
+        weights = toy_weights(masked=True)
+        sus = uneven_sus((7, 15, 22, 11), ids=(4, 1, 3, 2))
+        cfg = fed.FtlConfig(n_sus=4, rounds=3, local_epochs=2, batch_size=5, lr=0.05)
+        replay, replay_rounds = serial_replay(weights, sus, cfg, seed=19)
+
+        threads = set()
+        original = fed.local_training
+
+        def recording_training(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_training", recording_training)
+        inproc = RecordingTransport(fed.InProcessTransport(sus, cfg, seed=19))
+        out = fed.run_ftl(SPEC, weights, cfg, inproc)
+        assert threading.get_ident() not in threads  # the SUs ran on the pool
+        monkeypatch.setattr(fed, "local_training", original)
+        with RecordingTransport(fed.LoopbackSocketTransport(sus, cfg, seed=19)) as socketed:
+            over_socket = fed.run_ftl(SPEC, weights, cfg, socketed)
+
+        assert inproc.rounds == replay_rounds  # in ascending SU id order
+        assert [sorted(uploads) for uploads in socketed.rounds] == replay_rounds
+        want = tn.checkpoint_bytes(SPEC, replay)
+        assert tn.checkpoint_bytes(SPEC, out) == want
+        assert tn.checkpoint_bytes(SPEC, over_socket) == want
+
+    def test_more_pool_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # every SU reads the one shared broadcast; a write into it by any
+        # thread would change the uploads of the others
+        monkeypatch.setattr(fed.os, "cpu_count", lambda: 8)
+        weights = toy_weights(masked=True)
+        sus = uneven_sus((5, 9, 12, 6, 10, 8, 7, 11))
+        cfg = fed.FtlConfig(n_sus=8, rounds=2, local_epochs=1, batch_size=4, lr=0.05)
+        replay, replay_rounds = serial_replay(weights, sus, cfg, seed=23)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            transport = RecordingTransport(fed.InProcessTransport(sus, cfg, seed=23))
+            out = fed.run_ftl(SPEC, weights, cfg, transport)
+        finally:
+            sys.setswitchinterval(interval)
+        assert transport.rounds == replay_rounds
+        assert tn.checkpoint_bytes(SPEC, out) == tn.checkpoint_bytes(SPEC, replay)
+
+    def test_failing_su_fails_the_round_and_joins_the_pool(self):
+        sus = self.make_sus(n=4)
+        sus[1] = fed.LocalSu(su_id=2, features=np.zeros((0, 6, 8, 2), np.float32),
+                             labels=np.zeros((0, 6), np.int8))
+        cfg = fed.FtlConfig(n_sus=4, rounds=1, local_epochs=1, batch_size=5, lr=0.05)
+        broadcast = fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=SPEC,
+                                                          weights=toy_weights(masked=True)))
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="non-empty"):
+            fed.InProcessTransport(sus, cfg, seed=3).run_round(broadcast)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("local_epochs, batch_size, per_su_round", [
+        (2, 5, 1), (1, 5, 1), (2, 15, 1), (1, 15, 0)])
+    def test_kept_indices_computed_once_per_run_and_su_round(self, monkeypatch, local_epochs,
+                                                              batch_size, per_su_round):
+        # a single batch per SU round takes no step and so needs no indices
+        calls = []
+        flatnonzero = np.flatnonzero
+
+        def counting(a):
+            calls.append(1)
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        sus = self.make_sus(count=15)
+        cfg = fed.FtlConfig(n_sus=3, rounds=4, local_epochs=local_epochs, batch_size=batch_size,
+                            lr=0.05)
+        fed.run_ftl(SPEC, toy_weights(masked=True), cfg, fed.InProcessTransport(sus, cfg, seed=8))
+        assert len(calls) == 1 + cfg.rounds * cfg.n_sus * per_su_round
+
+    def test_close_before_first_round_ends_clients_cleanly(self, monkeypatch):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        sus = self.make_sus()
+        cfg = fed.FtlConfig(n_sus=3, rounds=1)
+        for _ in range(5):
+            with fed.LoopbackSocketTransport(sus, cfg, seed=13) as transport:
+                pass
+            assert not any(worker.is_alive() for worker in transport.workers)
+        assert [error.exc_type for error in errors] == []
+
+    @pytest.mark.parametrize("fails_at, error", [
+        ("connect", ConnectionRefusedError), ("connect", ConnectionResetError),
+        ("first_read", ConnectionResetError)])
+    def test_refusal_or_reset_before_first_frame_ends_the_client(self, monkeypatch, fails_at,
+                                                                 error):
+        # a closed listener refuses the connect, one closed mid-handshake
+        # resets it, and one closed with the SU in its accept backlog resets
+        # the first read
+        class ResetSocket:
+            closed = False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.closed = True
+
+            def recv_into(self, view):
+                raise error(104, "Connection reset by peer")
+
+        sock = ResetSocket()
+
+        def connect(address):
+            if fails_at == "connect":
+                raise error(111, "Connection refused or reset")
+            return sock
+
+        monkeypatch.setattr(fed.socket, "create_connection", connect)
+        features, labels = toy_dataset()
+        fed.run_su_client(("127.0.0.1", 9), 1, features, labels,
+                          fed.FtlConfig(n_sus=1, rounds=1), seed=1)
+        assert sock.closed == (fails_at == "first_read")
+
     def test_upload_count_mismatch_detected(self):
         class DroppingTransport(fed.Transport):
             def __init__(self, inner):
@@ -412,6 +534,41 @@ class TestFrames:
             assert np.array_equal(array, getattr(weights, name)), name
 
 
+def uneven_sus(counts, ids=None):
+    ids = ids or range(1, len(counts) + 1)
+    return [fed.LocalSu(su_id, *toy_dataset(seed=200 + su_id, count=count))
+            for su_id, count in zip(ids, counts)]
+
+
+def serial_replay(weights, sus, cfg, seed):
+    """Every round's SUs one after another on the calling thread, each upload
+    through the codec: (final model, per round [(su_id, upload bytes)])."""
+    rounds = []
+    for round_idx in range(cfg.rounds):
+        uploads = [fed.decode_message(fed.encode_message(fed.local_training(
+            SPEC, weights, su.features, su.labels, su.su_id, round_idx, cfg, seed)))
+            for su in sorted(sus, key=lambda su: su.su_id)]
+        rounds.append([(u.su_id, bytes(fed.encode_message(u))) for u in uploads])
+        weights = fed.aggregate(weights, uploads, cfg.lr)
+    return weights, rounds
+
+
+class RecordingTransport(fed.Transport):
+    """Passes rounds through, keeping each round's (su_id, upload bytes)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rounds = []
+
+    def run_round(self, broadcast_bytes):
+        uploads = self.inner.run_round(broadcast_bytes)
+        self.rounds.append([(u.su_id, bytes(fed.encode_message(u))) for u in uploads])
+        return uploads
+
+    def close(self):
+        self.inner.close()
+
+
 def old_aggregate(weights, uploads, lr):
     """The dense sum, step and np.where that aggregate replaced."""
     ordered = sorted(uploads, key=lambda u: u.su_id)
@@ -522,6 +679,25 @@ class TestLocalTrainingOracle:
         cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=epochs, batch_size=batch_size)
         fed.local_training(SPEC, toy_weights(), features, labels, 1, 0, cfg, seed=5)
         assert len(calls) == steps
+
+    def test_desk_shape_peak_memory(self):
+        # one batch's forward cache (conv2's im2col alone is about 4.8 MB
+        # here) must be gone before the next forward: 19.4 MB when it was not
+        from ftlwss import harness, pruning
+
+        spec = harness.scaled_default().detector_spec()
+        rng = np.random.default_rng(0)
+        weights, _ = pruning.prune_model(tn.init_weights(spec, rng), 0.9)
+        features = rng.normal(size=(50, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((50, spec.in_rows)) < 0.4).astype(np.int8)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=1, batch_size=25)
+        tracemalloc.start()
+        try:
+            fed.local_training(spec, weights, features, labels, 1, 0, cfg, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     def test_trains_on_read_only_broadcast(self):
         weights = toy_weights(masked=True)

@@ -362,6 +362,28 @@ class TestTrainOffline:
                              np.zeros((1, 6, 8, 2)), np.zeros((1, 6)),
                              tn.TrainConfig(), np.random.default_rng(0))
 
+    def test_desk_shape_peak_memory(self):
+        # each batch's forward cache is dropped before the next forward: 19.8 MB
+        # when it was not
+        import tracemalloc
+
+        from ftlwss import harness, pruning
+
+        spec = harness.scaled_default().detector_spec()
+        rng = np.random.default_rng(0)
+        weights, _ = pruning.prune_model(tn.init_weights(spec, rng), 0.9)
+        features = rng.normal(size=(50, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((50, spec.in_rows)) < 0.4).astype(np.int8)
+        hyper = tn.TrainConfig(lr=0.05, batch_size=25, max_epochs=1)
+        tracemalloc.start()
+        try:
+            tn.train_offline(spec, features, labels, features[:10], labels[:10], hyper,
+                             np.random.default_rng(1), init=weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
+
 
 class TestMaskPropagation:
     def test_masked_positions_stay_zero_through_training_ops(self):
