@@ -38,6 +38,7 @@ import numpy as np
 
 from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
 from .tensornet import (
+    DOMAIN_SPECIFIC_PARAMS,
     DetectorSpec,
     ModelWeights,
     checkpoint_bytes,
@@ -52,8 +53,6 @@ MESSAGE_MAGIC = b"FTLM"
 MESSAGE_VERSION = 1
 MSG_BROADCAST = 1
 MSG_UPLOAD = 2
-
-DS_GRADIENT_NAMES = ("fc1_w", "fc1_b", "out_w", "out_b")
 
 # stream-domain tag so federation draws never collide with other stages
 # seeded from the same experiment seed
@@ -109,7 +108,7 @@ def encode_message(msg) -> bytearray:
         return checkpoint_bytes(msg.spec, msg.weights, prefix=header)
     if not isinstance(msg, GradientUpload):
         raise TypeError(f"cannot encode {type(msg).__name__}")
-    arrays = [getattr(msg, name) for name in DS_GRADIENT_NAMES]
+    arrays = [getattr(msg, name) for name in DOMAIN_SPECIFIC_PARAMS]
     offset = _MESSAGE_HEADER.size + _UPLOAD_HEADER.size
     buf = bytearray(offset + sum(tensor_nbytes(a) for a in arrays))
     _MESSAGE_HEADER.pack_into(buf, 0, MESSAGE_MAGIC, MESSAGE_VERSION, MSG_UPLOAD, msg.round_idx)
@@ -135,7 +134,7 @@ def decode_message(data):
     if msg_type == MSG_UPLOAD:
         su_id = reader.u32()
         n_samples = reader.u64()
-        tensors = {name: reader.tensor() for name in DS_GRADIENT_NAMES}
+        tensors = {name: reader.tensor() for name in DOMAIN_SPECIFIC_PARAMS}
         reader.expect_end()
         return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n_samples, **tensors)
     raise DecodeError(f"unknown message type {msg_type}", 8)
@@ -177,20 +176,20 @@ def local_training(
     kept = None
     if local.prune_mask is not None and (cfg.local_epochs > 1 or n > cfg.batch_size):
         kept = np.flatnonzero(local.prune_mask)
-    acc = {name: np.zeros_like(getattr(local, name)) for name in DS_GRADIENT_NAMES}
+    acc = {name: np.zeros_like(getattr(local, name)) for name in DOMAIN_SPECIFIC_PARAMS}
     grads = None
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             if grads is not None:
                 # the previous batch's step, taken only when a batch reads it
-                local = sgd_step(local, grads, cfg.lr, scope="ds_only", kept=kept)
+                local = sgd_step(local, grads, cfg.lr, kept=kept)
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng)
             grads = backward(spec, local, cache, labels[idx], scope="ds_only")
             del cache  # else this batch's activations stay alive through the next forward
-            for name in DS_GRADIENT_NAMES:
-                acc[name] += getattr(grads, name).astype(dtype, copy=False)
+            for name in DOMAIN_SPECIFIC_PARAMS:
+                acc[name] += grads[name].astype(dtype, copy=False)
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
@@ -220,7 +219,7 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *
     if total <= 0:
         raise ValueError("total sample count must be positive")
     for upload in ordered:
-        for name in DS_GRADIENT_NAMES:
+        for name in DOMAIN_SPECIFIC_PARAMS:
             shape, expected = getattr(upload, name).shape, getattr(weights, name).shape
             if shape != expected:
                 raise ProtocolError(
@@ -234,7 +233,7 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *
     elif kept is None:
         kept = np.flatnonzero(mask)
     fields = weights.arrays()
-    for name in DS_GRADIENT_NAMES:
+    for name in DOMAIN_SPECIFIC_PARAMS:
         sparse = kept is not None and name == "fc1_w"
         acc = np.zeros(kept.size if sparse else fields[name].shape, dtype=dtype)
         term = np.empty_like(acc)

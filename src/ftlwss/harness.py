@@ -150,6 +150,14 @@ class PruneStageConfig:
     finetune_lr: float = 0.05
     finetune_batch_size: int = 64
 
+    def __post_init__(self):
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if self.finetune_lr < 0:
+            raise ValueError(f"finetune_lr must be non-negative, got {self.finetune_lr}")
+        if self.finetune_batch_size < 1:
+            raise ValueError(f"finetune_batch_size must be >= 1, got {self.finetune_batch_size}")
+
 
 @dataclass(frozen=True)
 class FtlStageConfig:
@@ -161,6 +169,13 @@ class FtlStageConfig:
     zero_shot_domain: str | None = "T2"
     timeout_s: float = 60.0
     max_retries: int = 2
+
+    def __post_init__(self):
+        for name in ("rounds", "local_epochs", "batch_size", "samples_per_su"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -606,15 +621,12 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
     """
     spec = config.detector_spec()
     t = config.training
-    probe_hyper = tensornet.TrainConfig(
-        lr=t.lr, batch_size=t.batch_size, max_epochs=t.restart_epochs,
-        patience=t.restart_epochs, lr_decay_factor=1.0,
-    )
     probe = None
     for attempt in range(max(1, t.restarts)):
         rng = _train_rng(config, domain, attempt)
         candidate = tensornet.train_offline(
-            spec, tr.features, tr.labels, va.features, va.labels, probe_hyper, rng)
+            spec, tr.features, tr.labels, va.features, va.labels, rng,
+            lr=t.lr, batch_size=t.batch_size, max_epochs=t.restart_epochs, patience=t.restart_epochs)
         initial, achieved = candidate.val_losses[0], min(candidate.val_losses)
         probe = candidate if probe is None or achieved < min(probe.val_losses) else probe
         if achieved < t.restart_margin * initial:
@@ -622,13 +634,10 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
             break
         log(f"  training on {domain}: attempt {attempt} stuck "
             f"(val {achieved:.3f} vs start {initial:.3f}), reseeding")
-    main_hyper = tensornet.TrainConfig(
-        lr=t.lr, batch_size=t.batch_size,
-        max_epochs=max(0, t.max_epochs - t.restart_epochs), patience=t.patience,
-        lr_decay_factor=t.lr_decay_factor, lr_decay_stall=t.lr_decay_stall,
-    )
     result = tensornet.train_offline(
-        spec, tr.features, tr.labels, va.features, va.labels, main_hyper, rng,
+        spec, tr.features, tr.labels, va.features, va.labels, rng,
+        lr=t.lr, batch_size=t.batch_size, max_epochs=max(0, t.max_epochs - t.restart_epochs),
+        patience=t.patience, lr_decay_factor=t.lr_decay_factor, lr_decay_stall=t.lr_decay_stall,
         init=probe.weights)
     result.train_losses = probe.train_losses + result.train_losses
     result.val_losses = probe.val_losses + result.val_losses
@@ -681,18 +690,16 @@ def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights
         p_acc_unpruned = _source_test_accuracy(config, source, test)
     log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
     pruned, report = pruning.prune_model(source, config.prune.ratio)
-    hyper = tensornet.TrainConfig(
-        lr=config.prune.finetune_lr, batch_size=config.prune.finetune_batch_size,
-        max_epochs=config.prune.finetune_epochs,
-    )
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
     spec = config.detector_spec()
-    tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels,
-                              va.features, va.labels, hyper, rng)
+    p = config.prune
+    tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels, va.features, va.labels, rng,
+                              lr=p.finetune_lr, batch_size=p.finetune_batch_size,
+                              epochs=p.finetune_epochs)
     tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, tuned.weights)
     p_acc_pruned = _source_test_accuracy(config, tuned.weights, test)
     payload = {
-        **json.loads(report.to_json()),
+        **asdict(report),
         "p_acc_source_unpruned": p_acc_unpruned,
         "p_acc_source_pruned_finetuned": p_acc_pruned,
     }

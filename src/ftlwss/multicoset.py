@@ -63,11 +63,6 @@ class CosetPattern:
     def n_cosets(self) -> int:
         return len(self.offsets)
 
-    @property
-    def is_sub_nyquist(self) -> bool:
-        """True when strictly fewer cosets than sub-bands are used."""
-        return self.n_cosets < self.n_subbands
-
 
 def default_pattern(n_cosets: int, n_subbands: int, nyquist_period_s: float) -> CosetPattern:
     """The first ``n_cosets`` offsets 0, 1, ..., n_cosets - 1."""
@@ -191,11 +186,3 @@ def to_tensor(xbar: np.ndarray) -> np.ndarray:
     """
     xbar = np.asarray(xbar)
     return np.stack([xbar.real, xbar.imag], axis=-1)
-
-
-def from_tensor(tensor: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_tensor`."""
-    tensor = np.asarray(tensor)
-    if tensor.shape[-1] != 2:
-        raise ValueError("tensor must have a trailing axis of size 2")
-    return tensor[..., 0] + 1j * tensor[..., 1]

@@ -15,19 +15,12 @@ Biases are never pruned.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensornet import (
-    DetectorSpec,
-    ModelWeights,
-    TrainConfig,
-    TrainResult,
-    train_offline,
-)
+from .tensornet import DetectorSpec, ModelWeights, TrainResult, train_offline
 
 
 @dataclass(frozen=True)
@@ -36,9 +29,6 @@ class PruneReport:
     threshold: float
     zeroed_count: int
     total_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def pruning_threshold(weights: np.ndarray, ratio: float) -> float:
@@ -89,10 +79,14 @@ def fine_tune(
     train_labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    hyper: TrainConfig,
     rng: np.random.Generator,
+    *,
+    lr: float,
+    batch_size: int,
+    epochs: int,
 ) -> TrainResult:
-    """Re-train the surviving weights for a fixed number of epochs.
+    """Re-train the surviving weights for exactly ``epochs`` epochs at a
+    constant rate ``lr``; returns the best-validation snapshot.
 
     Every step is an ``sgd_step``, which updates only the kept hidden-FC
     entries and writes +0.0 at the pruned ones, so pruned weights stay
@@ -101,12 +95,7 @@ def fine_tune(
     """
     if model.prune_mask is None:
         raise RuntimeError("fine_tune requires a pruned model (prune_mask missing)")
-    # fixed-epoch schedule: disable early stopping via infinite patience
-    schedule = TrainConfig(
-        lr=hyper.lr,
-        batch_size=hyper.batch_size,
-        max_epochs=hyper.max_epochs,
-        patience=hyper.max_epochs,
-    )
-    return train_offline(spec, train_features, train_labels, val_features, val_labels,
-                         schedule, rng, init=model)
+    # patience = epochs never stops early
+    return train_offline(spec, train_features, train_labels, val_features, val_labels, rng,
+                         lr=lr, batch_size=batch_size, max_epochs=epochs, patience=epochs,
+                         init=model)

@@ -7,10 +7,12 @@ hidden layer. Training minimises the element-wise binary cross-entropy summed
 over sub-bands and averaged over the samples in the batch, with plain SGD.
 
 The parameter set splits into general-feature layers (both convolutions) and
-domain-specific layers (both fully connected layers); `sgd_step` can restrict
-updates to the domain-specific half. Under an optional prune mask over the
-hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
-+0.0 at the pruned ones, so pruned weights stay exactly zero.
+domain-specific layers (both fully connected layers). Gradients are plain
+dicts from parameter name to array: `backward` returns all eight, or only the
+four domain-specific ones under ``scope="ds_only"``, and `sgd_step` steps
+exactly the parameters its gradient dict holds. Under an optional prune mask
+over the hidden FC weight matrix, `sgd_step` updates only the kept entries
+and writes +0.0 at the pruned ones, so pruned weights stay exactly zero.
 
 Everything is plain numpy. Forward/backward are pure with respect to the
 weights; all randomness (init, shuffling, dropout) flows through explicit
@@ -124,19 +126,6 @@ class ModelWeights:
         return self.fc1_w.dtype
 
 
-@dataclass
-class Gradients:
-    # the general-feature fields are None after backward(..., scope="ds_only")
-    conv1_w: np.ndarray | None
-    conv1_b: np.ndarray | None
-    conv2_w: np.ndarray | None
-    conv2_b: np.ndarray | None
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
-
 def init_weights(spec: DetectorSpec, rng: np.random.Generator, dtype=np.float32) -> ModelWeights:
     """Fan-in-scaled uniform init (bound sqrt(6 / fan_in)) for weights, zeros
     for biases. Deterministic per generator state.
@@ -208,7 +197,6 @@ class ForwardCache:
     mask3: np.ndarray | None
     h3: np.ndarray
     probs: np.ndarray
-    train: bool = False
 
 
 def forward(
@@ -275,7 +263,7 @@ def forward(
     cache = ForwardCache(
         x=x, cols1=cols1, z1=z1, mask1=mask1, a1=a1_img,
         cols2=cols2, z2=z2, mask2=mask2, flat=flat, z3=z3,
-        mask3=mask3, h3=h3, probs=probs, train=train,
+        mask3=mask3, h3=h3, probs=probs,
     )
     return (probs[0] if single else probs), cache
 
@@ -297,13 +285,16 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, labels: np.ndarray,
-             scope: str = "all") -> Gradients:
-    """Exact gradient of `bce_loss(forward(...))` w.r.t. every parameter.
+             scope: str = "all") -> dict[str, np.ndarray]:
+    """Exact gradient of `bce_loss(forward(...))`, as a dict from parameter
+    name to array.
 
     Uses the fused sigmoid + cross-entropy form d/dz = (p - o) / batch and
-    honours the dropout masks captured in the cache. ``scope="ds_only"``
-    (as in `sgd_step`) stops after the fully connected layers: the
-    general-feature gradients are left as None and never computed.
+    honours the dropout masks captured in the cache (a train-mode forward).
+    ``scope="all"`` returns all eight gradients; ``scope="ds_only"`` stops
+    after the fully connected layers and returns only the four
+    domain-specific ones, so the general-feature gradients are never
+    computed.
     """
     if scope not in ("all", "ds_only"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -321,61 +312,58 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     g_out_b = dz4.sum(axis=0)
 
     dh3 = dz4 @ weights.out_w.T
-    if cache.train:
+    if cache.mask3 is not None:
         dh3 = dh3 * cache.mask3
     dz3 = dh3 * (cache.z3 > 0)
-    g_fc1_w = cache.flat.T @ dz3
-    g_fc1_b = dz3.sum(axis=0)
+    grads = {"fc1_w": cache.flat.T @ dz3, "fc1_b": dz3.sum(axis=0),
+             "out_w": g_out_w, "out_b": g_out_b}
     if scope == "ds_only":
-        return Gradients(
-            conv1_w=None, conv1_b=None, conv2_w=None, conv2_b=None,
-            fc1_w=g_fc1_w, fc1_b=g_fc1_b, out_w=g_out_w, out_b=g_out_b,
-        )
+        return grads
 
     dflat = dz3 @ weights.fc1_w.T
     da2 = dflat.reshape(batch, r2 * c2, f2)
-    if cache.train:
+    if cache.mask2 is not None:
         da2 = da2 * cache.mask2
     dz2 = da2 * (cache.z2 > 0)
     g_conv2_w = np.tensordot(cache.cols2, dz2, axes=([0, 1], [0, 1])).reshape(3, 3, f1, f2)
     g_conv2_b = dz2.sum(axis=(0, 1))
 
     da1 = _conv_input_grad(dz2, weights.conv2_w, cache.a1.shape).reshape(batch, r1 * c1, f1)
-    if cache.train:
+    if cache.mask1 is not None:
         da1 = da1 * cache.mask1
     dz1 = da1 * (cache.z1 > 0)
     g_conv1_w = np.tensordot(cache.cols1, dz1, axes=([0, 1], [0, 1])).reshape(3, 3, 2, f1)
     g_conv1_b = dz1.sum(axis=(0, 1))
 
-    return Gradients(
-        conv1_w=g_conv1_w, conv1_b=g_conv1_b,
-        conv2_w=g_conv2_w, conv2_b=g_conv2_b,
-        fc1_w=g_fc1_w, fc1_b=g_fc1_b,
-        out_w=g_out_w, out_b=g_out_b,
-    )
+    return {"conv1_w": g_conv1_w, "conv1_b": g_conv1_b,
+            "conv2_w": g_conv2_w, "conv2_b": g_conv2_b, **grads}
 
 
-def sgd_step(weights: ModelWeights, grads: Gradients, lr: float, scope: str = "all", *,
+def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float, *,
              kept: np.ndarray | None = None) -> ModelWeights:
-    """Plain gradient step theta <- theta - lr * g on the selected scope.
+    """Plain gradient step theta <- theta - lr * g on exactly the parameters
+    ``grads`` holds, in ``PARAM_NAMES`` order.
 
-    ``scope="ds_only"`` leaves the convolutional (general-feature) parameters
-    byte-identical. With a prune mask the hidden-FC step is computed at the
-    kept positions only and every pruned weight is +0.0. The result shares
-    the untouched arrays and the mask with ``weights`` and never writes
-    into it. ``kept`` is ``np.flatnonzero(weights.prune_mask)``, passed by
-    a caller that steps many times under one mask; it is computed here when
-    omitted.
+    Every parameter absent from ``grads`` is returned as the same array
+    object, so a step on `backward`'s ``scope="ds_only"`` gradients leaves
+    the convolutional (general-feature) layers untouched. With a prune mask
+    the hidden-FC step is computed at the kept positions only and every
+    pruned weight is +0.0. The result shares the untouched arrays and the
+    mask with ``weights`` and never writes into it. ``kept`` is
+    ``np.flatnonzero(weights.prune_mask)``, passed by a caller that steps
+    many times under one mask; it is computed here when omitted.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    if scope not in ("all", "ds_only"):
-        raise ValueError(f"unknown scope {scope!r}")
-    names = PARAM_NAMES if scope == "all" else DOMAIN_SPECIFIC_PARAMS
+    unknown = set(grads) - set(PARAM_NAMES)
+    if unknown:
+        raise ValueError(f"gradients for unknown parameters {sorted(unknown)}")
     fields = weights.arrays()
-    for name in names:
+    for name in PARAM_NAMES:
+        if name not in grads:
+            continue
         value = fields[name]
-        grad = getattr(grads, name)
+        grad = grads[name]
         if value.shape != grad.shape:
             raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
         rate = value.dtype.type(lr)
@@ -399,28 +387,12 @@ def kept_update(value: np.ndarray, kept: np.ndarray, step: np.ndarray) -> np.nda
     return out
 
 
-def mask_gradients(grads: Gradients, prune_mask: np.ndarray | None) -> Gradients:
+def mask_gradients(grads: dict[str, np.ndarray],
+                   prune_mask: np.ndarray | None) -> dict[str, np.ndarray]:
     """Zero the hidden-FC weight gradient at pruned positions."""
-    if prune_mask is None:
-        return grads
-    grads.fc1_w = np.where(prune_mask, grads.fc1_w, grads.fc1_w.dtype.type(0))
+    if prune_mask is not None:
+        grads["fc1_w"] = np.where(prune_mask, grads["fc1_w"], grads["fc1_w"].dtype.type(0))
     return grads
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """SGD hyperparameters. The optional plateau decay multiplies the rate by
-    ``lr_decay_factor`` whenever the validation loss has stalled for another
-    ``lr_decay_stall`` epochs; the default (factor 1.0) keeps the rate
-    constant.
-    """
-
-    lr: float = 0.1
-    batch_size: int = 64
-    max_epochs: int = 60
-    patience: int = 5
-    lr_decay_factor: float = 1.0
-    lr_decay_stall: int = 8
 
 
 @dataclass
@@ -450,16 +422,26 @@ def train_offline(
     train_labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    hyper: TrainConfig,
     rng: np.random.Generator,
+    *,
+    lr: float,
+    batch_size: int,
+    max_epochs: int,
+    patience: int,
+    lr_decay_factor: float = 1.0,
+    lr_decay_stall: int = 8,
     init: ModelWeights | None = None,
 ) -> TrainResult:
-    """Mini-batch SGD with per-epoch shuffling and patience-based early
-    stopping on the validation loss; returns the best-validation snapshot.
+    """Mini-batch SGD at rate ``lr`` with per-epoch shuffling and
+    patience-based early stopping on the validation loss; returns the
+    best-validation snapshot.
 
-    Stops once the validation loss has failed to improve for more than
-    ``patience`` consecutive epochs (patience 0 stops at the first
-    non-improving epoch).
+    Stops after ``max_epochs`` epochs, or once the validation loss has
+    failed to improve for more than ``patience`` consecutive epochs
+    (patience 0 stops at the first non-improving epoch). The optional
+    plateau decay multiplies the rate by ``lr_decay_factor`` whenever the
+    validation loss has stalled for another ``lr_decay_stall`` epochs; the
+    default factor 1.0 keeps the rate constant.
     """
     if train_features.shape[0] == 0 or val_features.shape[0] == 0:
         raise ValueError("training and validation splits must be non-empty")
@@ -470,17 +452,16 @@ def train_offline(
     # worse (on validation) than it was given
     best_val = evaluate_loss(spec, weights, val_features, val_labels)
     stall = 0
-    lr = hyper.lr
     kept = None if weights.prune_mask is None else np.flatnonzero(weights.prune_mask)
-    for epoch in range(hyper.max_epochs):
+    for epoch in range(max_epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
             probs, cache = forward(spec, weights, train_features[idx], train=True, rng=rng)
             grads = backward(spec, weights, cache, train_labels[idx])
             del cache  # else this batch's activations stay alive through the next forward
-            weights = sgd_step(weights, grads, lr, scope="all", kept=kept)
+            weights = sgd_step(weights, grads, lr, kept=kept)
             epoch_loss += bce_loss(probs, train_labels[idx]) * len(idx)
         result.train_losses.append(epoch_loss / n)
         val_loss = evaluate_loss(spec, weights, val_features, val_labels)
@@ -492,10 +473,10 @@ def train_offline(
             stall = 0
         else:
             stall += 1
-            if stall > hyper.patience:
+            if stall > patience:
                 break
-            if hyper.lr_decay_factor != 1.0 and stall % hyper.lr_decay_stall == 0:
-                lr *= hyper.lr_decay_factor
+            if lr_decay_factor != 1.0 and stall % lr_decay_stall == 0:
+                lr *= lr_decay_factor
     return result
 
 
@@ -533,7 +514,7 @@ def finite_difference_check(
     worst = 0.0
     for name, idx in indices.items():
         arr = getattr(weights, name)
-        grad = getattr(analytic, name).reshape(-1)
+        grad = analytic[name].reshape(-1)
         flat = arr.reshape(-1)
         for i in np.asarray(idx, dtype=np.int64):
             orig = flat[i]

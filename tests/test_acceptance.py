@@ -106,8 +106,7 @@ def test_criterion_3_pruning_accounting():
     features = rng.normal(size=(24, 6, 8, 2)).astype(np.float32)
     labels = (rng.random((24, 6)) < 0.4).astype(np.int8)
     tuned = pruning.fine_tune(spec, pruned, features, labels, features[:8], labels[:8],
-                              tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=3),
-                              np.random.default_rng(4))
+                              np.random.default_rng(4), lr=0.05, batch_size=8, epochs=3)
     leaked = int((tuned.weights.fc1_w[~pruned.prune_mask] != 0).sum())
     ok = leaked == 0
     report("3 (pruning accounting)", ok,
@@ -140,26 +139,26 @@ def _straight_line_replay(spec, init, sus, cfg, seed):
         for su in sorted(sus, key=lambda s: s.su_id):
             rng = fed.su_round_rng(seed, su.su_id, round_idx)
             local = theta.copy()
-            acc = {n: np.zeros_like(getattr(local, n)) for n in fed.DS_GRADIENT_NAMES}
+            acc = {n: np.zeros_like(getattr(local, n)) for n in tn.DOMAIN_SPECIFIC_PARAMS}
             count = su.features.shape[0]
             for _ in range(cfg.local_epochs):
                 order = rng.permutation(count)
                 for start in range(0, count, cfg.batch_size):
                     idx = order[start:start + cfg.batch_size]
                     _, cache = tn.forward(spec, local, su.features[idx], train=True, rng=rng)
-                    grads = tn.backward(spec, local, cache, su.labels[idx])
-                    local = tn.sgd_step(local, grads, cfg.lr, scope="ds_only")
-                    for name in fed.DS_GRADIENT_NAMES:
-                        acc[name] += getattr(grads, name)
+                    grads = tn.backward(spec, local, cache, su.labels[idx], scope="ds_only")
+                    local = tn.sgd_step(local, grads, cfg.lr)
+                    for name in tn.DOMAIN_SPECIFIC_PARAMS:
+                        acc[name] += grads[name]
             uploads.append((su.su_id, count, acc))
         total = sum(count for _, count, _ in uploads)
-        step = {n: np.zeros_like(getattr(theta, n)) for n in fed.DS_GRADIENT_NAMES}
+        step = {n: np.zeros_like(getattr(theta, n)) for n in tn.DOMAIN_SPECIFIC_PARAMS}
         for _, count, acc in uploads:
             coeff = np.float32(count / total)
-            for name in fed.DS_GRADIENT_NAMES:
+            for name in tn.DOMAIN_SPECIFIC_PARAMS:
                 step[name] += coeff * acc[name]
         fields = dict(theta.arrays())
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             fields[name] = fields[name] - np.float32(cfg.lr) * step[name]
         mask = theta.prune_mask
         if mask is not None:
@@ -220,12 +219,12 @@ def test_criterion_5_aggregation_weighted_mean_oracle():
         sizes.append(size)
         uploads.append(fed.GradientUpload(
             round_idx=0, su_id=su_id, n_samples=size,
-            **{n: rng.normal(size=shapes[n]) for n in fed.DS_GRADIENT_NAMES}))
+            **{n: rng.normal(size=shapes[n]) for n in tn.DOMAIN_SPECIFIC_PARAMS}))
     lr = 0.37
     out = fed.aggregate(weights, uploads, lr)
     total = sum(sizes)
     worst = 0.0
-    for name in fed.DS_GRADIENT_NAMES:
+    for name in tn.DOMAIN_SPECIFIC_PARAMS:
         expected = getattr(weights, name).astype(np.float64).copy()
         mean = sum((size / total) * getattr(up, name) for size, up in zip(sizes, uploads))
         expected -= lr * mean

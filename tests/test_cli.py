@@ -163,13 +163,23 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
     assert not (out / "results.csv").exists()
 
 
-def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys):
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "restart_epochs", 0),
+    ("prune", "ratio", 1.5),
+    ("prune", "finetune_batch_size", 0),
+    ("ftl", "rounds", 0),
+    ("ftl", "samples_per_su", 0),
+    ("ftl", "lr", -1),
+])
+def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
+    # rejected when the config loads, before the train stage writes anything
     data = json.loads(tiny_config_file.read_text())
-    data["training"]["restart_epochs"] = 0
+    data[section][key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert "restart_epochs" in capsys.readouterr().err
+    assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):

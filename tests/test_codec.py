@@ -47,7 +47,7 @@ def old_encode_message(msg):
     else:
         parts.append(struct.pack("<BI", fed.MSG_UPLOAD, msg.round_idx))
         parts.append(struct.pack("<IQ", msg.su_id, msg.n_samples))
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             parts.append(old_encode_tensor(getattr(msg, name)))
     return b"".join(parts)
 
@@ -85,7 +85,7 @@ class TestEncoderOracle:
         shapes = SPECS[scale].param_shapes()
         upload = fed.GradientUpload(
             round_idx=4, su_id=3, n_samples=2**40 + 5,
-            **{n: rng.normal(size=shapes[n]).astype(dtype) for n in fed.DS_GRADIENT_NAMES})
+            **{n: rng.normal(size=shapes[n]).astype(dtype) for n in tn.DOMAIN_SPECIFIC_PARAMS})
         assert fed.encode_message(upload) == old_encode_message(upload)
 
     @pytest.mark.parametrize("array", [
@@ -155,7 +155,7 @@ class TestDecodedViews:
         # a message header is 1 mod 4 bytes long; BLAS needs aligned operands
         upload = fed.GradientUpload(
             round_idx=0, su_id=1, n_samples=1,
-            **{n: np.full((2, 3), 0.5, dtype=np.float32) for n in fed.DS_GRADIENT_NAMES})
+            **{n: np.full((2, 3), 0.5, dtype=np.float32) for n in tn.DOMAIN_SPECIFIC_PARAMS})
         decoded = fed.decode_message(fed.encode_message(upload))
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert getattr(decoded, name).flags.aligned

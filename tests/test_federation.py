@@ -35,7 +35,7 @@ def toy_upload(seed=0, round_idx=1, su_id=2, n_samples=20):
     return fed.GradientUpload(
         round_idx=round_idx, su_id=su_id, n_samples=n_samples,
         **{name: rng.normal(size=shapes[name]).astype(np.float32)
-           for name in fed.DS_GRADIENT_NAMES})
+           for name in tn.DOMAIN_SPECIFIC_PARAMS})
 
 
 class TestMessageCodec:
@@ -43,7 +43,7 @@ class TestMessageCodec:
         upload = toy_upload()
         decoded = fed.decode_message(fed.encode_message(upload))
         assert decoded.round_idx == 1 and decoded.su_id == 2 and decoded.n_samples == 20
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert np.array_equal(getattr(decoded, name), getattr(upload, name))
 
     def test_broadcast_round_trip_keeps_mask(self):
@@ -85,8 +85,8 @@ class TestLocalTraining:
         order = rng.permutation(len(features))
         _, cache = tn.forward(SPEC, weights, features[order], train=True, rng=rng)
         grads = tn.backward(SPEC, weights, cache, labels[order])
-        for name in fed.DS_GRADIENT_NAMES:
-            assert np.array_equal(getattr(upload, name), getattr(grads, name))
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
+            assert np.array_equal(getattr(upload, name), grads[name])
 
     def test_zero_rate_still_accumulates(self):
         weights = toy_weights()
@@ -105,17 +105,17 @@ class TestLocalTraining:
 
         rng = fed.su_round_rng(11, 3, 7)
         local = weights.copy()
-        acc = {name: np.zeros_like(getattr(local, name)) for name in fed.DS_GRADIENT_NAMES}
+        acc = {name: np.zeros_like(getattr(local, name)) for name in tn.DOMAIN_SPECIFIC_PARAMS}
         for _ in range(2):
             order = rng.permutation(20)
             for start in (0, 10):
                 idx = order[start:start + 10]
                 _, cache = tn.forward(SPEC, local, features[idx], train=True, rng=rng)
-                grads = tn.backward(SPEC, local, cache, labels[idx])
-                local = tn.sgd_step(local, grads, 0.05, scope="ds_only")
-                for name in fed.DS_GRADIENT_NAMES:
-                    acc[name] += getattr(grads, name)
-        for name in fed.DS_GRADIENT_NAMES:
+                grads = tn.backward(SPEC, local, cache, labels[idx], scope="ds_only")
+                local = tn.sgd_step(local, grads, 0.05)
+                for name in tn.DOMAIN_SPECIFIC_PARAMS:
+                    acc[name] += grads[name]
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert np.array_equal(getattr(upload, name), acc[name])
 
     def test_general_feature_layers_never_move(self):
@@ -140,9 +140,9 @@ class TestAggregate:
         up1 = toy_upload(seed=1, su_id=1, n_samples=50)
         up2 = fed.GradientUpload(
             round_idx=1, su_id=2, n_samples=50,
-            **{n: -getattr(up1, n) for n in fed.DS_GRADIENT_NAMES})
+            **{n: -getattr(up1, n) for n in tn.DOMAIN_SPECIFIC_PARAMS})
         out = fed.aggregate(weights, [up1, up2], lr=0.3)
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert np.allclose(getattr(out, name), getattr(weights, name), atol=1e-7)
 
     def test_hand_weighted_mean(self):
@@ -151,7 +151,7 @@ class TestAggregate:
         up2 = toy_upload(seed=2, su_id=2, n_samples=300)
         lr = 0.1
         out = fed.aggregate(weights, [up2, up1], lr=lr)  # arrival order reversed
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             expected = (getattr(weights, name)
                         - np.float32(lr) * (np.float32(0.25) * getattr(up1, name)
                                             + np.float32(0.75) * getattr(up2, name)))
@@ -161,7 +161,7 @@ class TestAggregate:
         weights = toy_weights()
         up = toy_upload(seed=3, su_id=1, n_samples=10)
         out = fed.aggregate(weights, [up], lr=0.2)
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             expected = getattr(weights, name) - np.float32(0.2) * getattr(up, name)
             assert np.allclose(getattr(out, name), expected, atol=1e-7)
 
@@ -191,10 +191,10 @@ class TestAggregate:
         up = toy_upload(seed=4, su_id=1, n_samples=10)
         doubled = fed.GradientUpload(
             round_idx=1, su_id=1, n_samples=10,
-            **{n: 2 * getattr(up, n) for n in fed.DS_GRADIENT_NAMES})
+            **{n: 2 * getattr(up, n) for n in tn.DOMAIN_SPECIFIC_PARAMS})
         base = fed.aggregate(weights, [up], lr=0.1)
         twice = fed.aggregate(weights, [doubled], lr=0.1)
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             step1 = getattr(base, name) - getattr(weights, name)
             step2 = getattr(twice, name) - getattr(weights, name)
             assert np.allclose(step2, 2 * step1, atol=1e-6)
@@ -230,11 +230,11 @@ class TestRunFtl:
                    for su_id in (1, 2, 3)]
         # identical datasets and identical per-round generators require equal seeds
         uploads = [fed.GradientUpload(round_idx=0, su_id=i + 1, n_samples=len(features),
-                                      **{n: getattr(uploads[0], n) for n in fed.DS_GRADIENT_NAMES})
+                                      **{n: getattr(uploads[0], n) for n in tn.DOMAIN_SPECIFIC_PARAMS})
                    for i in range(3)]
         joint = fed.aggregate(weights, uploads, cfg3.lr)
         single = fed.aggregate(weights, uploads[:1], cfg3.lr)
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert np.allclose(getattr(joint, name), getattr(single, name), atol=1e-6)
 
     def test_general_feature_frozen_over_rounds(self):
@@ -574,13 +574,13 @@ def old_aggregate(weights, uploads, lr):
     ordered = sorted(uploads, key=lambda u: u.su_id)
     total = sum(u.n_samples for u in ordered)
     dtype = weights.dtype
-    acc = {name: np.zeros_like(getattr(weights, name)) for name in fed.DS_GRADIENT_NAMES}
+    acc = {name: np.zeros_like(getattr(weights, name)) for name in tn.DOMAIN_SPECIFIC_PARAMS}
     for upload in ordered:
         coeff = dtype.type(upload.n_samples / total)
-        for name in fed.DS_GRADIENT_NAMES:
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
             acc[name] += coeff * getattr(upload, name).astype(dtype, copy=False)
     fields = dict(weights.arrays())
-    for name in fed.DS_GRADIENT_NAMES:
+    for name in tn.DOMAIN_SPECIFIC_PARAMS:
         fields[name] = fields[name] - dtype.type(lr) * acc[name]
     mask = weights.prune_mask
     if mask is not None:
@@ -595,16 +595,16 @@ def old_local_training(spec, global_weights, features, labels, su_id, round_idx,
     rng = fed.su_round_rng(seed, su_id, round_idx)
     local = global_weights.copy()
     dtype = local.dtype
-    acc = {name: np.zeros_like(getattr(local, name)) for name in fed.DS_GRADIENT_NAMES}
+    acc = {name: np.zeros_like(getattr(local, name)) for name in tn.DOMAIN_SPECIFIC_PARAMS}
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             _, cache = tn.forward(spec, local, features[idx], train=True, rng=rng)
             grads = tn.backward(spec, local, cache, labels[idx], scope="ds_only")
-            local = tn.sgd_step(local, grads, cfg.lr, scope="ds_only")
-            for name in fed.DS_GRADIENT_NAMES:
-                acc[name] += getattr(grads, name).astype(dtype, copy=False)
+            local = tn.sgd_step(local, grads, cfg.lr)
+            for name in tn.DOMAIN_SPECIFIC_PARAMS:
+                acc[name] += grads[name].astype(dtype, copy=False)
     return fed.GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
@@ -629,7 +629,7 @@ class TestAggregateOracle:
             upload.fc1_w.reshape(-1)[pruned[::3]] = np.nan
             upload.fc1_w.reshape(-1)[kept[:2]] = 0.0
             upload.fc1_w.reshape(-1)[kept[2:4]] = -0.0
-            for name in fed.DS_GRADIENT_NAMES:
+            for name in tn.DOMAIN_SPECIFIC_PARAMS:
                 setattr(upload, name, getattr(upload, name).astype(upload_dtype))
         return weights, uploads
 
@@ -663,7 +663,7 @@ class TestLocalTrainingOracle:
                             lr=0.05)
         got = fed.local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
         want = old_local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
-        assert_bitwise_equal(got, want, fed.DS_GRADIENT_NAMES)
+        assert_bitwise_equal(got, want, tn.DOMAIN_SPECIFIC_PARAMS)
 
     @pytest.mark.parametrize("count, batch_size, epochs, steps", [
         (20, 20, 1, 0), (20, 6, 1, 3), (15, 5, 2, 5)])
@@ -707,4 +707,4 @@ class TestLocalTrainingOracle:
         cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=2, batch_size=7)
         got = fed.local_training(SPEC, read_only, features, labels, 1, 0, cfg, seed=5)
         want = old_local_training(SPEC, weights, features, labels, 1, 0, cfg, seed=5)
-        assert_bitwise_equal(got, want, fed.DS_GRADIENT_NAMES)
+        assert_bitwise_equal(got, want, tn.DOMAIN_SPECIFIC_PARAMS)

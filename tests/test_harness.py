@@ -24,6 +24,20 @@ def tiny_config(**overrides):
     return replace(base, **overrides) if overrides else base
 
 
+BAD_STAGE_SETTINGS = [
+    ("training", "restart_epochs", 0),
+    ("prune", "ratio", 1.5),
+    ("prune", "ratio", 0.0),
+    ("prune", "finetune_lr", -1),
+    ("prune", "finetune_batch_size", 0),
+    ("ftl", "rounds", 0),
+    ("ftl", "local_epochs", 0),
+    ("ftl", "batch_size", 0),
+    ("ftl", "samples_per_su", 0),
+    ("ftl", "lr", -1),
+]
+
+
 class TestConfig:
     def test_json_round_trip(self):
         cfg = harness.scaled_default()
@@ -42,10 +56,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="expected an object"):
             harness.ExperimentConfig.from_dict({"training": 3})
 
-    def test_rejects_zero_restart_epochs(self):
-        # a zero-epoch probe has no validation loss to compare a restart with
-        with pytest.raises(ValueError, match="restart_epochs"):
-            harness.TrainingConfig(restart_epochs=0, restarts=3)
+    # a zero-epoch probe has no validation loss to compare a restart with; each
+    # other value would otherwise fail its stage after the earlier stages trained
+    @pytest.mark.parametrize("section, key, value", BAD_STAGE_SETTINGS)
+    def test_rejects_zero_restart_epochs(self, section, key, value):
+        with pytest.raises(ValueError, match=key):
+            harness.ExperimentConfig.from_dict({section: {key: value}})
 
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):
@@ -463,6 +479,8 @@ class TestPipeline:
         assert result.source_p_acc_unpruned is not None
         report = json.loads((tmp_path / "prune_report.json").read_text())
         assert "p_acc_source_pruned_finetuned" in report
+        assert report["zeroed_count"] == result.prune_report.zeroed_count
+        assert report["ratio"] == result.prune_report.ratio
 
     def test_stage_gating_without_ftl(self, tmp_path):
         from dataclasses import replace

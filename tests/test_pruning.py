@@ -114,62 +114,46 @@ class TestPruneModel:
         pruned, _ = pruning.prune_model(weights, 0.9)
         assert np.array_equal(pruned.fc1_b, weights.fc1_b)
 
-    def test_report_json_round_trip(self):
-        import json
-
-        weights, _, _ = tiny_setup()
-        _, report = pruning.prune_model(weights, 0.5)
-        data = json.loads(report.to_json())
-        assert data["zeroed_count"] == report.zeroed_count
-        assert data["ratio"] == 0.5
-
 
 class TestFineTune:
     def test_masked_positions_stay_zero(self):
         weights, features, labels = tiny_setup()
         pruned, _ = pruning.prune_model(weights, 0.7)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=10)
-        result = pruning.fine_tune(TINY, pruned, features, labels,
-                                   features[:6], labels[:6], hyper,
-                                   np.random.default_rng(3))
+        result = pruning.fine_tune(TINY, pruned, features, labels, features[:6], labels[:6],
+                                   np.random.default_rng(3), lr=0.05, batch_size=8, epochs=10)
         assert np.all(result.weights.fc1_w[~pruned.prune_mask] == 0)
 
     def test_unmasked_weights_update(self):
         weights, features, labels = tiny_setup()
         pruned, _ = pruning.prune_model(weights, 0.5)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=3)
-        result = pruning.fine_tune(TINY, pruned, features, labels,
-                                   features[:6], labels[:6], hyper,
-                                   np.random.default_rng(3))
+        result = pruning.fine_tune(TINY, pruned, features, labels, features[:6], labels[:6],
+                                   np.random.default_rng(3), lr=0.05, batch_size=8, epochs=3)
         assert not np.array_equal(result.weights.conv1_w, pruned.conv1_w)
 
     def test_requires_mask(self):
         weights, features, labels = tiny_setup()
         with pytest.raises(RuntimeError):
-            pruning.fine_tune(TINY, weights, features, labels, features[:6],
-                              labels[:6], tn.TrainConfig(), np.random.default_rng(0))
+            pruning.fine_tune(TINY, weights, features, labels, features[:6], labels[:6],
+                              np.random.default_rng(0), lr=0.1, batch_size=64, epochs=1)
 
     def test_all_ones_mask_equals_plain_training(self):
         # the no-pruning limit: fine-tuning with a full mask is plain training
         weights, features, labels = tiny_setup()
         full = weights.copy()
         full.prune_mask = np.ones_like(full.fc1_w, dtype=bool)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=4, patience=4)
-        tuned = pruning.fine_tune(TINY, full, features, labels, features[:6],
-                                  labels[:6], hyper, np.random.default_rng(9))
-        schedule = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=4, patience=4)
+        tuned = pruning.fine_tune(TINY, full, features, labels, features[:6], labels[:6],
+                                  np.random.default_rng(9), lr=0.05, batch_size=8, epochs=4)
         plain = tn.train_offline(TINY, features, labels, features[:6], labels[:6],
-                                 schedule, np.random.default_rng(9), init=weights)
+                                 np.random.default_rng(9), lr=0.05, batch_size=8, max_epochs=4,
+                                 patience=4, init=weights)
         for name in tn.PARAM_NAMES:
             assert np.array_equal(getattr(tuned.weights, name), getattr(plain.weights, name))
 
     def test_validation_never_worse_than_start(self):
         weights, features, labels = tiny_setup()
         pruned, _ = pruning.prune_model(weights, 0.8)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=5)
-        result = pruning.fine_tune(TINY, pruned, features, labels,
-                                   features[:6], labels[:6], hyper,
-                                   np.random.default_rng(4))
+        result = pruning.fine_tune(TINY, pruned, features, labels, features[:6], labels[:6],
+                                   np.random.default_rng(4), lr=0.05, batch_size=8, epochs=5)
         start = tn.evaluate_loss(TINY, pruned, features[:6], labels[:6])
         end = tn.evaluate_loss(TINY, result.weights, features[:6], labels[:6])
         assert end <= start + 1e-9
@@ -178,11 +162,25 @@ class TestFineTune:
         weights, features, labels = tiny_setup()
         pruned, report = pruning.prune_model(weights, 0.6)
         current = pruned
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=1)
         for _ in range(3):
-            result = pruning.fine_tune(TINY, current, features, labels,
-                                       features[:6], labels[:6], hyper,
-                                       np.random.default_rng(5))
+            result = pruning.fine_tune(TINY, current, features, labels, features[:6], labels[:6],
+                                       np.random.default_rng(5), lr=0.05, batch_size=8, epochs=1)
             current = result.weights
             assert int((current.fc1_w == 0).sum()) >= report.zeroed_count
             assert np.all(current.fc1_w[~pruned.prune_mask] == 0)
+
+    @pytest.mark.parametrize("epochs", [1, 3, 6])
+    def test_runs_every_epoch_while_validation_loss_rises(self, epochs):
+        # a start that predicts vacant bands, trained on all-occupied labels
+        # and validated on all-vacant ones: every epoch raises the validation
+        # loss, and none may stop early
+        weights, features, _ = tiny_setup()
+        pruned, _ = pruning.prune_model(weights, 0.5)
+        pruned.out_b[:] = -3.0
+        ones, zeros = np.ones((24, 6), dtype=np.int8), np.zeros((24, 6), dtype=np.int8)
+        result = pruning.fine_tune(TINY, pruned, features, ones, features, zeros,
+                                   np.random.default_rng(6), lr=0.05, batch_size=8, epochs=epochs)
+        start = tn.evaluate_loss(TINY, pruned, features, zeros)
+        assert len(result.train_losses) == len(result.val_losses) == epochs
+        assert all(b > a for a, b in zip([start, *result.val_losses], result.val_losses))
+        assert result.best_epoch == -1

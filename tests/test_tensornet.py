@@ -148,7 +148,7 @@ class TestBackward:
         x, labels = tiny_batch()
         probs, cache = tn.forward(TINY, w, x)
         grads = tn.backward(TINY, w, cache, probs)  # labels equal predictions
-        assert np.max(np.abs(grads.out_b)) < 1e-12
+        assert np.max(np.abs(grads["out_b"])) < 1e-12
 
     def test_duplicated_batch_same_mean_gradient(self):
         w = tiny_weights()
@@ -160,7 +160,7 @@ class TestBackward:
         _, cache2 = tn.forward(TINY, w, x2)
         g2 = tn.backward(TINY, w, cache2, labels2)
         for name in tn.PARAM_NAMES:
-            assert np.allclose(getattr(g1, name), getattr(g2, name), atol=1e-12)
+            assert np.allclose(g1[name], g2[name], atol=1e-12)
 
     def test_finite_difference_eval_mode(self):
         w = tiny_weights(2)
@@ -192,8 +192,8 @@ class TestBackward:
         _, cache64 = tn.forward(TINY, w64, x)
         g64 = tn.backward(TINY, w64, cache64, labels)
         for name in tn.PARAM_NAMES:
-            ref = getattr(g64, name)
-            got = getattr(g32, name).astype(np.float64)
+            ref = g64[name]
+            got = g32[name].astype(np.float64)
             significant = np.abs(ref) > 1e-3
             if significant.any():
                 rel = np.abs(got - ref)[significant] / np.abs(ref)[significant]
@@ -233,7 +233,7 @@ class TestConvBackpropOracle:
         monkeypatch.setattr(tn, "_conv_input_grad", _unrolled_conv_input_grad)
         reference = tn.backward(spec, w, cache, labels)
         for name in tn.PARAM_NAMES:
-            assert np.array_equal(getattr(fused, name), getattr(reference, name)), name
+            assert np.array_equal(fused[name], reference[name]), name
 
     @pytest.mark.parametrize("batch", [1, 25, 32, 64])
     def test_input_grad_bitwise_equal_on_sparse_gradients(self, batch):
@@ -257,18 +257,18 @@ class TestBackwardScope:
         _, cache = tn.forward(DESK, w, x, train=True, rng=rng)
         full = tn.backward(DESK, w, cache, labels)
         ds = tn.backward(DESK, w, cache, labels, scope="ds_only")
+        assert list(full) == list(tn.PARAM_NAMES)
+        assert list(ds) == list(tn.DOMAIN_SPECIFIC_PARAMS)
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
-            assert np.array_equal(getattr(ds, name), getattr(full, name)), name
-        for name in tn.GENERAL_FEATURE_PARAMS:
-            assert getattr(ds, name) is None
+            assert np.array_equal(ds[name], full[name]), name
 
     def test_ds_only_gradients_drive_ds_only_step(self):
         w = tiny_weights()
         x, labels = tiny_batch()
         _, cache = tn.forward(TINY, w, x)
-        step_all = tn.sgd_step(w, tn.backward(TINY, w, cache, labels), 0.1, scope="ds_only")
-        step_ds = tn.sgd_step(w, tn.backward(TINY, w, cache, labels, scope="ds_only"), 0.1,
-                              scope="ds_only")
+        full = tn.backward(TINY, w, cache, labels)
+        step_all = tn.sgd_step(w, {n: full[n] for n in tn.DOMAIN_SPECIFIC_PARAMS}, 0.1)
+        step_ds = tn.sgd_step(w, tn.backward(TINY, w, cache, labels, scope="ds_only"), 0.1)
         for name in tn.PARAM_NAMES:
             assert np.array_equal(getattr(step_all, name), getattr(step_ds, name))
 
@@ -283,7 +283,7 @@ class TestBackwardScope:
 class TestSgdStep:
     def test_zero_gradient_identity(self):
         w = tiny_weights()
-        zero = tn.Gradients(**{n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES})
+        zero = {n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES}
         out = tn.sgd_step(w, zero, 0.5)
         for name in tn.PARAM_NAMES:
             assert np.array_equal(getattr(out, name), getattr(w, name))
@@ -291,20 +291,33 @@ class TestSgdStep:
     def test_scalar_arithmetic(self):
         w = tiny_weights()
         w.out_b[:] = 1.0
-        g = tn.Gradients(**{n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES})
-        g.out_b[:] = 2.0
+        g = {n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES}
+        g["out_b"][:] = 2.0
         out = tn.sgd_step(w, g, 0.1)
         assert np.allclose(out.out_b, 0.8)
 
     def test_ds_only_freezes_general_feature(self):
         w = tiny_weights()
         rng = np.random.default_rng(0)
-        g = tn.Gradients(**{n: rng.normal(size=getattr(w, n).shape) for n in tn.PARAM_NAMES})
-        out = tn.sgd_step(w, g, 0.1, scope="ds_only")
+        g = {n: rng.normal(size=getattr(w, n).shape) for n in tn.DOMAIN_SPECIFIC_PARAMS}
+        out = tn.sgd_step(w, g, 0.1)
         for name in tn.GENERAL_FEATURE_PARAMS:
             assert getattr(out, name).tobytes() == getattr(w, name).tobytes()
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert not np.array_equal(getattr(out, name), getattr(w, name))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("stepped", [(), ("out_b",), tn.DOMAIN_SPECIFIC_PARAMS,
+                                         tn.GENERAL_FEATURE_PARAMS],
+                             ids=["none", "out_b", "domain_specific", "general_feature"])
+    def test_absent_parameters_are_the_same_objects(self, stepped, masked):
+        w, g = hostile_masked_weights(np.float32)
+        if not masked:
+            w.prune_mask = None
+        out = tn.sgd_step(w, {n: g[n] for n in stepped}, 0.1)
+        for name in tn.PARAM_NAMES:
+            assert (getattr(out, name) is getattr(w, name)) == (name not in stepped), name
+        assert out.prune_mask is w.prune_mask
 
     def test_mask_reapplied(self):
         w = tiny_weights()
@@ -312,15 +325,16 @@ class TestSgdStep:
         mask[0, :] = False
         w.fc1_w[~mask] = 0.0
         w.prune_mask = mask
-        g = tn.Gradients(**{n: np.ones_like(getattr(w, n)) for n in tn.PARAM_NAMES})
+        g = {n: np.ones_like(getattr(w, n)) for n in tn.PARAM_NAMES}
         out = tn.sgd_step(w, g, 0.1)
         assert np.all(out.fc1_w[0, :] == 0)
 
-    def test_rejects_unknown_scope(self):
+    def test_rejects_unknown_gradient_name(self):
         w = tiny_weights()
-        g = tn.Gradients(**{n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES})
-        with pytest.raises(ValueError):
-            tn.sgd_step(w, g, 0.1, scope="conv_only")
+        g = {n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES}
+        g["fc1_W"] = g.pop("fc1_w")  # a misspelt name would otherwise leave fc1_w unstepped
+        with pytest.raises(ValueError, match="fc1_W"):
+            tn.sgd_step(w, g, 0.1)
 
 
 class TestTrainOffline:
@@ -328,29 +342,27 @@ class TestTrainOffline:
         rng = np.random.default_rng(10)
         x = np.repeat(rng.normal(size=(1, 6, 8, 2)), 32, axis=0).astype(np.float32)
         labels = np.repeat((rng.random((1, 6)) < 0.5).astype(np.int8), 32, axis=0)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=10, patience=10)
-        result = tn.train_offline(TINY, x, labels, x[:4], labels[:4], hyper,
-                                  np.random.default_rng(0))
+        result = tn.train_offline(TINY, x, labels, x[:4], labels[:4], np.random.default_rng(0),
+                                  lr=0.05, batch_size=8, max_epochs=10, patience=10)
         assert result.train_losses[-1] < result.train_losses[0]
 
     def test_patience_zero_stops_at_first_stall(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(16, 6, 8, 2)).astype(np.float32)
         labels = (rng.random((16, 6)) < 0.5).astype(np.int8)
-        hyper = tn.TrainConfig(lr=0.0, batch_size=8, max_epochs=50, patience=0)
         # zero learning rate never improves, so training stops after epoch 1
-        result = tn.train_offline(TINY, x, labels, x, labels, hyper, np.random.default_rng(0))
+        result = tn.train_offline(TINY, x, labels, x, labels, np.random.default_rng(0),
+                                  lr=0.0, batch_size=8, max_epochs=50, patience=0)
         assert len(result.val_losses) == 1
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(24, 6, 8, 2)).astype(np.float32)
         labels = (rng.random((24, 6)) < 0.4).astype(np.int8)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=8, max_epochs=4, patience=4)
 
         def run():
-            return tn.train_offline(TINY, x, labels, x[:6], labels[:6], hyper,
-                                    np.random.default_rng(77))
+            return tn.train_offline(TINY, x, labels, x[:6], labels[:6], np.random.default_rng(77),
+                                    lr=0.05, batch_size=8, max_epochs=4, patience=4)
 
         a, b = run(), run()
         for name in tn.PARAM_NAMES:
@@ -359,8 +371,8 @@ class TestTrainOffline:
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):
             tn.train_offline(TINY, np.zeros((0, 6, 8, 2)), np.zeros((0, 6)),
-                             np.zeros((1, 6, 8, 2)), np.zeros((1, 6)),
-                             tn.TrainConfig(), np.random.default_rng(0))
+                             np.zeros((1, 6, 8, 2)), np.zeros((1, 6)), np.random.default_rng(0),
+                             lr=0.1, batch_size=64, max_epochs=60, patience=5)
 
     def test_desk_shape_peak_memory(self):
         # each batch's forward cache is dropped before the next forward: 19.8 MB
@@ -374,11 +386,11 @@ class TestTrainOffline:
         weights, _ = pruning.prune_model(tn.init_weights(spec, rng), 0.9)
         features = rng.normal(size=(50, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
         labels = (rng.random((50, spec.in_rows)) < 0.4).astype(np.int8)
-        hyper = tn.TrainConfig(lr=0.05, batch_size=25, max_epochs=1)
         tracemalloc.start()
         try:
-            tn.train_offline(spec, features, labels, features[:10], labels[:10], hyper,
-                             np.random.default_rng(1), init=weights)
+            tn.train_offline(spec, features, labels, features[:10], labels[:10],
+                             np.random.default_rng(1), lr=0.05, batch_size=25, max_epochs=1,
+                             patience=5, init=weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -396,7 +408,7 @@ class TestMaskPropagation:
         for _ in range(5):
             probs, cache = tn.forward(TINY, w, x.astype(np.float32), train=True, rng=rng)
             grads = tn.mask_gradients(tn.backward(TINY, w, cache, labels), mask)
-            assert np.all(grads.fc1_w[~mask] == 0)
+            assert np.all(grads["fc1_w"][~mask] == 0)
             w = tn.sgd_step(w, grads, 0.05)
             assert np.all(w.fc1_w[~mask] == 0)
 
@@ -443,13 +455,15 @@ class TestCheckpoint:
 
 
 def old_sgd_step(weights, grads, lr, scope="all"):
-    """The dense step followed by np.where that sgd_step replaced."""
+    """The dense step followed by np.where that sgd_step replaced; ``scope``
+    picked the parameters it stepped, whatever ``grads`` held.
+    """
     names = tn.PARAM_NAMES if scope == "all" else tn.DOMAIN_SPECIFIC_PARAMS
     fields = {}
     for name in tn.PARAM_NAMES:
         value = getattr(weights, name)
         if name in names:
-            fields[name] = value - value.dtype.type(lr) * getattr(grads, name)
+            fields[name] = value - value.dtype.type(lr) * grads[name]
         else:
             fields[name] = value
     mask = weights.prune_mask
@@ -472,12 +486,11 @@ def hostile_masked_weights(dtype, seed=0):
     w.fc1_w.reshape(-1)[pruned[::2]] = np.nan
     w.fc1_w.reshape(-1)[kept[:5]] = -0.0
     w.prune_mask = mask
-    g = tn.Gradients(**{n: rng.normal(size=getattr(w, n).shape).astype(dtype)
-                        for n in tn.PARAM_NAMES})
-    g.fc1_w.reshape(-1)[kept[:3]] = 0.0
-    g.fc1_w.reshape(-1)[kept[3:5]] = -0.0
-    g.fc1_w.reshape(-1)[pruned[1::3]] = np.nan
-    g.out_b[0] = -0.0
+    g = {n: rng.normal(size=getattr(w, n).shape).astype(dtype) for n in tn.PARAM_NAMES}
+    g["fc1_w"].reshape(-1)[kept[:3]] = 0.0
+    g["fc1_w"].reshape(-1)[kept[3:5]] = -0.0
+    g["fc1_w"].reshape(-1)[pruned[1::3]] = np.nan
+    g["out_b"][0] = -0.0
     return w, g
 
 
@@ -490,7 +503,9 @@ class TestSgdStepOracle:
         if not masked:
             w.prune_mask = None
         before = {n: getattr(w, n).tobytes() for n in tn.PARAM_NAMES}
-        out = tn.sgd_step(w, g, 0.05, scope=scope)
+        # the 8-key dict of backward(scope="all") or the 4-key one of "ds_only"
+        names = tn.PARAM_NAMES if scope == "all" else tn.DOMAIN_SPECIFIC_PARAMS
+        out = tn.sgd_step(w, {n: g[n] for n in names}, 0.05)
         expected = old_sgd_step(w, g, 0.05, scope=scope)
         for name in tn.PARAM_NAMES:
             got, want = getattr(out, name), getattr(expected, name)
