@@ -75,9 +75,6 @@ class ByteReader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
-
     def tensor(self) -> np.ndarray:
         rank = self.u32()
         if rank > 8:

@@ -139,6 +139,9 @@ class TrainingConfig:
     restart_margin: float = 0.93
 
     def __post_init__(self):
+        for name in ("n_train", "n_val", "n_test", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.restart_epochs < 1:
             raise ValueError("restart_epochs must be >= 1: a probe needs a validation loss")
 
@@ -188,6 +191,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("decision threshold must lie in (0, 1)")
+        if self.n_test < 1:
+            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
 
 

@@ -21,6 +21,7 @@ generators, so runs are bit-reproducible per seed.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -533,39 +534,92 @@ def finite_difference_check(
 
 # ---------------------------------------------------------------------------
 # Checkpoint codec: magic "WSSN", version, spec header, eight float32 tensor
-# sections, then a tagged prune-mask bitset section.
+# sections, then a tagged prune-mask bitset section. Federation broadcasts
+# reuse the spec header and the mask section.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_HEADER = struct.Struct("<4sI5I2f")
+_CHECKPOINT_HEADER = struct.Struct("<4sI")
+SPEC_HEADER = struct.Struct("<5I2f")
+
+
+def write_spec(buf, offset: int, spec: DetectorSpec) -> int:
+    """Write the spec header at ``offset`` of ``buf``; returns the end offset."""
+    SPEC_HEADER.pack_into(
+        buf, offset, spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
+        spec.hidden_units, spec.dropout_conv, spec.dropout_fc,
+    )
+    return offset + SPEC_HEADER.size
+
+
+def read_spec(reader: ByteReader) -> DetectorSpec:
+    offset = reader.offset
+    in_rows, in_cols, conv1, conv2, hidden, drop_conv, drop_fc = SPEC_HEADER.unpack(
+        reader.take(SPEC_HEADER.size))
+    try:
+        return DetectorSpec(
+            in_rows=in_rows, in_cols=in_cols, conv1_filters=conv1,
+            conv2_filters=conv2, hidden_units=hidden,
+            dropout_conv=round(drop_conv, 6), dropout_fc=round(drop_fc, 6),
+        )
+    except ValueError as exc:
+        raise DecodeError(f"invalid spec header: {exc}", offset) from exc
+
+
+def pack_mask(mask: np.ndarray) -> np.ndarray:
+    """The prune mask as a little-endian bitset, one bit per fc1_w entry."""
+    return np.packbits(np.asarray(mask, dtype=bool).view(np.uint8).reshape(-1), bitorder="little")
+
+
+def mask_section_nbytes(bits: np.ndarray | None) -> int:
+    """Encoded size of the mask section for ``pack_mask``'s bitset, or of
+    the one tag byte that says there is no mask.
+    """
+    return 1 if bits is None else 9 + bits.size
+
+
+def write_mask_section(buf, offset: int, bits: np.ndarray | None, nbits: int) -> int:
+    """Write the mask section (tag 0, or tag 1, the bit count and the
+    bitset) at ``offset`` of ``buf``; returns the end offset.
+    """
+    if bits is None:
+        buf[offset] = 0
+        return offset + 1
+    struct.pack_into("<BQ", buf, offset, 1, nbits)
+    offset += 9
+    buf[offset:offset + bits.size] = memoryview(bits)
+    return offset + bits.size
+
+
+def read_mask_section(reader: ByteReader, shape: tuple[int, ...]):
+    """(mask of ``shape``, its raw bitset), or (None, None) for tag 0."""
+    tag = reader.u8()
+    if tag == 0:
+        return None, None
+    if tag != 1:
+        raise DecodeError(f"unknown mask section tag {tag}", reader.offset - 1)
+    nbits = reader.u64()
+    if nbits != math.prod(shape):
+        raise DecodeError(f"mask bit count {nbits} does not cover fc1_w {shape}", reader.offset)
+    bits = np.frombuffer(reader.take((nbits + 7) // 8), dtype=np.uint8)
+    mask = np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)
+    return mask, bits
 
 
 def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights,
                      prefix: bytes = b"") -> bytearray:
-    """The checkpoint of ``weights``, written in one pass after ``prefix``
-    (a broadcast message puts its header there).
-    """
+    """The checkpoint of ``weights``, written in one pass after ``prefix``."""
     mask = weights.prune_mask
-    size = len(prefix) + _CHECKPOINT_HEADER.size + 1
+    bits = None if mask is None else pack_mask(mask)
+    size = len(prefix) + _CHECKPOINT_HEADER.size + SPEC_HEADER.size + mask_section_nbytes(bits)
     size += sum(tensor_nbytes(getattr(weights, name)) for name in PARAM_NAMES)
-    if mask is not None:
-        bits = np.packbits(np.asarray(mask, dtype=bool).view(np.uint8).reshape(-1),
-                           bitorder="little")
-        size += 8 + bits.size
     buf = bytearray(size)
     buf[:len(prefix)] = prefix
     offset = len(prefix)
-    _CHECKPOINT_HEADER.pack_into(
-        buf, offset, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-        spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
-        spec.hidden_units, spec.dropout_conv, spec.dropout_fc,
-    )
-    offset += _CHECKPOINT_HEADER.size
+    _CHECKPOINT_HEADER.pack_into(buf, offset, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    offset = write_spec(buf, offset + _CHECKPOINT_HEADER.size, spec)
     for name in PARAM_NAMES:
         offset = write_tensor(buf, offset, getattr(weights, name))
-    # the buffer starts zeroed, so without a mask its last byte is tag 0
-    if mask is not None:
-        struct.pack_into("<BQ", buf, offset, 1, mask.size)
-        buf[offset + 9:] = memoryview(bits)
+    write_mask_section(buf, offset, bits, weights.fc1_w.size)
     return buf
 
 
@@ -577,22 +631,7 @@ def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise DecodeError(f"unsupported checkpoint version {version}", 4)
-    header_offset = reader.offset
-    in_rows = reader.u32()
-    in_cols = reader.u32()
-    conv1 = reader.u32()
-    conv2 = reader.u32()
-    hidden = reader.u32()
-    drop_conv = reader.f32()
-    drop_fc = reader.f32()
-    try:
-        spec = DetectorSpec(
-            in_rows=in_rows, in_cols=in_cols, conv1_filters=conv1,
-            conv2_filters=conv2, hidden_units=hidden,
-            dropout_conv=round(drop_conv, 6), dropout_fc=round(drop_fc, 6),
-        )
-    except ValueError as exc:
-        raise DecodeError(f"invalid spec header: {exc}", header_offset) from exc
+    spec = read_spec(reader)
     fields = {}
     expected = spec.param_shapes()
     for name in PARAM_NAMES:
@@ -603,17 +642,7 @@ def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
                 reader.offset,
             )
         fields[name] = tensor
-    tag = reader.u8()
-    mask = None
-    if tag == 1:
-        nbits = reader.u64()
-        if nbits != fields["fc1_w"].size:
-            raise DecodeError(f"mask bit count {nbits} does not cover fc1_w", reader.offset)
-        raw = reader.take((nbits + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=nbits, bitorder="little")
-        mask = bits.view(bool).reshape(fields["fc1_w"].shape)
-    elif tag != 0:
-        raise DecodeError(f"unknown mask section tag {tag}", reader.offset - 1)
+    mask, _ = read_mask_section(reader, expected["fc1_w"])
     reader.expect_end()
     return spec, ModelWeights(**fields, prune_mask=mask)
 

@@ -165,6 +165,10 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
 
 @pytest.mark.parametrize("section, key, value", [
     ("training", "restart_epochs", 0),
+    ("training", "n_train", 0),
+    ("training", "n_test", 0),
+    ("training", "batch_size", 0),
+    ("evaluation", "n_test", 0),
     ("prune", "ratio", 1.5),
     ("prune", "finetune_batch_size", 0),
     ("ftl", "rounds", 0),

@@ -1,7 +1,7 @@
 """Encoders, decoders and their failure modes.
 
-The oracle encoders below are the ``b"".join`` implementations the sized
-single-buffer encoders replaced; the bytes must stay identical.
+The oracle encoders below are ``b"".join`` implementations of the formats
+the sized single-buffer encoders write; the bytes must stay identical.
 """
 
 import struct
@@ -21,31 +21,45 @@ def old_encode_tensor(array):
     return header + array.tobytes()
 
 
-def old_checkpoint_bytes(spec, weights):
-    parts = [tn.CHECKPOINT_MAGIC, struct.pack("<I", tn.CHECKPOINT_VERSION)]
-    parts.append(struct.pack(
+def old_spec_header(spec):
+    return struct.pack(
         "<5I2f",
         spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
         spec.hidden_units, spec.dropout_conv, spec.dropout_fc,
-    ))
+    )
+
+
+def old_mask_section(mask):
+    if mask is None:
+        return struct.pack("<B", 0)
+    bits = np.packbits(mask.astype(np.uint8).reshape(-1), bitorder="little")
+    return struct.pack("<BQ", 1, mask.size) + bits.tobytes()
+
+
+def old_checkpoint_bytes(spec, weights):
+    parts = [tn.CHECKPOINT_MAGIC, struct.pack("<I", tn.CHECKPOINT_VERSION), old_spec_header(spec)]
     for name in tn.PARAM_NAMES:
         parts.append(old_encode_tensor(getattr(weights, name)))
-    if weights.prune_mask is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        bits = np.packbits(weights.prune_mask.astype(np.uint8).reshape(-1), bitorder="little")
-        parts.append(struct.pack("<BQ", 1, weights.prune_mask.size))
-        parts.append(bits.tobytes())
+    parts.append(old_mask_section(weights.prune_mask))
     return b"".join(parts)
 
 
 def old_encode_message(msg):
+    """Message format v2: the header carries (round, attempt); a broadcast
+    sends fc1_w as the 1-D tensor of its values where the mask is set."""
     parts = [fed.MESSAGE_MAGIC, struct.pack("<I", fed.MESSAGE_VERSION)]
     if isinstance(msg, fed.ModelBroadcast):
-        parts.append(struct.pack("<BI", fed.MSG_BROADCAST, msg.round_idx))
-        parts.append(old_checkpoint_bytes(msg.spec, msg.weights))
+        weights, mask = msg.weights, msg.weights.prune_mask
+        parts.append(struct.pack("<BII", fed.MSG_BROADCAST, msg.round_idx, msg.attempt))
+        parts.append(old_spec_header(msg.spec))
+        for name in tn.PARAM_NAMES:
+            array = getattr(weights, name)
+            if name == "fc1_w":
+                array = array.reshape(-1) if mask is None else array[mask]
+            parts.append(old_encode_tensor(array))
+        parts.append(old_mask_section(mask))
     else:
-        parts.append(struct.pack("<BI", fed.MSG_UPLOAD, msg.round_idx))
+        parts.append(struct.pack("<BII", fed.MSG_UPLOAD, msg.round_idx, msg.attempt))
         parts.append(struct.pack("<IQ", msg.su_id, msg.n_samples))
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
             parts.append(old_encode_tensor(getattr(msg, name)))
@@ -75,7 +89,7 @@ class TestEncoderOracle:
     def test_checkpoint_and_broadcast_bytes_unchanged(self, scale, masked, dtype):
         spec, weights = model(scale, masked, dtype)
         assert tn.checkpoint_bytes(spec, weights) == old_checkpoint_bytes(spec, weights)
-        msg = fed.ModelBroadcast(round_idx=11, spec=spec, weights=weights)
+        msg = fed.ModelBroadcast(round_idx=11, spec=spec, weights=weights, attempt=3)
         assert fed.encode_message(msg) == old_encode_message(msg)
 
     @pytest.mark.parametrize("scale", ["desk", "full"])
@@ -84,7 +98,7 @@ class TestEncoderOracle:
         rng = np.random.default_rng(9)
         shapes = SPECS[scale].param_shapes()
         upload = fed.GradientUpload(
-            round_idx=4, su_id=3, n_samples=2**40 + 5,
+            round_idx=4, su_id=3, n_samples=2**40 + 5, attempt=2**32 - 1,
             **{n: rng.normal(size=shapes[n]).astype(dtype) for n in tn.DOMAIN_SPECIFIC_PARAMS})
         assert fed.encode_message(upload) == old_encode_message(upload)
 
@@ -101,8 +115,8 @@ class TestEncoderOracle:
 
 
 def upload_with_first_tensor(rank, dims):
-    header = struct.pack("<4sIBIIQ", fed.MESSAGE_MAGIC, fed.MESSAGE_VERSION,
-                         fed.MSG_UPLOAD, 0, 1, 1)
+    header = struct.pack("<4sIBIIIQ", fed.MESSAGE_MAGIC, fed.MESSAGE_VERSION,
+                         fed.MSG_UPLOAD, 0, 0, 1, 1)
     return header + struct.pack(f"<I{rank}I", rank, *dims) + bytes(16)
 
 
@@ -159,3 +173,129 @@ class TestDecodedViews:
         decoded = fed.decode_message(fed.encode_message(upload))
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
             assert getattr(decoded, name).flags.aligned
+
+
+def pruned_model(spec, ratio=0.9, seed=3):
+    from ftlwss import pruning
+
+    return pruning.prune_model(tn.init_weights(spec, np.random.default_rng(seed)), ratio)[0]
+
+
+class TestFrameSizes:
+    def test_full_scale_frames_carry_the_kept_entries_only(self):
+        spec = SPECS["full"]
+        weights = pruned_model(spec)
+        n_kept = int(weights.prune_mask.sum())
+        broadcast = fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=spec, weights=weights))
+        assert len(broadcast) <= 2.4e6  # 18.3 MB in format v1
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(2, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((2, spec.in_rows)) < 0.4).astype(np.int8)
+        upload = fed.local_training(spec, weights, features, labels, 1, 0,
+                                    fed.FtlConfig(n_sus=1, rounds=1), seed=5)
+        assert upload.fc1_w.shape == (n_kept,)
+        assert len(fed.encode_message(upload)) <= 1.9e6  # 17.7 MB in format v1
+
+    def test_pruned_checkpoint_file_is_unchanged(self, tmp_path):
+        spec = SPECS["full"]
+        weights = pruned_model(spec)
+        tn.save_checkpoint(tmp_path / "m.bin", spec, weights)
+        data = (tmp_path / "m.bin").read_bytes()
+        params = sum(4 * (1 + len(shape) + np.prod(shape)) for shape in spec.param_shapes().values())
+        bits = -(-weights.prune_mask.size // 8)
+        assert len(data) == 8 + 28 + params + 9 + bits == 18_289_901
+        assert data == old_checkpoint_bytes(spec, weights)
+
+
+def toy_messages():
+    """A masked and an unmasked toy broadcast, and an upload, encoded."""
+    spec = tn.DetectorSpec(in_rows=6, in_cols=8, conv1_filters=3, conv2_filters=2, hidden_units=6)
+    weights = pruned_model(spec, ratio=0.7)
+    dense = tn.ModelWeights(**weights.arrays())
+    shapes = spec.param_shapes()
+    rng = np.random.default_rng(2)
+    upload = fed.GradientUpload(
+        round_idx=2, su_id=1, n_samples=9, attempt=1,
+        fc1_w=rng.normal(size=int(weights.prune_mask.sum())).astype(np.float32),
+        **{n: rng.normal(size=shapes[n]).astype(np.float32) for n in tn.DOMAIN_SPECIFIC_PARAMS[1:]})
+    return {
+        "masked": bytes(fed.encode_message(fed.ModelBroadcast(1, spec, weights, attempt=2))),
+        "unmasked": bytes(fed.encode_message(fed.ModelBroadcast(1, spec, dense))),
+        "upload": bytes(fed.encode_message(upload)),
+    }
+
+
+def decodes_or_raises_decode_error(data):
+    try:
+        fed.decode_message(data)
+    except DecodeError:
+        return False
+    return True
+
+
+class TestMalformedMessages:
+    def test_round_trip(self):
+        for name, data in toy_messages().items():
+            msg = fed.decode_message(data)
+            assert bytes(fed.encode_message(msg)) == data, name
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_kept_value_count_differs_from_mask_popcount(self, change):
+        spec = SPECS["desk"]
+        weights = pruned_model(spec)
+        kept = fed.KeptEntries.of(weights.prune_mask)
+        indices = kept.indices[:-1] if change < 0 else np.append(kept.indices, kept.indices[0])
+        data = fed.encode_message(fed.ModelBroadcast(
+            0, spec, weights, kept=fed.KeptEntries(indices, kept.bits)))
+        with pytest.raises(DecodeError, match="kept entries"):
+            fed.decode_message(data)
+
+    @pytest.mark.parametrize("change", [-8, -1, 1, 2**40])
+    def test_mask_bit_count_is_not_fc1_size(self, change):
+        spec = SPECS["desk"]
+        weights = pruned_model(spec)
+        data = bytearray(fed.encode_message(fed.ModelBroadcast(0, spec, weights)))
+        offset = len(data) - len(tn.pack_mask(weights.prune_mask)) - 8
+        nbits = spec.flat_dim * spec.hidden_units
+        assert struct.unpack_from("<Q", data, offset)[0] == nbits
+        struct.pack_into("<Q", data, offset, nbits + change)
+        with pytest.raises(DecodeError, match="bit count"):
+            fed.decode_message(data)
+
+    @pytest.mark.parametrize("kind", ["masked", "unmasked", "upload"])
+    def test_every_truncation(self, kind):
+        # every prefix, so every section boundary and every cut inside one
+        data = toy_messages()[kind]
+        for end in range(len(data)):
+            with pytest.raises(DecodeError):
+                fed.decode_message(data[:end])
+        with pytest.raises(DecodeError, match="trailing"):
+            fed.decode_message(data + b"\0")
+
+    @pytest.mark.parametrize("kind", ["masked", "unmasked", "upload"])
+    def test_random_bit_flips(self, kind):
+        data = toy_messages()[kind]
+        rng = np.random.default_rng(11)
+        rejected = 0
+        for _ in range(1500):
+            flipped = bytearray(data)
+            for bit in rng.choice(8 * len(data), size=rng.integers(1, 4), replace=False):
+                flipped[bit // 8] ^= 1 << (bit % 8)
+            rejected += not decodes_or_raises_decode_error(bytes(flipped))
+        assert rejected > 0
+
+    def test_random_bit_flips_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        messages = toy_messages()
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.sampled_from(sorted(messages)), st.data())
+        def check(kind, draw):
+            data = bytearray(messages[kind])
+            bits = draw.draw(st.lists(st.integers(0, 8 * len(data) - 1), min_size=1, max_size=4))
+            for bit in bits:
+                data[bit // 8] ^= 1 << (bit % 8)
+            decodes_or_raises_decode_error(bytes(data))
+
+        check()

@@ -1,5 +1,8 @@
+import socket
+import struct
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -29,13 +32,32 @@ def toy_dataset(seed=0, count=20):
     return features, labels
 
 
-def toy_upload(seed=0, round_idx=1, su_id=2, n_samples=20):
+def toy_upload(seed=0, round_idx=1, su_id=2, n_samples=20, mask=None):
+    """An upload for a model with ``mask`` (dense ``fc1_w`` without one)."""
     rng = np.random.default_rng(seed)
     shapes = SPEC.param_shapes()
-    return fed.GradientUpload(
+    upload = fed.GradientUpload(
         round_idx=round_idx, su_id=su_id, n_samples=n_samples,
         **{name: rng.normal(size=shapes[name]).astype(np.float32)
            for name in tn.DOMAIN_SPECIFIC_PARAMS})
+    return upload if mask is None else on_the_wire(upload, mask)
+
+
+def kept_part(name, array, mask):
+    """``array`` as an upload carries it: ``fc1_w`` as its values at the
+    kept entries in flat order (every entry without a mask)."""
+    if name != "fc1_w":
+        return array
+    flat = array.reshape(-1)
+    return flat if mask is None else flat[mask.reshape(-1)]
+
+
+def on_the_wire(upload, mask):
+    """A dense-gradient upload in the form the v2 format ships."""
+    return fed.GradientUpload(
+        round_idx=upload.round_idx, su_id=upload.su_id, n_samples=upload.n_samples,
+        attempt=upload.attempt,
+        **{n: kept_part(n, getattr(upload, n), mask) for n in tn.DOMAIN_SPECIFIC_PARAMS})
 
 
 class TestMessageCodec:
@@ -86,7 +108,7 @@ class TestLocalTraining:
         _, cache = tn.forward(SPEC, weights, features[order], train=True, rng=rng)
         grads = tn.backward(SPEC, weights, cache, labels[order])
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
-            assert np.array_equal(getattr(upload, name), grads[name])
+            assert np.array_equal(getattr(upload, name), kept_part(name, grads[name], None))
 
     def test_zero_rate_still_accumulates(self):
         weights = toy_weights()
@@ -116,7 +138,7 @@ class TestLocalTraining:
                 for name in tn.DOMAIN_SPECIFIC_PARAMS:
                     acc[name] += grads[name]
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
-            assert np.array_equal(getattr(upload, name), acc[name])
+            assert np.array_equal(getattr(upload, name), kept_part(name, acc[name], None))
 
     def test_general_feature_layers_never_move(self):
         weights = toy_weights()
@@ -183,7 +205,7 @@ class TestAggregate:
 
     def test_mask_reapplied(self):
         weights = toy_weights(masked=True)
-        out = fed.aggregate(weights, [toy_upload(su_id=1)], lr=0.5)
+        out = fed.aggregate(weights, [toy_upload(su_id=1, mask=weights.prune_mask)], lr=0.5)
         assert np.all(out.fc1_w[~weights.prune_mask] == 0)
 
     def test_linearity_in_uploads(self):
@@ -344,11 +366,11 @@ class TestRunFtl:
             fed.InProcessTransport(sus, cfg, seed=3).run_round(broadcast)
         assert set(threading.enumerate()) == before
 
-    @pytest.mark.parametrize("local_epochs, batch_size, per_su_round", [
-        (2, 5, 1), (1, 5, 1), (2, 15, 1), (1, 15, 0)])
-    def test_kept_indices_computed_once_per_run_and_su_round(self, monkeypatch, local_epochs,
-                                                              batch_size, per_su_round):
-        # a single batch per SU round takes no step and so needs no indices
+    @pytest.mark.parametrize("local_epochs, batch_size", [(2, 5), (1, 5), (2, 15), (1, 15)])
+    def test_kept_indices_computed_once_per_run_and_round(self, monkeypatch, local_epochs,
+                                                          batch_size):
+        # run_ftl computes them once; each round's one in-process decode
+        # computes them for its scatter, and every SU trains with those
         calls = []
         flatnonzero = np.flatnonzero
 
@@ -361,7 +383,35 @@ class TestRunFtl:
         cfg = fed.FtlConfig(n_sus=3, rounds=4, local_epochs=local_epochs, batch_size=batch_size,
                             lr=0.05)
         fed.run_ftl(SPEC, toy_weights(masked=True), cfg, fed.InProcessTransport(sus, cfg, seed=8))
-        assert len(calls) == 1 + cfg.rounds * cfg.n_sus * per_su_round
+        assert len(calls) == 1 + cfg.rounds
+
+    def test_server_reads_the_mask_once_per_run(self, monkeypatch):
+        # encode_message and aggregate work from run_ftl's kept indices and
+        # bitset: no per-round scan or packing of the mask on the server
+        weights = toy_weights(masked=True)
+        cfg = fed.FtlConfig(n_sus=3, rounds=5, local_epochs=1, batch_size=5, lr=0.05)
+        broadcast = fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=SPEC, weights=weights))
+        uploads = fed.InProcessTransport(self.make_sus(), cfg, seed=8).run_round(broadcast)
+
+        class CannedTransport(fed.Transport):
+            rounds = 0
+
+            def run_round(self, broadcast_bytes):
+                for upload in uploads:
+                    upload.round_idx = self.rounds
+                self.rounds += 1
+                return uploads
+
+        calls = []
+        for name in ("flatnonzero", "packbits"):
+            def counting(*args, _name=name, _original=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        out = fed.run_ftl(SPEC, weights, cfg, CannedTransport())
+        assert calls == ["flatnonzero", "packbits"]
+        assert np.all(out.fc1_w[~weights.prune_mask] == 0)
 
     def test_close_before_first_round_ends_clients_cleanly(self, monkeypatch):
         errors = []
@@ -530,8 +580,111 @@ class TestFrames:
         decoded = fed.decode_message(frame).weights
         for name in tn.PARAM_NAMES:
             array = getattr(decoded, name)
-            assert array.flags.aligned and not array.flags.owndata, name
+            assert array.flags.aligned, name
+            # the dense fc1_w is scattered from the kept values; the rest are views
+            assert name == "fc1_w" or not array.flags.owndata, name
             assert np.array_equal(array, getattr(weights, name)), name
+
+
+class TestSocketFaults:
+    def test_late_upload_of_an_aborted_attempt_is_dropped(self, monkeypatch):
+        # SU 2's round-0 upload comes after the server gave up on attempt 0
+        # and broadcast attempt 1; it must not count for attempt 1, nor stay
+        # queued for round 1
+        weights = toy_weights(masked=True)
+        sus = uneven_sus((10, 15))
+        cfg = fed.FtlConfig(n_sus=2, rounds=3, local_epochs=1, batch_size=5, lr=0.05,
+                            timeout_s=1.0, max_retries=2)
+        want = fed.run_ftl(SPEC, weights, cfg, fed.InProcessTransport(sus, cfg, seed=3))
+        original = fed.local_training
+        slowed = []
+
+        def slow_first_round_of_su_2(*args, **kwargs):
+            upload = original(*args, **kwargs)
+            if upload.su_id == 2 and not slowed:
+                slowed.append(upload.round_idx)
+                time.sleep(1.5 * cfg.timeout_s)
+            return upload
+
+        monkeypatch.setattr(fed, "local_training", slow_first_round_of_su_2)
+        with RecordingTransport(fed.LoopbackSocketTransport(sus, cfg, seed=3)) as transport:
+            got = fed.run_ftl(SPEC, weights, cfg, transport)
+        assert slowed == [0]
+        assert tn.checkpoint_bytes(SPEC, got) == tn.checkpoint_bytes(SPEC, want)
+        tags = [sorted((u.su_id, u.round_idx, u.attempt)
+                       for u in (fed.decode_message(b) for _, b in r)) for r in transport.rounds]
+        assert tags == [[(1, 0, 1), (2, 0, 1)], [(1, 1, 0), (2, 1, 0)], [(1, 2, 0), (2, 2, 0)]]
+
+    def test_timeout_inside_a_frame_is_a_protocol_error(self):
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(0.2)
+            with pytest.raises(TimeoutError):  # between frames: the stream is in sync
+                fed.recv_frame(b)
+            a.sendall(b"\x10\x00")
+            with pytest.raises(fed.ProtocolError, match="mid-frame after 2 bytes"):
+                fed.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(0.2)
+            a.sendall(struct.pack("<I", 100) + bytes(10))
+            with pytest.raises(fed.ProtocolError, match="mid-frame after 14 bytes"):
+                fed.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def serve_one_raw_su(self, reply):
+        """A server with one connected raw socket that sends ``reply``
+        before the first broadcast; (server, client socket, broadcast)."""
+        server = fed.SocketServerTransport(n_sus=1, timeout_s=0.3, max_retries=2)
+        client = socket.create_connection(server.address)
+        server.wait_for_clients()
+        client.sendall(reply)
+        broadcast = fed.encode_message(fed.ModelBroadcast(0, SPEC, toy_weights(masked=True)))
+        return server, client, broadcast
+
+    def test_server_drops_a_connection_that_stalls_mid_frame(self):
+        upload = fed.encode_message(toy_upload(round_idx=0, su_id=1,
+                                               mask=toy_weights(masked=True).prune_mask))
+        server, client, broadcast = self.serve_one_raw_su(struct.pack("<I", len(upload)) + upload[:10])
+        try:
+            with pytest.raises(fed.ProtocolError, match="mid-frame"):
+                server.run_round(broadcast)
+            # the rest of the frame may still come; nothing reads it again
+            with pytest.raises(fed.ProtocolError, match="closed after a frame error"):
+                server.run_round(broadcast)
+        finally:
+            server.close()
+            client.close()
+
+    def test_server_drops_a_connection_that_stops_reading(self):
+        # an SU that reads nothing fills the socket buffers; a send that
+        # times out part-way leaves that stream out of sync
+        server, client, broadcast = self.serve_one_raw_su(b"")
+        try:
+            with pytest.raises(fed.ProtocolError, match="sending"):
+                server.run_round(broadcast + bytes(48 << 20))
+            with pytest.raises(fed.ProtocolError, match="closed after a frame error"):
+                server.run_round(broadcast)
+        finally:
+            server.close()
+            client.close()
+
+    def test_upload_tagged_ahead_of_the_round_is_a_protocol_error(self):
+        upload = toy_upload(round_idx=0, su_id=1, mask=toy_weights(masked=True).prune_mask)
+        upload.attempt = 1
+        frame = fed.encode_message(upload)
+        server, client, broadcast = self.serve_one_raw_su(struct.pack("<I", len(frame)) + frame)
+        try:
+            with pytest.raises(fed.ProtocolError, match="ahead"):
+                server.run_round(broadcast)
+        finally:
+            server.close()
+            client.close()
 
 
 def uneven_sus(counts, ids=None):
@@ -637,20 +790,31 @@ class TestAggregateOracle:
         (np.float32, np.float32), (np.float64, np.float32), (np.float32, np.float64)])
     @pytest.mark.parametrize("masked", [False, True])
     def test_bitwise_equal_to_dense_where(self, weights_dtype, upload_dtype, masked):
+        # the oracle sums the dense uploads, garbage at pruned entries and
+        # all; aggregate gets what the wire carries, the kept entries
         weights, uploads = self.hostile(weights_dtype, upload_dtype)
         if not masked:
             weights.prune_mask = None
         before = {n: getattr(weights, n).tobytes() for n in tn.PARAM_NAMES}
-        out = fed.aggregate(weights, uploads, lr=0.3)
+        out = fed.aggregate(weights, [on_the_wire(u, weights.prune_mask) for u in uploads], lr=0.3)
         assert_bitwise_equal(out, old_aggregate(weights, uploads, lr=0.3), tn.PARAM_NAMES)
         for name in tn.PARAM_NAMES:
             assert getattr(weights, name).tobytes() == before[name], name
 
     def test_shape_mismatch_rejected(self):
-        upload = toy_upload(su_id=1)
+        weights = toy_weights(masked=True)
+        upload = toy_upload(su_id=1, mask=weights.prune_mask)
         upload.out_b = upload.out_b[:-1]
         with pytest.raises(fed.ProtocolError, match="out_b"):
-            fed.aggregate(toy_weights(masked=True), [upload], lr=0.1)
+            fed.aggregate(weights, [upload], lr=0.1)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_fc1_value_count_mismatch_rejected(self, masked):
+        weights = toy_weights(masked=masked)
+        upload = toy_upload(su_id=1, mask=weights.prune_mask)
+        upload.fc1_w = upload.fc1_w.reshape(-1)[:-1]
+        with pytest.raises(fed.ProtocolError, match="fc1_w"):
+            fed.aggregate(weights, [upload], lr=0.1)
 
 
 class TestLocalTrainingOracle:
@@ -663,7 +827,7 @@ class TestLocalTrainingOracle:
                             lr=0.05)
         got = fed.local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
         want = old_local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
-        assert_bitwise_equal(got, want, tn.DOMAIN_SPECIFIC_PARAMS)
+        assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask), tn.DOMAIN_SPECIFIC_PARAMS)
 
     @pytest.mark.parametrize("count, batch_size, epochs, steps", [
         (20, 20, 1, 0), (20, 6, 1, 3), (15, 5, 2, 5)])
@@ -707,4 +871,4 @@ class TestLocalTrainingOracle:
         cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=2, batch_size=7)
         got = fed.local_training(SPEC, read_only, features, labels, 1, 0, cfg, seed=5)
         want = old_local_training(SPEC, weights, features, labels, 1, 0, cfg, seed=5)
-        assert_bitwise_equal(got, want, tn.DOMAIN_SPECIFIC_PARAMS)
+        assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask), tn.DOMAIN_SPECIFIC_PARAMS)

@@ -26,6 +26,11 @@ def tiny_config(**overrides):
 
 BAD_STAGE_SETTINGS = [
     ("training", "restart_epochs", 0),
+    ("training", "n_train", 0),
+    ("training", "n_val", 0),
+    ("training", "n_test", 0),
+    ("training", "batch_size", 0),
+    ("evaluation", "n_test", 0),
     ("prune", "ratio", 1.5),
     ("prune", "ratio", 0.0),
     ("prune", "finetune_lr", -1),
