@@ -30,6 +30,14 @@ own per-round generator and never writes into the broadcast weights. Both
 transports therefore run them concurrently (one thread per SU connection,
 or a per-round thread pool in process) and still give the bytes of a serial
 replay, because ``aggregate`` reduces the uploads in SU-id order.
+
+Local training takes the lean forward path (``tensornet.forward`` with
+``scope="ds_only"``). The frozen conv1 and an SU's fixed samples give the
+same conv1 activations in every round, so each SU computes them once
+(``Conv1Cache``), and it reuses the last broadcast's kept indices while the
+mask bitset is unchanged. Both are checked against the bytes of every
+broadcast, so a model with other conv1 weights or another mask is handled
+as a fresh one.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .tensornet import (
     DetectorSpec,
     ModelWeights,
     backward,
+    conv1_activations,
     forward,
     kept_update,
     mask_section_nbytes,
@@ -189,10 +198,15 @@ def encode_message(msg) -> bytearray:
     return buf
 
 
-def decode_message(data):
+def decode_message(data, *, kept: KeptEntries | None = None):
     """Decode a message; any malformed input raises ``DecodeError``. A
     broadcast's ``fc1_w`` is scattered into a dense matrix with +0.0 at the
     pruned entries; its other tensors are views of ``data``.
+
+    ``kept`` is the previous broadcast's ``KeptEntries``, passed by a
+    receiver that decodes many broadcasts under one mask: when the bitset
+    bytes are equal its indices are reused, so only the first broadcast
+    pays for ``np.flatnonzero`` over the mask.
     """
     reader = ByteReader(data)
     magic = bytes(reader.take(4))
@@ -205,7 +219,7 @@ def decode_message(data):
     round_idx = reader.u32()
     attempt = reader.u32()
     if msg_type == MSG_BROADCAST:
-        return _decode_broadcast(reader, round_idx, attempt)
+        return _decode_broadcast(reader, round_idx, attempt, kept)
     if msg_type == MSG_UPLOAD:
         su_id = reader.u32()
         n_samples = reader.u64()
@@ -216,7 +230,8 @@ def decode_message(data):
     raise DecodeError(f"unknown message type {msg_type}", 8)
 
 
-def _decode_broadcast(reader: ByteReader, round_idx: int, attempt: int) -> ModelBroadcast:
+def _decode_broadcast(reader: ByteReader, round_idx: int, attempt: int,
+                      kept: KeptEntries | None) -> ModelBroadcast:
     spec = read_spec(reader)
     shapes = spec.param_shapes()
     fields = {}
@@ -232,19 +247,23 @@ def _decode_broadcast(reader: ByteReader, round_idx: int, attempt: int) -> Model
     mask, bits = read_mask_section(reader, shapes["fc1_w"])
     reader.expect_end()
     values, shape = fields["fc1_w"], shapes["fc1_w"]
-    indices = None if mask is None else np.flatnonzero(mask)
-    n_kept = math.prod(shape) if indices is None else indices.size
+    if mask is None:
+        kept = KeptEntries()
+    elif kept is None or kept.bits is None or not np.array_equal(bits, kept.bits):
+        # a copy of the bitset, so keeping the entries pins no frame buffer
+        kept = KeptEntries(np.flatnonzero(mask), bits.copy())
+    n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
     if values.size != n_kept:
         raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
-    if indices is None:
+    if kept.indices is None:
         fields["fc1_w"] = values.reshape(shape)
     else:
         dense = np.zeros(mask.size, dtype=values.dtype)
-        dense[indices] = values
+        dense[kept.indices] = values
         fields["fc1_w"] = dense.reshape(shape)
     return ModelBroadcast(round_idx=round_idx, spec=spec,
                           weights=ModelWeights(**fields, prune_mask=mask),
-                          attempt=attempt, kept=KeptEntries(indices, bits))
+                          attempt=attempt, kept=kept)
 
 
 def su_round_rng(seed: int, su_id: int, round_idx: int) -> np.random.Generator:
@@ -265,6 +284,7 @@ def local_training(
     seed: int,
     *,
     kept: np.ndarray | None = None,
+    conv1_out: np.ndarray | None = None,
 ) -> GradientUpload:
     """One SU's round: E epochs of batch SGD on the domain-specific layers
     with the raw per-batch gradients accumulated into the upload.
@@ -274,10 +294,14 @@ def local_training(
     drift of the local model over the round. The convolutional layers never
     change; the prune mask is enforced on every step, and the hidden-FC
     gradient is accumulated at the kept entries only. Dropout is active
-    (train mode) with this SU's per-round generator. ``kept`` is
-    ``np.flatnonzero(global_weights.prune_mask)``, passed by a caller that
-    already holds it (a decoded broadcast does); it is computed here when
-    omitted.
+    (train mode) with this SU's per-round generator. Every forward takes
+    the lean path, which keeps no convolution intermediates.
+
+    Two arguments carry what a caller already holds; each is computed here
+    when omitted. ``kept`` is ``np.flatnonzero(global_weights.prune_mask)``
+    (a decoded broadcast carries it). ``conv1_out`` is
+    ``tensornet.conv1_activations`` of ``features`` under the broadcast's
+    conv1 weights, which an SU computes once for all rounds.
     """
     n = features.shape[0]
     if n == 0:
@@ -300,7 +324,8 @@ def local_training(
                 # the previous batch's step, taken only when a batch reads it
                 local = sgd_step(local, grads, cfg.lr, kept=kept)
             idx = order[start:start + cfg.batch_size]
-            _, cache = forward(spec, local, features[idx], train=True, rng=rng)
+            _, cache = forward(spec, local, features[idx], train=True, rng=rng, scope="ds_only",
+                               conv1_out=None if conv1_out is None else conv1_out[idx])
             grads = backward(spec, local, cache, labels[idx], scope="ds_only")
             del cache  # else this batch's activations stay alive through the next forward
             for name in DOMAIN_SPECIFIC_PARAMS:
@@ -399,6 +424,30 @@ class LocalSu:
     labels: np.ndarray
 
 
+class Conv1Cache:
+    """One SU's ``conv1_activations``, kept across rounds.
+
+    Conv1 is frozen during ``run_ftl`` and an SU's samples never change, so
+    every round would recompute the same activations. They are keyed on the
+    bytes of the broadcast's ``conv1_w`` and ``conv1_b`` (and the spec), so
+    a broadcast with other conv1 weights recomputes them.
+    """
+
+    def __init__(self, features: np.ndarray):
+        self.features = features
+        self._key = None
+        self._out = None
+
+    def get(self, spec: DetectorSpec, weights: ModelWeights) -> np.ndarray:
+        key = (spec, weights.conv1_w.dtype.str, weights.conv1_w.tobytes(),
+               weights.conv1_b.tobytes())
+        if key != self._key:
+            self._out = None  # free the stale activations before computing new ones
+            self._out = conv1_activations(spec, weights, self.features)
+            self._key = key
+        return self._out
+
+
 class InProcessTransport(Transport):
     """Runs the SUs of a round concurrently on a thread pool of
     ``min(n_sus, os.cpu_count())`` workers, opened and joined within the
@@ -409,34 +458,43 @@ class InProcessTransport(Transport):
     codec, so results are interchangeable with the socket path, and uploads
     come back in ascending SU id order. If an SU raises, the round raises
     the error of the lowest such SU id once the running SUs have finished.
+
+    Across rounds the transport keeps the last broadcast's kept entries and
+    each SU's ``Conv1Cache``, both checked against the bytes of the next
+    broadcast.
     """
 
     def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
         self.sus = sorted(sus, key=lambda su: su.su_id)
         self.cfg = cfg
         self.seed = seed
+        self._kept: KeptEntries | None = None
+        self._conv1 = [Conv1Cache(su.features) for su in self.sus]
 
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
         buf = _frame_buffer(len(broadcast_bytes))
         buf[:] = broadcast_bytes
-        msg = decode_message(buf.toreadonly())
+        msg = decode_message(buf.toreadonly(), kept=self._kept)
+        self._kept = msg.kept
 
-        def train(su: LocalSu) -> GradientUpload:
-            return decode_message(_answer(msg, su.su_id, su.features, su.labels, self.cfg, self.seed))
+        def train(su: LocalSu, conv1: Conv1Cache) -> GradientUpload:
+            return decode_message(_answer(msg, su.su_id, su.features, su.labels, self.cfg,
+                                          self.seed, conv1))
 
         # the heavy numpy work (GEMMs, the im2col copy, dropout draws)
         # releases the GIL, so the SUs overlap on the cores
         with ThreadPoolExecutor(max_workers=min(len(self.sus), os.cpu_count() or 1)) as pool:
-            return list(pool.map(train, self.sus))
+            return list(pool.map(train, self.sus, self._conv1))
 
 
 def _answer(msg: ModelBroadcast, su_id: int, features: np.ndarray, labels: np.ndarray,
-            cfg: FtlConfig, seed: int) -> bytearray:
+            cfg: FtlConfig, seed: int, conv1: Conv1Cache) -> bytearray:
     """One SU's encoded upload for a decoded broadcast, tagged with the
     broadcast's round and attempt.
     """
     upload = local_training(msg.spec, msg.weights, features, labels, su_id, msg.round_idx,
-                            cfg, seed, kept=msg.kept.indices)
+                            cfg, seed, kept=msg.kept.indices,
+                            conv1_out=conv1.get(msg.spec, msg.weights))
     upload.attempt = msg.attempt
     return encode_message(upload)
 
@@ -522,9 +580,11 @@ class SocketServerTransport(Transport):
     aborts the attempt without aggregating anything, and the whole round is
     broadcast again, tagged with the next attempt number, up to
     ``max_retries`` times. Late uploads of an aborted attempt are read and
-    dropped. A frame error (a timeout or EOF inside a frame, a malformed or
-    out-of-order message) closes that SU's connection and raises, and so
-    does every later round.
+    dropped. Each connection is bound to the SU id of its first upload; an
+    upload under another id, or a second connection claiming a bound id, is
+    a protocol error. A frame error (a timeout or EOF inside a frame, a
+    malformed or out-of-order message, a wrong SU id) closes that SU's
+    connection and raises, and so does every later round.
     """
 
     def __init__(self, n_sus: int, host: str = "127.0.0.1", port: int = 0,
@@ -534,6 +594,7 @@ class SocketServerTransport(Transport):
         self.max_retries = max_retries
         self._listener = socket.create_server((host, port))
         self._connections: list[socket.socket] = []
+        self._su_ids: list[int | None] = []  # per connection, bound by its first upload
 
     @property
     def address(self) -> tuple[str, int]:
@@ -544,6 +605,7 @@ class SocketServerTransport(Transport):
             conn, _ = self._listener.accept()
             conn.settimeout(self.timeout_s)
             self._connections.append(conn)
+            self._su_ids.append(None)
 
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
         if any(conn.fileno() < 0 for conn in self._connections):
@@ -561,18 +623,19 @@ class SocketServerTransport(Transport):
                     conn.close()
                     raise ProtocolError("timed out sending a broadcast") from None
             try:
-                return [self._receive(conn, round_idx, attempt) for conn in self._connections]
+                return [self._receive(i, round_idx, attempt) for i in range(len(self._connections))]
             except TimeoutError as exc:  # abort + retry whole round
                 last_error = exc
         raise ProtocolError(
             f"round failed after {self.max_retries + 1} attempts: {last_error}"
         )
 
-    @staticmethod
-    def _receive(conn: socket.socket, round_idx: int, attempt: int) -> GradientUpload:
-        """The upload tagged (``round_idx``, ``attempt``) from one SU, after
-        dropping the SU's uploads for earlier attempts.
+    def _receive(self, index: int, round_idx: int, attempt: int) -> GradientUpload:
+        """The upload tagged (``round_idx``, ``attempt``) from the SU on
+        connection ``index``, after dropping its uploads for earlier
+        attempts.
         """
+        conn = self._connections[index]
         try:
             while True:
                 frame = recv_frame(conn)
@@ -581,6 +644,7 @@ class SocketServerTransport(Transport):
                 msg = decode_message(frame)
                 if not isinstance(msg, GradientUpload):
                     raise ProtocolError(f"expected an upload, got {type(msg).__name__}")
+                self._bind(index, msg.su_id)
                 tag = (msg.round_idx, msg.attempt)
                 if tag == (round_idx, attempt):
                     return msg
@@ -591,10 +655,20 @@ class SocketServerTransport(Transport):
             conn.close()
             raise
 
+    def _bind(self, index: int, su_id: int) -> None:
+        bound = self._su_ids[index]
+        if bound is None:
+            if su_id in self._su_ids:
+                raise ProtocolError(f"SU {su_id} uploaded on a second connection")
+            self._su_ids[index] = su_id
+        elif su_id != bound:
+            raise ProtocolError(f"the connection of SU {bound} sent an upload as SU {su_id}")
+
     def close(self) -> None:
         for conn in self._connections:
             conn.close()
         self._connections.clear()
+        self._su_ids.clear()
         self._listener.close()
 
 
@@ -616,8 +690,10 @@ def run_su_client(
     seed: int,
 ) -> None:
     """SU side of the socket demo: serve local training for every broadcast
-    until the server closes the connection. Stateless across rounds, so
-    server-side round retries just re-trigger the same deterministic work.
+    until the server closes the connection. Across rounds the SU keeps only
+    the last broadcast's kept entries and its ``Conv1Cache``, each reused
+    only while the broadcast bytes it came from recur, so a server-side
+    round retry just re-triggers the same deterministic work.
 
     A server that closes before its first broadcast ends the client as a
     clean EOF does, whether the connection was refused or reset (a listener
@@ -628,16 +704,18 @@ def run_su_client(
         sock = socket.create_connection(address)
     except (ConnectionRefusedError, ConnectionResetError):
         return
+    kept, conv1 = None, Conv1Cache(features)
     with sock:
         try:
             frame = recv_frame(sock)
         except ConnectionResetError:
             return
         while frame is not None:
-            msg = decode_message(frame)
+            msg = decode_message(frame, kept=kept)
             if not isinstance(msg, ModelBroadcast):
                 raise ProtocolError(f"SU {su_id} expected a broadcast, got type {type(msg).__name__}")
-            send_frame(sock, _answer(msg, su_id, features, labels, cfg, seed))
+            kept = msg.kept
+            send_frame(sock, _answer(msg, su_id, features, labels, cfg, seed, conv1))
             frame = recv_frame(sock)
 
 

@@ -467,9 +467,11 @@ def load_dataset(path) -> LabeledDataset:
 
 def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
                   features: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Eval-mode probabilities, ``chunk`` samples per forward pass.
+    """Eval-mode probabilities, ``chunk`` samples per lean forward pass.
 
-    Only one chunk's forward cache is alive at a time. The chunk size is part
+    Only one chunk's forward cache is alive at a time, and the lean path
+    runs the convolutions on L2-sized blocks of it, so the working set is
+    the chunk's conv2 output, not its conv2 patches. The chunk size is part
     of the result's bits: the output layer's GEMM rounds differently when
     its row count is small (at the full-scale spec, a 160-row tail differs
     from the same rows inside a 416-row call).
@@ -481,7 +483,7 @@ def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
     out = np.empty((features.shape[0], spec.n_outputs), dtype=np.float64)
     for start in range(0, features.shape[0], chunk):
         sl = slice(start, min(start + chunk, features.shape[0]))
-        out[sl] = tensornet.forward(spec, weights, features[sl])[0]
+        out[sl] = tensornet.forward(spec, weights, features[sl], scope="ds_only")[0]
     return out[0] if single else out
 
 

@@ -14,6 +14,14 @@ exactly the parameters its gradient dict holds. Under an optional prune mask
 over the hidden FC weight matrix, `sgd_step` updates only the kept entries
 and writes +0.0 at the pruned ones, so pruned weights stay exactly zero.
 
+`forward` has two paths that give the same bytes. ``scope="all"`` keeps
+every intermediate for the full backward pass. ``scope="ds_only"`` is the
+lean path for every pass that needs no convolution gradient (evaluation,
+prediction, federated adaptation): it runs both convolutions on L2-sized
+blocks of samples, keeps only what the FC gradients read, and can take
+conv1's output precomputed (`conv1_activations`), since conv1 is frozen
+while the FC layers adapt.
+
 Everything is plain numpy. Forward/backward are pure with respect to the
 weights; all randomness (init, shuffling, dropout) flows through explicit
 generators, so runs are bit-reproducible per seed.
@@ -185,19 +193,65 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.nda
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray
-    cols1: np.ndarray
-    z1: np.ndarray
-    mask1: np.ndarray | None
-    a1: np.ndarray          # conv1 activation, image layout, post-dropout
-    cols2: np.ndarray
-    z2: np.ndarray
-    mask2: np.ndarray | None
-    flat: np.ndarray
+    flat: np.ndarray        # conv2 activation, flattened, post-dropout
     z3: np.ndarray
     mask3: np.ndarray | None
     h3: np.ndarray
     probs: np.ndarray
+    # what only the convolutions' gradients read: None after a
+    # ``scope="ds_only"`` forward
+    x: np.ndarray | None = None
+    cols1: np.ndarray | None = None
+    z1: np.ndarray | None = None
+    mask1: np.ndarray | None = None
+    a1: np.ndarray | None = None          # conv1 activation, image layout, post-dropout
+    cols2: np.ndarray | None = None
+    z2: np.ndarray | None = None
+    mask2: np.ndarray | None = None
+
+
+# Bytes of conv2 patches per block of the lean forward: about what an L2
+# cache holds, so a block's im2col is read back by its GEMM from cache.
+# One full-scale sample (2.5 MB of patches) is a block of its own.
+_CONV_BLOCK_BYTES = 2 << 20
+
+
+def _conv_block(spec: DetectorSpec, dtype) -> int:
+    """Samples per block of the lean forward's convolutions."""
+    r2, c2, _ = spec.conv2_shape
+    patch_bytes = r2 * c2 * 9 * spec.conv1_filters * np.dtype(dtype).itemsize
+    return max(1, _CONV_BLOCK_BYTES // patch_bytes)
+
+
+def _conv1_relu(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Post-ReLU conv1 output (B, Ho*Wo, F1) of the (B, H, W, 2) input."""
+    f1 = weights.conv1_w.shape[-1]
+    return np.maximum(_im2col(x) @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b, 0)
+
+
+def conv1_activations(spec: DetectorSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Post-ReLU, pre-dropout conv1 output of the batch ``x``, in image
+    layout (B, H-2, W-2, F1), computed block by block.
+
+    Each sample's rows are a GEMM of their own, so the rows of any subset
+    equal, bit for bit, the rows a forward pass over that subset computes;
+    `forward` takes them as ``conv1_out`` where conv1 is frozen.
+    """
+    x = _check_input(spec, np.asarray(x)).astype(weights.dtype, copy=False)
+    out = np.empty((x.shape[0], *spec.conv1_shape), dtype=weights.dtype)
+    step = _conv_block(spec, weights.dtype)
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
+        out[rows] = _conv1_relu(weights, x[rows]).reshape(-1, *spec.conv1_shape)
+    return out
+
+
+def _check_input(spec: DetectorSpec, x: np.ndarray) -> np.ndarray:
+    if x.ndim != 4 or x.shape[1:] != (spec.in_rows, spec.in_cols, 2):
+        raise ValueError(
+            f"input must have shape (B, {spec.in_rows}, {spec.in_cols}, 2), got {x.shape}"
+        )
+    return x
 
 
 def forward(
@@ -207,6 +261,9 @@ def forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    *,
+    scope: str = "all",
+    conv1_out: np.ndarray | None = None,
 ):
     """Run the network. Returns (probabilities, cache).
 
@@ -214,44 +271,79 @@ def forward(
     deterministic and dropout-free. Train mode draws inverted-dropout masks
     from ``rng`` unless explicit ``dropout_masks`` (already keep-scaled) are
     given, which the gradient checker uses to hold masks fixed.
+
+    ``scope`` names the gradients the cache must serve, as in `backward`.
+    ``"all"`` keeps every intermediate. ``"ds_only"`` is the lean path for
+    passes that need no convolution gradient: both convolutions run as
+    im2col + GEMM on blocks of samples sized to L2 (`_CONV_BLOCK_BYTES`),
+    and the cache keeps only what the FC gradients read. Both give the same
+    bytes: each sample's convolutions are GEMMs of their own, fc1 and the
+    output layer still run on the whole batch (their row count sets the
+    rounding), and the dropout masks are drawn for the whole batch in the
+    same order. Under ``"ds_only"``, ``conv1_out`` may hold the batch's
+    `conv1_activations`, computed once for samples that recur while conv1
+    is frozen; ``x`` then only sets the batch.
     """
+    if scope not in ("all", "ds_only"):
+        raise ValueError(f"unknown scope {scope!r}")
     x = np.asarray(x)
     single = x.ndim == 3
     if single:
         x = x[None]
-    if x.ndim != 4 or x.shape[1:] != (spec.in_rows, spec.in_cols, 2):
-        raise ValueError(
-            f"input must have shape (B, {spec.in_rows}, {spec.in_cols}, 2), got {x.shape}"
-        )
+    _check_input(spec, x)
     dtype = weights.dtype
     x = x.astype(dtype, copy=False)
     batch = x.shape[0]
     if train and rng is None and dropout_masks is None:
         raise ValueError("train mode needs an rng (or explicit dropout masks)")
+    if conv1_out is not None:
+        if scope != "ds_only":
+            raise ValueError('conv1_out needs scope="ds_only": conv1\'s gradient reads its input')
+        if conv1_out.shape != (batch, *spec.conv1_shape):
+            raise ValueError(f"conv1_out has shape {conv1_out.shape}, "
+                             f"expected {(batch, *spec.conv1_shape)}")
 
     r1, c1, f1 = spec.conv1_shape
     r2, c2, f2 = spec.conv2_shape
-
-    cols1 = _im2col(x)
-    z1 = cols1 @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b
-    a1 = np.maximum(z1, 0)
     mask1 = mask2 = mask3 = None
     if train:
         if dropout_masks is not None:
             mask1, mask2, mask3 = dropout_masks
         else:
-            mask1 = _dropout_mask(z1.shape, spec.dropout_conv, rng, dtype)
+            mask1 = _dropout_mask((batch, r1 * c1, f1), spec.dropout_conv, rng, dtype)
             mask2 = _dropout_mask((batch, r2 * c2, f2), spec.dropout_conv, rng, dtype)
             mask3 = _dropout_mask((batch, spec.hidden_units), spec.dropout_fc, rng, dtype)
-        a1 = a1 * mask1
-    a1_img = a1.reshape(batch, r1, c1, f1)
 
-    cols2 = _im2col(a1_img)
-    z2 = cols2 @ weights.conv2_w.reshape(-1, f2) + weights.conv2_b
-    a2 = np.maximum(z2, 0)
-    if train:
-        a2 = a2 * mask2
-    flat = a2.reshape(batch, -1)
+    if scope == "all":
+        cols1 = _im2col(x)
+        z1 = cols1 @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b
+        a1 = np.maximum(z1, 0)
+        if train:
+            a1 = a1 * mask1
+        a1_img = a1.reshape(batch, r1, c1, f1)
+
+        cols2 = _im2col(a1_img)
+        z2 = cols2 @ weights.conv2_w.reshape(-1, f2) + weights.conv2_b
+        a2 = np.maximum(z2, 0)
+        if train:
+            a2 = a2 * mask2
+        flat = a2.reshape(batch, -1)
+    else:
+        flat = np.empty((batch, spec.flat_dim), dtype=dtype)
+        step = _conv_block(spec, dtype)
+        for start in range(0, batch, step):
+            rows = slice(start, start + step)
+            if conv1_out is None:
+                a1 = _conv1_relu(weights, x[rows])
+            else:
+                a1 = conv1_out[rows].reshape(-1, r1 * c1, f1)
+            if train:
+                a1 = a1 * mask1[rows]
+            z2 = _im2col(a1.reshape(-1, r1, c1, f1)) @ weights.conv2_w.reshape(-1, f2)
+            a2 = np.maximum(z2 + weights.conv2_b, 0)
+            if train:
+                a2 = a2 * mask2[rows]
+            flat[rows] = a2.reshape(-1, spec.flat_dim)
 
     z3 = flat @ weights.fc1_w + weights.fc1_b
     h3 = np.maximum(z3, 0)
@@ -261,11 +353,10 @@ def forward(
     z4 = h3 @ weights.out_w + weights.out_b
     probs = _sigmoid(z4)
 
-    cache = ForwardCache(
-        x=x, cols1=cols1, z1=z1, mask1=mask1, a1=a1_img,
-        cols2=cols2, z2=z2, mask2=mask2, flat=flat, z3=z3,
-        mask3=mask3, h3=h3, probs=probs,
-    )
+    cache = ForwardCache(flat=flat, z3=z3, mask3=mask3, h3=h3, probs=probs)
+    if scope == "all":
+        cache.x, cache.cols1, cache.z1, cache.mask1, cache.a1 = x, cols1, z1, mask1, a1_img
+        cache.cols2, cache.z2, cache.mask2 = cols2, z2, mask2
     return (probs[0] if single else probs), cache
 
 
@@ -295,10 +386,13 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     ``scope="all"`` returns all eight gradients; ``scope="ds_only"`` stops
     after the fully connected layers and returns only the four
     domain-specific ones, so the general-feature gradients are never
-    computed.
+    computed. A cache from a ``scope="ds_only"`` forward serves only the
+    latter.
     """
     if scope not in ("all", "ds_only"):
         raise ValueError(f"unknown scope {scope!r}")
+    if scope == "all" and cache.cols1 is None:
+        raise ValueError('scope="all" needs the cache of a scope="all" forward')
     labels = np.atleast_2d(np.asarray(labels))
     probs = cache.probs
     if labels.shape != probs.shape:
@@ -406,14 +500,14 @@ class TrainResult:
 
 def evaluate_loss(spec: DetectorSpec, weights: ModelWeights, features: np.ndarray,
                   labels: np.ndarray, chunk: int = 256) -> float:
-    """Eval-mode BCE over a whole dataset, averaged over all samples. Only one
-    chunk's forward cache is alive at a time.
+    """Eval-mode BCE over a whole dataset, averaged over all samples, on the
+    lean forward path. Only one chunk's forward cache is alive at a time.
     """
     n = features.shape[0]
     total = 0.0
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        total += bce_loss(forward(spec, weights, features[sl])[0], labels[sl]) * (sl.stop - sl.start)
+        total += bce_loss(forward(spec, weights, features[sl], scope="ds_only")[0], labels[sl]) * (sl.stop - sl.start)
     return total / n
 
 
@@ -601,22 +695,22 @@ def read_mask_section(reader: ByteReader, shape: tuple[int, ...]):
     if nbits != math.prod(shape):
         raise DecodeError(f"mask bit count {nbits} does not cover fc1_w {shape}", reader.offset)
     bits = np.frombuffer(reader.take((nbits + 7) // 8), dtype=np.uint8)
+    # pack_mask pads with zeros, so equal bitsets always mean equal masks
+    if nbits % 8 and bits[-1] >> (nbits % 8):
+        raise DecodeError(f"mask bitset has bits set past its {nbits} bits", reader.offset - 1)
     mask = np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)
     return mask, bits
 
 
-def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights,
-                     prefix: bytes = b"") -> bytearray:
-    """The checkpoint of ``weights``, written in one pass after ``prefix``."""
+def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights) -> bytearray:
+    """The checkpoint of ``weights``, written in one pass."""
     mask = weights.prune_mask
     bits = None if mask is None else pack_mask(mask)
-    size = len(prefix) + _CHECKPOINT_HEADER.size + SPEC_HEADER.size + mask_section_nbytes(bits)
+    size = _CHECKPOINT_HEADER.size + SPEC_HEADER.size + mask_section_nbytes(bits)
     size += sum(tensor_nbytes(getattr(weights, name)) for name in PARAM_NAMES)
     buf = bytearray(size)
-    buf[:len(prefix)] = prefix
-    offset = len(prefix)
-    _CHECKPOINT_HEADER.pack_into(buf, offset, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    offset = write_spec(buf, offset + _CHECKPOINT_HEADER.size, spec)
+    _CHECKPOINT_HEADER.pack_into(buf, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    offset = write_spec(buf, _CHECKPOINT_HEADER.size, spec)
     for name in PARAM_NAMES:
         offset = write_tensor(buf, offset, getattr(weights, name))
     write_mask_section(buf, offset, bits, weights.fc1_w.size)

@@ -94,6 +94,50 @@ class TestMessageCodec:
             fed.decode_message(bytes(data))
 
 
+    def test_kept_entries_reused_while_the_bitset_is_equal(self, monkeypatch):
+        weights = toy_weights(masked=True)
+        data = bytes(fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=SPEC, weights=weights)))
+        first = fed.decode_message(data)
+        assert np.array_equal(first.kept.indices, np.flatnonzero(weights.prune_mask))
+        # the kept bitset is a copy: holding it pins no frame
+        assert not np.shares_memory(first.kept.bits, np.frombuffer(data, dtype=np.uint8))
+        stepped = tn.ModelWeights(**{**weights.arrays(), "fc1_w": 2 * weights.fc1_w},
+                                  prune_mask=weights.prune_mask)
+        second = fed.encode_message(fed.ModelBroadcast(round_idx=1, spec=SPEC, weights=stepped))
+        other = toy_weights(seed=5, masked=True)
+        third = fed.encode_message(fed.ModelBroadcast(round_idx=2, spec=SPEC, weights=other))
+        fresh = [fed.decode_message(m) for m in (second, third)]
+
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+        again = fed.decode_message(second, kept=first.kept)
+        assert again.kept is first.kept and calls == []
+        changed = fed.decode_message(third, kept=first.kept)
+        assert calls == [1]
+        assert np.array_equal(changed.kept.indices, np.flatnonzero(other.prune_mask))
+        for got, want in zip((again, changed), fresh):
+            assert tn.checkpoint_bytes(SPEC, got.weights) == tn.checkpoint_bytes(SPEC, want.weights)
+        dense = tn.ModelWeights(**weights.arrays())
+        unmasked = fed.decode_message(fed.encode_message(fed.ModelBroadcast(3, SPEC, dense)),
+                                      kept=first.kept)
+        assert unmasked.kept.indices is None and unmasked.weights.prune_mask is None
+
+    def test_bits_past_the_mask_are_rejected(self):
+        # three fc1_w entries: one bitset byte with five bits of padding
+        spec = tn.DetectorSpec(in_rows=5, in_cols=5, conv1_filters=1, conv2_filters=1,
+                               hidden_units=3)
+        weights = tn.init_weights(spec, np.random.default_rng(0))
+        weights.prune_mask = np.array([[True, False, True]])
+        weights.fc1_w[0, 1] = 0
+        data = bytearray(fed.encode_message(fed.ModelBroadcast(0, spec, weights)))
+        assert data[-1] == 0b101
+        fed.decode_message(data)
+        data[-1] |= 0x80
+        with pytest.raises(DecodeError, match="past"):
+            fed.decode_message(data)
+
+
 class TestLocalTraining:
     def test_single_batch_unrolls_to_one_step(self):
         # E=1 with the batch covering all data: the upload equals the single
@@ -369,8 +413,9 @@ class TestRunFtl:
     @pytest.mark.parametrize("local_epochs, batch_size", [(2, 5), (1, 5), (2, 15), (1, 15)])
     def test_kept_indices_computed_once_per_run_and_round(self, monkeypatch, local_epochs,
                                                           batch_size):
-        # run_ftl computes them once; each round's one in-process decode
-        # computes them for its scatter, and every SU trains with those
+        # run_ftl computes them once, and the first round's in-process
+        # decode once for its scatter; later decodes see the same bitset
+        # and reuse them, and every SU trains with those
         calls = []
         flatnonzero = np.flatnonzero
 
@@ -383,7 +428,36 @@ class TestRunFtl:
         cfg = fed.FtlConfig(n_sus=3, rounds=4, local_epochs=local_epochs, batch_size=batch_size,
                             lr=0.05)
         fed.run_ftl(SPEC, toy_weights(masked=True), cfg, fed.InProcessTransport(sus, cfg, seed=8))
-        assert len(calls) == 1 + cfg.rounds
+        assert len(calls) == 2
+
+    def test_conv1_cache_is_keyed_on_the_conv1_bytes(self, monkeypatch):
+        features, _ = toy_dataset(count=6)
+        cache = fed.Conv1Cache(features)
+        weights = toy_weights()
+        first = cache.get(SPEC, weights)
+        assert first.tobytes() == tn.conv1_activations(SPEC, weights, features).tobytes()
+        assert cache.get(SPEC, weights.copy()) is first  # equal bytes, other arrays
+        changed = weights.copy()
+        changed.conv1_b[0] += 0.5
+        assert cache.get(SPEC, changed).tobytes() == \
+            tn.conv1_activations(SPEC, changed, features).tobytes()
+        assert cache.get(SPEC, weights).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("kind", ["inproc", "loopback"])
+    def test_su_caches_follow_the_broadcast_bytes(self, kind):
+        # one transport serves runs whose models differ in conv1 only, in
+        # the mask too, and not at all: each run equals a serial replay
+        sus = self.make_sus()
+        cfg = fed.FtlConfig(n_sus=3, rounds=2, local_epochs=1, batch_size=5, lr=0.05)
+        base = toy_weights(masked=True)
+        other_conv1 = base.copy()
+        other_conv1.conv1_w[0, 0, 0, 0] += 0.25
+        transport_cls = fed.InProcessTransport if kind == "inproc" else fed.LoopbackSocketTransport
+        with transport_cls(sus, cfg, seed=4) as transport:
+            for init in (base, other_conv1, toy_weights(seed=6, masked=True), base):
+                got = fed.run_ftl(SPEC, init, cfg, transport)
+                want, _ = serial_replay(init, sus, cfg, seed=4)
+                assert tn.checkpoint_bytes(SPEC, got) == tn.checkpoint_bytes(SPEC, want)
 
     def test_server_reads_the_mask_once_per_run(self, monkeypatch):
         # encode_message and aggregate work from run_ftl's kept indices and
@@ -615,6 +689,49 @@ class TestSocketFaults:
                        for u in (fed.decode_message(b) for _, b in r)) for r in transport.rounds]
         assert tags == [[(1, 0, 1), (2, 0, 1)], [(1, 1, 0), (2, 1, 0)], [(1, 2, 0), (2, 2, 0)]]
 
+    @pytest.mark.parametrize("round1_ids, message", [
+        ((2, 1), "connection of SU 1 sent an upload as SU 2"),  # two SUs swap ids
+        ((7, 2), "connection of SU 1 sent an upload as SU 7"),  # an id no SU had
+    ])
+    def test_connection_is_bound_to_its_first_su_id(self, round1_ids, message):
+        weights = toy_weights(masked=True)
+        server = fed.SocketServerTransport(n_sus=2, timeout_s=2.0, max_retries=0)
+        # connected one after the other, so accepted in this order
+        clients = [socket.create_connection(server.address) for _ in range(2)]
+        try:
+            server.wait_for_clients()
+            for client, ids in zip(clients, zip((1, 2), round1_ids)):
+                for round_idx, su_id in enumerate(ids):
+                    frame = fed.encode_message(toy_upload(round_idx=round_idx, su_id=su_id,
+                                                          mask=weights.prune_mask))
+                    client.sendall(struct.pack("<I", len(frame)) + frame)
+            uploads = server.run_round(fed.encode_message(fed.ModelBroadcast(0, SPEC, weights)))
+            assert [u.su_id for u in uploads] == [1, 2]
+            with pytest.raises(fed.ProtocolError, match=message):
+                server.run_round(fed.encode_message(fed.ModelBroadcast(1, SPEC, weights)))
+            with pytest.raises(fed.ProtocolError, match="closed after a frame error"):
+                server.run_round(fed.encode_message(fed.ModelBroadcast(1, SPEC, weights)))
+        finally:
+            server.close()
+            for client in clients:
+                client.close()
+
+    def test_one_su_id_on_two_connections_is_a_protocol_error(self):
+        weights = toy_weights(masked=True)
+        server = fed.SocketServerTransport(n_sus=2, timeout_s=2.0, max_retries=0)
+        clients = [socket.create_connection(server.address) for _ in range(2)]
+        try:
+            server.wait_for_clients()
+            frame = fed.encode_message(toy_upload(round_idx=0, su_id=3, mask=weights.prune_mask))
+            for client in clients:
+                client.sendall(struct.pack("<I", len(frame)) + frame)
+            with pytest.raises(fed.ProtocolError, match="SU 3 uploaded on a second connection"):
+                server.run_round(fed.encode_message(fed.ModelBroadcast(0, SPEC, weights)))
+        finally:
+            server.close()
+            for client in clients:
+                client.close()
+
     def test_timeout_inside_a_frame_is_a_protocol_error(self):
         a, b = socket.socketpair()
         try:
@@ -843,6 +960,17 @@ class TestLocalTrainingOracle:
         cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=epochs, batch_size=batch_size)
         fed.local_training(SPEC, toy_weights(), features, labels, 1, 0, cfg, seed=5)
         assert len(calls) == steps
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_precomputed_conv1_gives_the_same_upload(self, masked):
+        weights = toy_weights(masked=masked)
+        features, labels = toy_dataset(seed=4, count=15)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=2, batch_size=4, lr=0.05)
+        conv1 = tn.conv1_activations(SPEC, weights, features)
+        got = fed.local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17,
+                                 conv1_out=conv1)
+        want = old_local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
+        assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask), tn.DOMAIN_SPECIFIC_PARAMS)
 
     def test_desk_shape_peak_memory(self):
         # one batch's forward cache (conv2's im2col alone is about 4.8 MB

@@ -399,6 +399,56 @@ class TestPredictionMemory:
         assert three < 1.3 * one
 
 
+    def test_full_scale_predict_probs_is_bounded(self):
+        # the lean forward runs the convolutions one sample at a time here,
+        # so 64 samples never hold their 160 MB of conv2 patches at once
+        # (226 MB peak when the whole chunk went through im2col)
+        spec = harness.full_scale().detector_spec()
+        weights = tn.init_weights(spec, np.random.default_rng(0))
+        shape = (64, spec.in_rows, spec.in_cols, 2)
+        features = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+        assert _traced_peak(lambda: harness.predict_probs(spec, weights, features)) < 80e6
+
+
+# Trains a desk-shape model, then predicts with it and with a full-scale
+# model; prints the sha256 of the checkpoint and both probability arrays.
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from ftlwss import harness, tensornet as tn
+spec = harness.scaled_default().detector_spec()
+rng = np.random.default_rng(0)
+x = rng.standard_normal((64, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+y = (rng.random((64, spec.in_rows)) < 0.4).astype(np.int8)
+trained = tn.train_offline(spec, x[:48], y[:48], x[48:], y[48:], rng, lr=0.05,
+                           batch_size=16, max_epochs=2, patience=2).weights
+full = harness.full_scale().detector_spec()
+big = tn.init_weights(full, rng)
+xf = rng.standard_normal((5, full.in_rows, full.in_cols, 2)).astype(np.float32)
+h = hashlib.sha256(tn.checkpoint_bytes(spec, trained))
+h.update(harness.predict_probs(spec, trained, x).tobytes())
+h.update(harness.predict_probs(full, big, xf).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_training_and_lean_prediction_independent_of_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(harness.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests
+
+
 class TestPredictionAccuracy:
     def test_perfect(self):
         labels = np.array([[1, 0, 1], [0, 0, 1]])

@@ -280,6 +280,95 @@ class TestBackwardScope:
             tn.backward(TINY, w, cache, labels, scope="conv_only")
 
 
+def assert_caches_agree(lean, full):
+    """The lean cache holds the FC tensors of the full one, bit for bit,
+    and none of the convolution tensors."""
+    for name in ("flat", "z3", "mask3", "h3", "probs"):
+        a, b = getattr(lean, name), getattr(full, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("x", "cols1", "z1", "mask1", "a1", "cols2", "z2", "mask2"):
+        assert getattr(lean, name) is None, name
+
+
+class TestLeanForward:
+    # block bytes None keeps the module's L2-sized blocks (one sample per
+    # block at full scale, ten at desk scale); 1 forces one-sample blocks
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("spec,batch", [
+        pytest.param(spec, batch, id=f"{name}-B{batch}")
+        for name, spec, batch in (("tiny", TINY, 1), ("tiny", TINY, 7), ("desk", DESK, 1),
+                                  ("desk", DESK, 25), ("desk", DESK, 33), ("full", FULL, 3))
+    ])
+    def test_bitwise_equal_to_full_forward(self, monkeypatch, spec, batch, train, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(tn, "_CONV_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(batch)
+        w = tn.init_weights(spec, rng)
+        x = rng.normal(size=(batch, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        full_rng, lean_rng = np.random.default_rng(9), np.random.default_rng(9)
+        probs, full = tn.forward(spec, w, x, train=train, rng=full_rng)
+        lean_probs, lean = tn.forward(spec, w, x, train=train, rng=lean_rng, scope="ds_only")
+        assert lean_probs.tobytes() == probs.tobytes()
+        assert_caches_agree(lean, full)
+        # the dropout masks come from the same draws, so the stream goes on alike
+        assert lean_rng.random() == full_rng.random()
+
+    def test_blocks_follow_the_patch_budget(self):
+        assert tn._conv_block(FULL, np.float32) == 1
+        assert tn._conv_block(DESK, np.float32) == 10
+        assert tn._conv_block(DESK, np.float64) == 5
+
+    @pytest.mark.parametrize("spec", [DESK, FULL], ids=["desk", "full"])
+    def test_cached_conv1_rows_of_a_permuted_subset(self, spec):
+        rng = np.random.default_rng(3)
+        w = tn.init_weights(spec, rng)
+        x = rng.normal(size=(12, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        cached = tn.conv1_activations(spec, w, x)
+        idx = rng.permutation(12)[:7]
+        _, full = tn.forward(spec, w, x[idx])
+        assert cached[idx].tobytes() == np.maximum(full.z1, 0).tobytes()
+        for train in (False, True):
+            want, full = tn.forward(spec, w, x[idx], train=train, rng=np.random.default_rng(2))
+            got, lean = tn.forward(spec, w, x[idx], train=train, rng=np.random.default_rng(2),
+                                   scope="ds_only", conv1_out=cached[idx])
+            assert got.tobytes() == want.tobytes()
+            assert_caches_agree(lean, full)
+
+    def test_ds_only_gradients_equal_from_either_cache(self):
+        rng = np.random.default_rng(6)
+        w = tn.init_weights(DESK, rng)
+        x = rng.normal(size=(25, DESK.in_rows, DESK.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((25, DESK.in_rows)) < 0.4).astype(np.int8)
+        _, full = tn.forward(DESK, w, x, train=True, rng=np.random.default_rng(1))
+        _, lean = tn.forward(DESK, w, x, train=True, rng=np.random.default_rng(1), scope="ds_only")
+        want = tn.backward(DESK, w, full, labels, scope="ds_only")
+        got = tn.backward(DESK, w, lean, labels, scope="ds_only")
+        for name in tn.DOMAIN_SPECIFIC_PARAMS:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_lean_cache_cannot_serve_conv_gradients(self):
+        w = tiny_weights()
+        x, labels = tiny_batch()
+        _, cache = tn.forward(TINY, w, x, scope="ds_only")
+        with pytest.raises(ValueError, match="scope"):
+            tn.backward(TINY, w, cache, labels)
+
+    def test_rejects_bad_scope_and_conv1_out(self):
+        w = tiny_weights()
+        x, _ = tiny_batch(batch=3)
+        conv1 = tn.conv1_activations(TINY, w, x)
+        assert conv1.shape == (3, *TINY.conv1_shape)
+        with pytest.raises(ValueError, match="unknown scope"):
+            tn.forward(TINY, w, x, scope="conv_only")
+        with pytest.raises(ValueError, match="ds_only"):
+            tn.forward(TINY, w, x, conv1_out=conv1)
+        with pytest.raises(ValueError, match="conv1_out has shape"):
+            tn.forward(TINY, w, x, scope="ds_only", conv1_out=conv1[:2])
+
+
 class TestSgdStep:
     def test_zero_gradient_identity(self):
         w = tiny_weights()
