@@ -12,7 +12,7 @@ the updated model back. The convolutional layers are never touched, so they
 remain bit-identical to the initial model across any number of rounds, and
 the prune mask (when present) is enforced at every local and server step.
 
-Messages are a small binary format (magic "FTLM", version 2; the README's
+Messages are a small binary format (magic "FTLM", version 3; the README's
 "Federation wire format" has the layout) so the same round logic runs in
 process (``InProcessTransport``) or over length-prefixed frames on a TCP
 socket (``SocketServerTransport`` against ``run_su_client`` peers, or
@@ -20,10 +20,12 @@ socket (``SocketServerTransport`` against ``run_su_client`` peers, or
 carry (round, attempt), so a server that retries a timed-out round can tell
 a late upload of the aborted attempt from the one it waits for. At full
 scale with 90% pruning a broadcast is 2.36 MB and an upload 1.79 MB, where
-the dense format sent 18.3 and 17.7 MB. Every path pushes every message
-through the codec, and all federation arithmetic is done in the model dtype
-in fixed SU order, so the transports give bit-identical models, and the
-same bytes as the dense format gave.
+the dense format sent 18.3 and 17.7 MB. The 20-byte message header puts
+every float32 section of a message on a 4-byte offset, so a message decodes
+to views of its buffer. Every path pushes every message through the codec,
+and all federation arithmetic is done in the model dtype in fixed SU order,
+so the transports give bit-identical models, and the same bytes as the
+dense format gave.
 
 The SUs of a round are independent: each trains from the broadcast with its
 own per-round generator and never writes into the broadcast weights. Both
@@ -31,13 +33,14 @@ transports therefore run them concurrently (one thread per SU connection,
 or a per-round thread pool in process) and still give the bytes of a serial
 replay, because ``aggregate`` reduces the uploads in SU-id order.
 
+Both transports answer a broadcast through one SU object, ``LocalSu``.
 Local training takes the lean forward path (``tensornet.forward`` with
 ``scope="ds_only"``). The frozen conv1 and an SU's fixed samples give the
-same conv1 activations in every round, so each SU computes them once
-(``Conv1Cache``), and it reuses the last broadcast's kept indices while the
-mask bitset is unchanged. Both are checked against the bytes of every
-broadcast, so a model with other conv1 weights or another mask is handled
-as a fresh one.
+same conv1 activations in every round, so each ``LocalSu`` computes them
+once, and the receiver of the broadcasts reuses the last one's kept indices
+while the mask bitset is unchanged. Both are checked against the bytes of
+every broadcast, so a model with other conv1 weights or another mask is
+handled as a fresh one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import struct
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +77,7 @@ from .tensornet import (
 )
 
 MESSAGE_MAGIC = b"FTLM"
-MESSAGE_VERSION = 2
+MESSAGE_VERSION = 3
 MSG_BROADCAST = 1
 MSG_UPLOAD = 2
 
@@ -157,8 +160,10 @@ class GradientUpload:
     attempt: int = 0
 
 
-# magic, version, type, round, attempt
-_MESSAGE_HEADER = struct.Struct("<4sIBII")
+# magic, version, type, round, attempt: 20 bytes, so with the u32-aligned
+# spec and upload headers after it every float32 section starts on a
+# 4-byte offset
+_MESSAGE_HEADER = struct.Struct("<4sIIII")
 _ATTEMPT = struct.Struct("<I")
 _ATTEMPT_OFFSET = _MESSAGE_HEADER.size - _ATTEMPT.size
 _UPLOAD_HEADER = struct.Struct("<IQ")
@@ -215,7 +220,7 @@ def decode_message(data, *, kept: KeptEntries | None = None):
     version = reader.u32()
     if version != MESSAGE_VERSION:
         raise DecodeError(f"unsupported message version {version}", 4)
-    msg_type = reader.u8()
+    msg_type = reader.u32()
     round_idx = reader.u32()
     attempt = reader.u32()
     if msg_type == MSG_BROADCAST:
@@ -419,33 +424,40 @@ class Transport(ABC):
 
 @dataclass
 class LocalSu:
+    """One SU: its id and adaptation samples, and what it keeps across the
+    broadcasts it answers, in process or behind a socket.
+
+    Conv1 is frozen during ``run_ftl`` and an SU's samples never change, so
+    the SU keeps its ``conv1_activations`` across rounds, and across runs
+    that share it. They are keyed on the spec and on the dtype and bytes of
+    the broadcast's ``conv1_w`` and ``conv1_b``, so a broadcast with other
+    conv1 weights recomputes them.
+    """
+
     su_id: int
     features: np.ndarray
     labels: np.ndarray
+    _conv1_key: tuple | None = field(default=None, init=False, repr=False)
+    _conv1_out: np.ndarray | None = field(default=None, init=False, repr=False)
 
-
-class Conv1Cache:
-    """One SU's ``conv1_activations``, kept across rounds.
-
-    Conv1 is frozen during ``run_ftl`` and an SU's samples never change, so
-    every round would recompute the same activations. They are keyed on the
-    bytes of the broadcast's ``conv1_w`` and ``conv1_b`` (and the spec), so
-    a broadcast with other conv1 weights recomputes them.
-    """
-
-    def __init__(self, features: np.ndarray):
-        self.features = features
-        self._key = None
-        self._out = None
-
-    def get(self, spec: DetectorSpec, weights: ModelWeights) -> np.ndarray:
+    def conv1_out(self, spec: DetectorSpec, weights: ModelWeights) -> np.ndarray:
         key = (spec, weights.conv1_w.dtype.str, weights.conv1_w.tobytes(),
                weights.conv1_b.tobytes())
-        if key != self._key:
-            self._out = None  # free the stale activations before computing new ones
-            self._out = conv1_activations(spec, weights, self.features)
-            self._key = key
-        return self._out
+        if key != self._conv1_key:
+            self._conv1_out = None  # free the stale activations before computing new ones
+            self._conv1_out = conv1_activations(spec, weights, self.features)
+            self._conv1_key = key
+        return self._conv1_out
+
+    def answer(self, msg: ModelBroadcast, cfg: FtlConfig, seed: int) -> bytearray:
+        """The encoded upload for the decoded broadcast ``msg``, tagged with
+        its round and attempt.
+        """
+        upload = local_training(msg.spec, msg.weights, self.features, self.labels, self.su_id,
+                                msg.round_idx, cfg, seed, kept=msg.kept.indices,
+                                conv1_out=self.conv1_out(msg.spec, msg.weights))
+        upload.attempt = msg.attempt
+        return encode_message(upload)
 
 
 class InProcessTransport(Transport):
@@ -453,15 +465,18 @@ class InProcessTransport(Transport):
     ``min(n_sus, os.cpu_count())`` workers, opened and joined within the
     round so a transport that is never closed leaves no thread behind.
 
-    The broadcast is decoded once per round into an aligned, read-only
-    buffer that every SU reads. Each upload still round-trips through the
-    codec, so results are interchangeable with the socket path, and uploads
-    come back in ascending SU id order. If an SU raises, the round raises
-    the error of the lowest such SU id once the running SUs have finished.
+    The broadcast is decoded once per round, as read-only views of its
+    buffer, and every ``LocalSu`` answers that one decoded broadcast. Each
+    upload still round-trips through the codec, decoding to views of the
+    SU's encoded buffer, so results are interchangeable with the socket
+    path, and uploads come back in ascending SU id order. If an SU raises,
+    the round raises the error of the lowest such SU id once the running
+    SUs have finished.
 
     Across rounds the transport keeps the last broadcast's kept entries and
-    each SU's ``Conv1Cache``, both checked against the bytes of the next
-    broadcast.
+    each SU its conv1 activations, both checked against the bytes of the
+    next broadcast. The SUs keep theirs across the transports that share
+    them, as the runs of the ftl stage do.
     """
 
     def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
@@ -469,34 +484,16 @@ class InProcessTransport(Transport):
         self.cfg = cfg
         self.seed = seed
         self._kept: KeptEntries | None = None
-        self._conv1 = [Conv1Cache(su.features) for su in self.sus]
 
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
-        buf = _frame_buffer(len(broadcast_bytes))
-        buf[:] = broadcast_bytes
-        msg = decode_message(buf.toreadonly(), kept=self._kept)
+        # read-only: every SU reads these weights, and none may write them
+        msg = decode_message(memoryview(broadcast_bytes).toreadonly(), kept=self._kept)
         self._kept = msg.kept
-
-        def train(su: LocalSu, conv1: Conv1Cache) -> GradientUpload:
-            return decode_message(_answer(msg, su.su_id, su.features, su.labels, self.cfg,
-                                          self.seed, conv1))
-
         # the heavy numpy work (GEMMs, the im2col copy, dropout draws)
         # releases the GIL, so the SUs overlap on the cores
         with ThreadPoolExecutor(max_workers=min(len(self.sus), os.cpu_count() or 1)) as pool:
-            return list(pool.map(train, self.sus, self._conv1))
-
-
-def _answer(msg: ModelBroadcast, su_id: int, features: np.ndarray, labels: np.ndarray,
-            cfg: FtlConfig, seed: int, conv1: Conv1Cache) -> bytearray:
-    """One SU's encoded upload for a decoded broadcast, tagged with the
-    broadcast's round and attempt.
-    """
-    upload = local_training(msg.spec, msg.weights, features, labels, su_id, msg.round_idx,
-                            cfg, seed, kept=msg.kept.indices,
-                            conv1_out=conv1.get(msg.spec, msg.weights))
-    upload.attempt = msg.attempt
-    return encode_message(upload)
+            return list(pool.map(lambda su: decode_message(su.answer(msg, self.cfg, self.seed)),
+                                 self.sus))
 
 
 # Largest frame recv_frame accepts: above an unpruned full-scale broadcast,
@@ -504,13 +501,6 @@ def _answer(msg: ModelBroadcast, su_id: int, features: np.ndarray, labels: np.nd
 # broadcast is 2.3 MB and an upload 1.8 MB), so a corrupt length prefix
 # cannot make it allocate gigabytes.
 MAX_FRAME_BYTES = 64 << 20
-
-# Up to their first float32 section, a broadcast is 45 bytes long (message
-# and spec headers) and an upload 29 (message and upload headers), both
-# 1 mod 4, so a frame read 3 bytes into its buffer puts every float32
-# section on a 4-byte boundary and decode_message can return views of it
-# instead of copies.
-_FRAME_LEAD = 3
 
 
 def send_frame(sock: socket.socket, payload) -> None:
@@ -540,16 +530,9 @@ def recv_frame(sock: socket.socket) -> memoryview | None:
     (length,) = struct.unpack("<I", header)
     if length > MAX_FRAME_BYTES:
         raise DecodeError(f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap", 0)
-    body = _frame_buffer(length)
+    body = memoryview(bytearray(length))
     _recv_into(sock, body, done=len(header))
     return body
-
-
-def _frame_buffer(nbytes: int) -> memoryview:
-    """A fresh writable buffer for one message, placed so that
-    ``decode_message`` returns aligned views of it instead of copies.
-    """
-    return memoryview(bytearray(_FRAME_LEAD + nbytes))[_FRAME_LEAD:]
 
 
 def _recv_into(sock: socket.socket, view: memoryview, done: int) -> bool:
@@ -584,7 +567,8 @@ class SocketServerTransport(Transport):
     upload under another id, or a second connection claiming a bound id, is
     a protocol error. A frame error (a timeout or EOF inside a frame, a
     malformed or out-of-order message, a wrong SU id) closes that SU's
-    connection and raises, and so does every later round.
+    connection and raises, and so does every later round. Waiting for the
+    SUs to connect gives up after ``timeout_s`` without a new connection.
     """
 
     def __init__(self, n_sus: int, host: str = "127.0.0.1", port: int = 0,
@@ -593,6 +577,7 @@ class SocketServerTransport(Transport):
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self._listener = socket.create_server((host, port))
+        self._listener.settimeout(timeout_s)
         self._connections: list[socket.socket] = []
         self._su_ids: list[int | None] = []  # per connection, bound by its first upload
 
@@ -602,7 +587,11 @@ class SocketServerTransport(Transport):
 
     def wait_for_clients(self) -> None:
         while len(self._connections) < self.n_sus:
-            conn, _ = self._listener.accept()
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                raise ProtocolError(f"{len(self._connections)} of {self.n_sus} SUs connected; "
+                                    f"none more within {self.timeout_s} s") from None
             conn.settimeout(self.timeout_s)
             self._connections.append(conn)
             self._su_ids.append(None)
@@ -689,11 +678,11 @@ def run_su_client(
     cfg: FtlConfig,
     seed: int,
 ) -> None:
-    """SU side of the socket demo: serve local training for every broadcast
-    until the server closes the connection. Across rounds the SU keeps only
-    the last broadcast's kept entries and its ``Conv1Cache``, each reused
-    only while the broadcast bytes it came from recur, so a server-side
-    round retry just re-triggers the same deterministic work.
+    """SU side of the socket demo: a ``LocalSu`` answers every broadcast
+    until the server closes the connection. Across rounds the client keeps
+    only the last broadcast's kept entries and the SU its conv1 activations,
+    each reused only while the broadcast bytes it came from recur, so a
+    server-side round retry just re-triggers the same deterministic work.
 
     A server that closes before its first broadcast ends the client as a
     clean EOF does, whether the connection was refused or reset (a listener
@@ -704,7 +693,7 @@ def run_su_client(
         sock = socket.create_connection(address)
     except (ConnectionRefusedError, ConnectionResetError):
         return
-    kept, conv1 = None, Conv1Cache(features)
+    kept, su = None, LocalSu(su_id, features, labels)
     with sock:
         try:
             frame = recv_frame(sock)
@@ -715,7 +704,7 @@ def run_su_client(
             if not isinstance(msg, ModelBroadcast):
                 raise ProtocolError(f"SU {su_id} expected a broadcast, got type {type(msg).__name__}")
             kept = msg.kept
-            send_frame(sock, _answer(msg, su_id, features, labels, cfg, seed, conv1))
+            send_frame(sock, su.answer(msg, cfg, seed))
             frame = recv_frame(sock)
 
 
@@ -742,10 +731,9 @@ class LoopbackSocketTransport(SocketServerTransport):
         # Accept the SUs that have not been yet, so each reads a clean EOF.
         # Closing the listener on them would reset them instead, and a reset
         # the kernel drops (seen under load) leaves an SU blocked forever.
-        self._listener.settimeout(self.timeout_s)
         try:
             self.wait_for_clients()
-        except TimeoutError:  # an SU thread died before it connected
+        except ProtocolError:  # an SU thread died before it connected
             pass
         super().close()
         for worker in self.workers:

@@ -144,6 +144,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.restart_epochs < 1:
             raise ValueError("restart_epochs must be >= 1: a probe needs a validation loss")
+        if self.lr < 0:
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,10 @@ class FtlStageConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr < 0:
             raise ValueError(f"lr must be non-negative, got {self.lr}")
+        if self.timeout_s <= 0:
+            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ exactly the parameters its gradient dict holds. Under an optional prune mask
 over the hidden FC weight matrix, `sgd_step` updates only the kept entries
 and writes +0.0 at the pruned ones, so pruned weights stay exactly zero.
 
-`forward` has two paths that give the same bytes. ``scope="all"`` keeps
-every intermediate for the full backward pass. ``scope="ds_only"`` is the
-lean path for every pass that needs no convolution gradient (evaluation,
-prediction, federated adaptation): it runs both convolutions on L2-sized
-blocks of samples, keeps only what the FC gradients read, and can take
-conv1's output precomputed (`conv1_activations`), since conv1 is frozen
-while the FC layers adapt.
+`forward` runs both convolutions in one loop over blocks of samples, and
+its two scopes give the same bytes. Under ``scope="all"`` the loop runs one
+block, the whole batch, and the cache keeps every intermediate for the full
+backward pass. ``scope="ds_only"`` is the lean path for every pass that
+needs no convolution gradient (evaluation, prediction, federated
+adaptation): its blocks are L2-sized, the cache keeps only what the FC
+gradients read, and conv1's output can come precomputed
+(`conv1_activations`), since conv1 is frozen while the FC layers adapt.
 
 Everything is plain numpy. Forward/backward are pure with respect to the
 weights; all randomness (init, shuffling, dropout) flows through explicit
@@ -125,11 +126,6 @@ class ModelWeights:
         mask = None if self.prune_mask is None else self.prune_mask.copy()
         return ModelWeights(**fields, prune_mask=mask)
 
-    def astype(self, dtype) -> "ModelWeights":
-        fields = {name: getattr(self, name).astype(dtype) for name in PARAM_NAMES}
-        mask = None if self.prune_mask is None else self.prune_mask.copy()
-        return ModelWeights(**fields, prune_mask=mask)
-
     @property
     def dtype(self):
         return self.fc1_w.dtype
@@ -223,12 +219,6 @@ def _conv_block(spec: DetectorSpec, dtype) -> int:
     return max(1, _CONV_BLOCK_BYTES // patch_bytes)
 
 
-def _conv1_relu(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """Post-ReLU conv1 output (B, Ho*Wo, F1) of the (B, H, W, 2) input."""
-    f1 = weights.conv1_w.shape[-1]
-    return np.maximum(_im2col(x) @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b, 0)
-
-
 def conv1_activations(spec: DetectorSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
     """Post-ReLU, pre-dropout conv1 output of the batch ``x``, in image
     layout (B, H-2, W-2, F1), computed block by block.
@@ -239,10 +229,12 @@ def conv1_activations(spec: DetectorSpec, weights: ModelWeights, x: np.ndarray) 
     """
     x = _check_input(spec, np.asarray(x)).astype(weights.dtype, copy=False)
     out = np.empty((x.shape[0], *spec.conv1_shape), dtype=weights.dtype)
+    w1 = weights.conv1_w.reshape(-1, spec.conv1_filters)
     step = _conv_block(spec, weights.dtype)
     for start in range(0, x.shape[0], step):
         rows = slice(start, start + step)
-        out[rows] = _conv1_relu(weights, x[rows]).reshape(-1, *spec.conv1_shape)
+        z1 = _im2col(x[rows]) @ w1 + weights.conv1_b
+        out[rows] = np.maximum(z1, 0).reshape(-1, *spec.conv1_shape)
     return out
 
 
@@ -273,12 +265,14 @@ def forward(
     given, which the gradient checker uses to hold masks fixed.
 
     ``scope`` names the gradients the cache must serve, as in `backward`.
-    ``"all"`` keeps every intermediate. ``"ds_only"`` is the lean path for
-    passes that need no convolution gradient: both convolutions run as
-    im2col + GEMM on blocks of samples sized to L2 (`_CONV_BLOCK_BYTES`),
+    Both convolutions run as im2col + GEMM in one loop over blocks of
+    samples. Under ``"all"`` that loop runs one block, the whole batch, and
+    the cache keeps its intermediates. ``"ds_only"`` is the lean path for
+    passes that need no convolution gradient: its blocks are sized to L2
+    (`_CONV_BLOCK_BYTES`), a block keeps only its rows of conv2's output,
     and the cache keeps only what the FC gradients read. Both give the same
     bytes: each sample's convolutions are GEMMs of their own, fc1 and the
-    output layer still run on the whole batch (their row count sets the
+    output layer run on the whole batch (their row count sets the
     rounding), and the dropout masks are drawn for the whole batch in the
     same order. Under ``"ds_only"``, ``conv1_out`` may hold the batch's
     `conv1_activations`, computed once for samples that recur while conv1
@@ -314,36 +308,26 @@ def forward(
             mask2 = _dropout_mask((batch, r2 * c2, f2), spec.dropout_conv, rng, dtype)
             mask3 = _dropout_mask((batch, spec.hidden_units), spec.dropout_fc, rng, dtype)
 
-    if scope == "all":
-        cols1 = _im2col(x)
-        z1 = cols1 @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b
-        a1 = np.maximum(z1, 0)
+    step = batch if scope == "all" else _conv_block(spec, dtype)
+    flat = np.empty((batch, spec.flat_dim), dtype=dtype)
+    for start in range(0, batch, step):
+        rows = slice(start, start + step)
+        if conv1_out is None:
+            cols1 = _im2col(x[rows])
+            z1 = cols1 @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b
+            a1 = np.maximum(z1, 0)
+        else:
+            a1 = conv1_out[rows].reshape(-1, r1 * c1, f1)
         if train:
-            a1 = a1 * mask1
-        a1_img = a1.reshape(batch, r1, c1, f1)
-
-        cols2 = _im2col(a1_img)
+            a1 = a1 * mask1[rows]
+        cols2 = _im2col(a1.reshape(-1, r1, c1, f1))
         z2 = cols2 @ weights.conv2_w.reshape(-1, f2) + weights.conv2_b
         a2 = np.maximum(z2, 0)
         if train:
-            a2 = a2 * mask2
-        flat = a2.reshape(batch, -1)
-    else:
-        flat = np.empty((batch, spec.flat_dim), dtype=dtype)
-        step = _conv_block(spec, dtype)
-        for start in range(0, batch, step):
-            rows = slice(start, start + step)
-            if conv1_out is None:
-                a1 = _conv1_relu(weights, x[rows])
-            else:
-                a1 = conv1_out[rows].reshape(-1, r1 * c1, f1)
-            if train:
-                a1 = a1 * mask1[rows]
-            z2 = _im2col(a1.reshape(-1, r1, c1, f1)) @ weights.conv2_w.reshape(-1, f2)
-            a2 = np.maximum(z2 + weights.conv2_b, 0)
-            if train:
-                a2 = a2 * mask2[rows]
-            flat[rows] = a2.reshape(-1, spec.flat_dim)
+            a2 = a2 * mask2[rows]
+        flat[rows] = a2.reshape(-1, spec.flat_dim)
+        if scope == "ds_only":  # nothing of a block outlives it
+            cols1 = z1 = a1 = cols2 = z2 = a2 = None
 
     z3 = flat @ weights.fc1_w + weights.fc1_b
     h3 = np.maximum(z3, 0)
@@ -355,7 +339,8 @@ def forward(
 
     cache = ForwardCache(flat=flat, z3=z3, mask3=mask3, h3=h3, probs=probs)
     if scope == "all":
-        cache.x, cache.cols1, cache.z1, cache.mask1, cache.a1 = x, cols1, z1, mask1, a1_img
+        cache.x, cache.cols1, cache.z1, cache.mask1 = x, cols1, z1, mask1
+        cache.a1 = a1.reshape(batch, r1, c1, f1)
         cache.cols2, cache.z2, cache.mask2 = cols2, z2, mask2
     return (probs[0] if single else probs), cache
 

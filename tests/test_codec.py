@@ -45,12 +45,13 @@ def old_checkpoint_bytes(spec, weights):
 
 
 def old_encode_message(msg):
-    """Message format v2: the header carries (round, attempt); a broadcast
-    sends fc1_w as the 1-D tensor of its values where the mask is set."""
+    """Message format v3: the header carries a u32 type and (round,
+    attempt); a broadcast sends fc1_w as the 1-D tensor of its values where
+    the mask is set."""
     parts = [fed.MESSAGE_MAGIC, struct.pack("<I", fed.MESSAGE_VERSION)]
     if isinstance(msg, fed.ModelBroadcast):
         weights, mask = msg.weights, msg.weights.prune_mask
-        parts.append(struct.pack("<BII", fed.MSG_BROADCAST, msg.round_idx, msg.attempt))
+        parts.append(struct.pack("<III", fed.MSG_BROADCAST, msg.round_idx, msg.attempt))
         parts.append(old_spec_header(msg.spec))
         for name in tn.PARAM_NAMES:
             array = getattr(weights, name)
@@ -59,7 +60,7 @@ def old_encode_message(msg):
             parts.append(old_encode_tensor(array))
         parts.append(old_mask_section(mask))
     else:
-        parts.append(struct.pack("<BII", fed.MSG_UPLOAD, msg.round_idx, msg.attempt))
+        parts.append(struct.pack("<III", fed.MSG_UPLOAD, msg.round_idx, msg.attempt))
         parts.append(struct.pack("<IQ", msg.su_id, msg.n_samples))
         for name in tn.DOMAIN_SPECIFIC_PARAMS:
             parts.append(old_encode_tensor(getattr(msg, name)))
@@ -74,7 +75,8 @@ SPECS = {
 
 def model(scale, masked, dtype):
     spec = SPECS[scale]
-    weights = tn.init_weights(spec, np.random.default_rng(7), dtype=np.float64).astype(dtype)
+    init = tn.init_weights(spec, np.random.default_rng(7), dtype=np.float64)
+    weights = tn.ModelWeights(**{n: a.astype(dtype) for n, a in init.arrays().items()})
     if masked:
         mask = np.random.default_rng(8).random(weights.fc1_w.shape) > 0.9
         weights.fc1_w = np.where(mask, weights.fc1_w, dtype(0))
@@ -115,7 +117,7 @@ class TestEncoderOracle:
 
 
 def upload_with_first_tensor(rank, dims):
-    header = struct.pack("<4sIBIIIQ", fed.MESSAGE_MAGIC, fed.MESSAGE_VERSION,
+    header = struct.pack("<4sIIIIIQ", fed.MESSAGE_MAGIC, fed.MESSAGE_VERSION,
                          fed.MSG_UPLOAD, 0, 0, 1, 1)
     return header + struct.pack(f"<I{rank}I", rank, *dims) + bytes(16)
 
@@ -166,13 +168,20 @@ class TestDecodedViews:
         assert np.array_equal(parsed.fc1_w, weights.fc1_w)
 
     def test_unaligned_payload_is_copied(self):
-        # a message header is 1 mod 4 bytes long; BLAS needs aligned operands
+        # BLAS needs aligned operands: a message placed one byte into its
+        # buffer decodes to aligned copies, an aligned one to views
         upload = fed.GradientUpload(
             round_idx=0, su_id=1, n_samples=1,
             **{n: np.full((2, 3), 0.5, dtype=np.float32) for n in tn.DOMAIN_SPECIFIC_PARAMS})
-        decoded = fed.decode_message(fed.encode_message(upload))
-        for name in tn.DOMAIN_SPECIFIC_PARAMS:
-            assert getattr(decoded, name).flags.aligned
+        data = fed.encode_message(upload)
+        shifted = memoryview(bytearray(1 + len(data)))[1:]
+        shifted[:] = data
+        for buffer, copied in ((data, False), (shifted, True)):
+            decoded = fed.decode_message(buffer)
+            for name in tn.DOMAIN_SPECIFIC_PARAMS:
+                array = getattr(decoded, name)
+                assert array.flags.aligned, name
+                assert np.shares_memory(array, np.frombuffer(buffer, np.uint8)) != copied, name
 
 
 def pruned_model(spec, ratio=0.9, seed=3):

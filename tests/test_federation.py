@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ftlwss import codec
 from ftlwss import federation as fed
 from ftlwss import tensornet as tn
 from ftlwss.codec import DecodeError
@@ -431,17 +432,53 @@ class TestRunFtl:
         assert len(calls) == 2
 
     def test_conv1_cache_is_keyed_on_the_conv1_bytes(self, monkeypatch):
-        features, _ = toy_dataset(count=6)
-        cache = fed.Conv1Cache(features)
+        features, labels = toy_dataset(count=6)
+        su = fed.LocalSu(1, features, labels)
         weights = toy_weights()
-        first = cache.get(SPEC, weights)
+        first = su.conv1_out(SPEC, weights)
         assert first.tobytes() == tn.conv1_activations(SPEC, weights, features).tobytes()
-        assert cache.get(SPEC, weights.copy()) is first  # equal bytes, other arrays
+        assert su.conv1_out(SPEC, weights.copy()) is first  # equal bytes, other arrays
         changed = weights.copy()
         changed.conv1_b[0] += 0.5
-        assert cache.get(SPEC, changed).tobytes() == \
+        assert su.conv1_out(SPEC, changed).tobytes() == \
             tn.conv1_activations(SPEC, changed, features).tobytes()
-        assert cache.get(SPEC, weights).tobytes() == first.tobytes()
+        assert su.conv1_out(SPEC, weights).tobytes() == first.tobytes()
+
+    def test_one_su_serves_two_runs_of_one_model(self, monkeypatch):
+        # as in the ftl stage: a run over every SU, then one over the first
+        # SU alone, each on its own transport; every SU computes its conv1
+        # activations once, and each run equals a serial replay
+        calls = []
+        original = fed.conv1_activations
+        monkeypatch.setattr(fed, "conv1_activations",
+                            lambda *args: calls.append(1) or original(*args))
+        sus = self.make_sus()
+        weights = toy_weights(masked=True)
+        for subset in (sus, sus[:1]):
+            cfg = fed.FtlConfig(n_sus=len(subset), rounds=3, local_epochs=1, batch_size=5, lr=0.05)
+            with fed.InProcessTransport(subset, cfg, seed=9) as transport:
+                got = fed.run_ftl(SPEC, weights, cfg, transport)
+            want, _ = serial_replay(weights, subset, cfg, seed=9)
+            assert tn.checkpoint_bytes(SPEC, got) == tn.checkpoint_bytes(SPEC, want)
+        assert len(calls) == len(sus)
+
+    def test_in_process_round_decodes_every_tensor_in_place(self, monkeypatch):
+        # every float32 section of the broadcast and of each upload starts on
+        # a 4-byte boundary of its buffer, so no decode copies a tensor
+        offsets = []
+        original = codec.ByteReader.tensor
+
+        def recording(reader):
+            base = np.frombuffer(reader._data, dtype=np.uint8).ctypes.data
+            offsets.append((base + reader.offset) % 4)
+            return original(reader)
+
+        monkeypatch.setattr(codec.ByteReader, "tensor", recording)
+        sus = self.make_sus()
+        cfg = fed.FtlConfig(n_sus=3, rounds=2, local_epochs=1, batch_size=5, lr=0.05)
+        fed.run_ftl(SPEC, toy_weights(masked=True), cfg, fed.InProcessTransport(sus, cfg, seed=2))
+        n_tensors = len(tn.PARAM_NAMES) + len(sus) * len(tn.DOMAIN_SPECIFIC_PARAMS)
+        assert offsets == [0] * cfg.rounds * n_tensors
 
     @pytest.mark.parametrize("kind", ["inproc", "loopback"])
     def test_su_caches_follow_the_broadcast_bytes(self, kind):
@@ -732,6 +769,31 @@ class TestSocketFaults:
             for client in clients:
                 client.close()
 
+    def test_round_fails_when_an_su_never_connects(self):
+        # the round runs on a daemon thread, so a server blocked in accept
+        # fails the join below instead of hanging the suite
+        server = fed.SocketServerTransport(n_sus=2, timeout_s=0.5, max_retries=0)
+        client = socket.create_connection(server.address)
+        broadcast = fed.encode_message(fed.ModelBroadcast(0, SPEC, toy_weights()))
+        errors = []
+
+        def run_round():
+            try:
+                server.run_round(broadcast)
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run_round, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "the server still waits for the second SU"
+        finally:
+            server.close()
+            client.close()
+        assert [type(exc) for exc in errors] == [fed.ProtocolError]
+        assert "1 of 2 SUs connected" in str(errors[0])
+
     def test_timeout_inside_a_frame_is_a_protocol_error(self):
         a, b = socket.socketpair()
         try:
@@ -888,8 +950,10 @@ def assert_bitwise_equal(got, want, names):
 class TestAggregateOracle:
     def hostile(self, weights_dtype, upload_dtype):
         # garbage (NaN, nonzero) at pruned positions, -0.0 at kept positions
-        weights = toy_weights(masked=True).astype(weights_dtype)
-        mask = weights.prune_mask
+        toy = toy_weights(masked=True)
+        mask = toy.prune_mask
+        weights = tn.ModelWeights(**{n: a.astype(weights_dtype) for n, a in toy.arrays().items()},
+                                  prune_mask=mask)
         pruned, kept = np.flatnonzero(~mask), np.flatnonzero(mask)
         weights.fc1_w.reshape(-1)[pruned[::2]] = np.nan
         weights.fc1_w.reshape(-1)[pruned[1::2]] = 3.0

@@ -30,6 +30,7 @@ BAD_STAGE_SETTINGS = [
     ("training", "n_val", 0),
     ("training", "n_test", 0),
     ("training", "batch_size", 0),
+    ("training", "lr", -0.1),
     ("evaluation", "n_test", 0),
     ("prune", "ratio", 1.5),
     ("prune", "ratio", 0.0),
@@ -40,6 +41,9 @@ BAD_STAGE_SETTINGS = [
     ("ftl", "batch_size", 0),
     ("ftl", "samples_per_su", 0),
     ("ftl", "lr", -1),
+    ("ftl", "timeout_s", 0),
+    ("ftl", "timeout_s", -1.0),
+    ("ftl", "max_retries", -1),
 ]
 
 

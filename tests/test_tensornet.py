@@ -185,7 +185,7 @@ class TestBackward:
         # differences; the float32 backward must agree with it to 1e-4
         # relative wherever the gradient is numerically significant
         w32 = tiny_weights(2, dtype=np.float32)
-        w64 = w32.astype(np.float64)
+        w64 = tn.ModelWeights(**{n: a.astype(np.float64) for n, a in w32.arrays().items()})
         x, labels = tiny_batch(batch=2)
         _, cache32 = tn.forward(TINY, w32, x.astype(np.float32))
         g32 = tn.backward(TINY, w32, cache32, labels)
