@@ -6,21 +6,20 @@ one column per iteration, jointly re-fit the selected columns by least
 squares, subtract, and repeat until the prescribed sparsity is reached. The
 true occupancy count is assumed known (sparsity-aware operation).
 
-A batch of spectra (B x P x N) sharing A and the sparsity runs the greedy
-steps for all samples at once, with stacked SVD, QR, solves and matrix
-products. Each sample's support and residual are bit-identical to a call on
-that sample alone: every stacked product keeps the per-sample operand shapes
-and layouts of the single-sample form, which is the batch of one.
+``somp_detect`` takes a batch of spectra (B x P x N) sharing A and the
+sparsity and runs the greedy steps for all samples at once, with stacked
+SVD, QR, solves and matrix products. Each sample's support and residual are
+bit-identical to those of its batch of one (``y[None]``): every stacked
+product keeps the per-sample operand shapes and layouts.
 
-Two atom-selection rules are provided:
-
-- ``rank_aware`` (default): correlate the projected, re-normalized atoms
-  against the dominant subspace of the residual, truncated to the remaining
-  sparsity. Because the snapshots give the row-sparse spectra full row rank,
-  this rule recovers every identifiable noiseless support (sparsity below
-  the coset count, full-spark matrix) exactly, and the subspace truncation
-  keeps it the stronger rule under noise as well.
-- ``correlation``: the textbook rule, largest row-l2 norm of A^H R.
+Atoms are selected rank-aware, in place of the textbook rule (largest
+row-l2 norm of A^H R; Tropp, Gilbert and Strauss 2006): the projected,
+re-normalized atoms are correlated against the dominant subspace of the
+residual, truncated to the remaining sparsity. Because the snapshots give
+the row-sparse spectra full row rank, this rule recovers every identifiable
+noiseless support (sparsity below the coset count, full-spark matrix)
+exactly, and the subspace truncation keeps it the stronger rule under noise
+as well.
 
 Support indices are 1-based column indices of the matrix that was passed in;
 converting them to physical band indices is the caller's concern (see
@@ -66,29 +65,17 @@ def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, sub_h @ y)
 
 
-def somp_detect(
-    coset_spectra: np.ndarray,
-    matrix: np.ndarray,
-    sparsity: int,
-    selection: str = "rank_aware",
-) -> SompResult | list[SompResult]:
-    """Recover the ``sparsity`` strongest columns jointly explaining Y.
-
-    ``coset_spectra`` is one sample (P x N), giving one result, or a batch
-    (B x P x N), giving a list of B results, each equal to the result of
-    its sample alone.
+def somp_detect(coset_spectra: np.ndarray, matrix: np.ndarray, sparsity: int) -> list[SompResult]:
+    """Recover the ``sparsity`` strongest columns jointly explaining Y, for
+    each sample of the batch ``coset_spectra`` (B x P x N): a list of B
+    results, each equal to the result of that sample's batch of one.
 
     With sparsity above the number of cosets the least-squares subproblem is
     underdetermined; the result is still produced (best effort) and flagged
     ``infeasible_sparsity``.
     """
-    if selection not in ("rank_aware", "correlation"):
-        raise ValueError(f"unknown selection rule {selection!r}")
     a = np.asarray(matrix)
     y = np.asarray(coset_spectra)
-    single = y.ndim == 2
-    if single:
-        y = y[None]
     if a.ndim != 2 or y.ndim != 3 or a.shape[0] != y.shape[1]:
         raise ValueError(f"incompatible shapes: matrix {a.shape}, spectra {np.shape(coset_spectra)}")
     n_cosets, n_cols = a.shape
@@ -100,16 +87,13 @@ def somp_detect(
     samples = np.arange(y.shape[0])[:, None]
     for step in range(sparsity):
         chosen = selected[:, :step]
-        if selection == "rank_aware":
-            scores = _rank_aware_scores(a, residual, chosen, sparsity - step)
-        else:
-            scores = (np.abs(a.conj().T @ residual) ** 2).sum(axis=-1)
+        scores = _rank_aware_scores(a, residual, chosen, sparsity - step)
         scores[samples, chosen] = -np.inf
         selected[:, step] = np.argmax(scores, axis=1)  # argmax takes the lowest index on ties
         sub = _columns(a, selected[:, :step + 1])
         residual = y - sub @ _least_squares(sub, y)
 
-    results = [
+    return [
         SompResult(
             support=tuple(int(i) + 1 for i in cols),
             residual_norm=float(np.linalg.norm(res)),
@@ -118,7 +102,6 @@ def somp_detect(
         )
         for cols, res in zip(selected, residual)
     ]
-    return results[0] if single else results
 
 
 def _columns(a: np.ndarray, selected: np.ndarray) -> np.ndarray:

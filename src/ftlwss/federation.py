@@ -331,7 +331,7 @@ def local_training(
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng, scope="ds_only",
                                conv1_out=None if conv1_out is None else conv1_out[idx])
-            grads = backward(spec, local, cache, labels[idx], scope="ds_only")
+            grads = backward(spec, local, cache, labels[idx])
             del cache  # else this batch's activations stay alive through the next forward
             for name in DOMAIN_SPECIFIC_PARAMS:
                 grad = grads[name].astype(dtype, copy=False)
@@ -458,6 +458,31 @@ class LocalSu:
                                 conv1_out=self.conv1_out(msg.spec, msg.weights))
         upload.attempt = msg.attempt
         return encode_message(upload)
+
+    def serve(self, address: tuple[str, int], cfg: FtlConfig, seed: int) -> None:
+        """Answer every broadcast from the server at ``address`` until it
+        closes the connection, reusing the last broadcast's kept entries
+        while its mask recurs. A server that closes ends this as a clean EOF
+        does, also when the connection is refused or reset: a listener
+        closed with this SU mid-handshake or still in its accept backlog
+        resets it, and so does a server that fails a round on another SU
+        and closes with this SU's upload unread.
+        """
+        try:
+            sock = socket.create_connection(address)
+        except (ConnectionRefusedError, ConnectionResetError):
+            return
+        kept = None
+        with sock:
+            try:
+                while (frame := recv_frame(sock)) is not None:
+                    msg = decode_message(frame, kept=kept)
+                    if not isinstance(msg, ModelBroadcast):
+                        raise ProtocolError(f"SU {self.su_id} expected a broadcast, got {type(msg).__name__}")
+                    kept = msg.kept
+                    send_frame(sock, self.answer(msg, cfg, seed))
+            except (ConnectionResetError, BrokenPipeError):
+                return
 
 
 class InProcessTransport(Transport):
@@ -627,12 +652,16 @@ class SocketServerTransport(Transport):
         conn = self._connections[index]
         try:
             while True:
-                frame = recv_frame(conn)
+                try:
+                    frame = recv_frame(conn)
+                except TimeoutError:
+                    raise TimeoutError(f"{self._name(index)} sent no upload within "
+                                       f"{self.timeout_s} s") from None
                 if frame is None:
-                    raise ProtocolError("SU closed its connection mid-round")
+                    raise ProtocolError(f"{self._name(index)} closed its connection mid-round")
                 msg = decode_message(frame)
                 if not isinstance(msg, GradientUpload):
-                    raise ProtocolError(f"expected an upload, got {type(msg).__name__}")
+                    raise ProtocolError(f"{self._name(index)} sent a {type(msg).__name__}, not an upload")
                 self._bind(index, msg.su_id)
                 tag = (msg.round_idx, msg.attempt)
                 if tag == (round_idx, attempt):
@@ -643,6 +672,11 @@ class SocketServerTransport(Transport):
         except (ProtocolError, DecodeError):
             conn.close()
             raise
+
+    def _name(self, index: int) -> str:
+        """The SU of connection ``index``: its bound id, else the index."""
+        bound = self._su_ids[index]
+        return f"the SU on connection {index}" if bound is None else f"SU {bound}"
 
     def _bind(self, index: int, su_id: int) -> None:
         bound = self._su_ids[index]
@@ -678,48 +712,24 @@ def run_su_client(
     cfg: FtlConfig,
     seed: int,
 ) -> None:
-    """SU side of the socket demo: a ``LocalSu`` answers every broadcast
-    until the server closes the connection. Across rounds the client keeps
-    only the last broadcast's kept entries and the SU its conv1 activations,
-    each reused only while the broadcast bytes it came from recur, so a
-    server-side round retry just re-triggers the same deterministic work.
-
-    A server that closes before its first broadcast ends the client as a
-    clean EOF does, whether the connection was refused or reset (a listener
-    closed with this SU mid-handshake or still in its accept backlog resets
-    it).
+    """SU side of the socket demo: a fresh ``LocalSu`` of these samples
+    serves the server at ``address`` (see ``LocalSu.serve``).
     """
-    try:
-        sock = socket.create_connection(address)
-    except (ConnectionRefusedError, ConnectionResetError):
-        return
-    kept, su = None, LocalSu(su_id, features, labels)
-    with sock:
-        try:
-            frame = recv_frame(sock)
-        except ConnectionResetError:
-            return
-        while frame is not None:
-            msg = decode_message(frame, kept=kept)
-            if not isinstance(msg, ModelBroadcast):
-                raise ProtocolError(f"SU {su_id} expected a broadcast, got type {type(msg).__name__}")
-            kept = msg.kept
-            send_frame(sock, su.answer(msg, cfg, seed))
-            frame = recv_frame(sock)
+    LocalSu(su_id, features, labels).serve(address, cfg, seed)
 
 
 class LoopbackSocketTransport(SocketServerTransport):
     """The socket deployment on one host: the server on localhost and one
-    ``run_su_client`` thread per SU. Takes what ``InProcessTransport`` takes
-    and gives the same bytes; ``close`` also joins the SU threads.
+    thread per SU, in which the given ``LocalSu`` serves. Takes what
+    ``InProcessTransport`` takes and gives the same bytes; ``close`` also
+    joins the SU threads.
     """
 
     def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
         super().__init__(n_sus=len(sus), timeout_s=cfg.timeout_s, max_retries=cfg.max_retries)
         self.workers = [
             threading.Thread(
-                target=run_su_client,
-                args=(self.address, su.su_id, su.features, su.labels, cfg, seed),
+                target=su.serve, args=(self.address, cfg, seed),
                 daemon=True,  # a crashed run must still exit; close() joins them otherwise
             )
             for su in sus

@@ -432,11 +432,13 @@ def save_dataset(dataset: LabeledDataset, path, seed: int | None = None,
 
 def _read_sidecar(path: Path) -> tuple[int, tuple[int, ...], int]:
     """(count, feature shape, label bits per sample) from a dataset's JSON
-    sidecar; anything but non-negative integers there is a DecodeError.
+    sidecar; anything but UTF-8 JSON of non-negative integers is a DecodeError.
     """
+    raw = Path(str(path) + ".json").read_bytes()
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"dataset sidecar is not UTF-8: {exc.reason}", exc.start) from exc
     except json.JSONDecodeError as exc:
         raise DecodeError(f"dataset sidecar is not JSON: {exc.msg}", exc.pos) from exc
     if not isinstance(sidecar, dict):
@@ -471,26 +473,27 @@ def load_dataset(path) -> LabeledDataset:
 # Inference and metrics
 # ---------------------------------------------------------------------------
 
+# Samples per lean forward pass of `predict_probs`, part of the result's bits:
+# at the full-scale spec, a 160-row tail differs from the same rows inside a
+# 416-row call, as the output layer's GEMM rounds small row counts otherwise.
+_PREDICT_CHUNK = 512
+
+
 def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
-                  features: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Eval-mode probabilities, ``chunk`` samples per lean forward pass.
+                  features: np.ndarray) -> np.ndarray:
+    """Eval-mode (B, L) probabilities of the (B, L, N, 2) batch ``features``,
+    ``_PREDICT_CHUNK`` samples per lean forward pass.
 
     Only one chunk's forward cache is alive at a time, and the lean path
     runs the convolutions on L2-sized blocks of it, so the working set is
-    the chunk's conv2 output, not its conv2 patches. The chunk size is part
-    of the result's bits: the output layer's GEMM rounds differently when
-    its row count is small (at the full-scale spec, a 160-row tail differs
-    from the same rows inside a 416-row call).
+    the chunk's conv2 output, not its conv2 patches.
     """
     features = np.asarray(features)
-    single = features.ndim == 3
-    if single:
-        features = features[None]
     out = np.empty((features.shape[0], spec.n_outputs), dtype=np.float64)
-    for start in range(0, features.shape[0], chunk):
-        sl = slice(start, min(start + chunk, features.shape[0]))
+    for start in range(0, features.shape[0], _PREDICT_CHUNK):
+        sl = slice(start, min(start + _PREDICT_CHUNK, features.shape[0]))
         out[sl] = tensornet.forward(spec, weights, features[sl], scope="ds_only")[0]
-    return out[0] if single else out
+    return out
 
 
 def predict_occupancy(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
@@ -504,8 +507,8 @@ def predict_occupancy(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeig
 
 def prediction_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean fraction of correctly classified sub-bands over the test set."""
-    predictions = np.atleast_2d(np.asarray(predictions))
-    labels = np.atleast_2d(np.asarray(labels))
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
     return float((predictions == labels).mean())

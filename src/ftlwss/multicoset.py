@@ -166,8 +166,9 @@ def acquire_feature(samples: np.ndarray, pattern: CosetPattern) -> tuple[np.ndar
     return xhat[..., band_order(pattern.n_subbands), :], spectra
 
 
-def normalize_feature(xhat: np.ndarray, eps: float = NORMALIZE_EPS) -> np.ndarray:
-    """Element-wise phase normalization: x / |x| where |x| > eps, else 0.
+def normalize_feature(xhat: np.ndarray) -> np.ndarray:
+    """Element-wise phase normalization: x / |x| where |x| > NORMALIZE_EPS,
+    else 0.
 
     Zero entries stay zero so empty spectra remain well-defined; every other
     output entry has unit modulus.
@@ -175,7 +176,7 @@ def normalize_feature(xhat: np.ndarray, eps: float = NORMALIZE_EPS) -> np.ndarra
     xhat = np.asarray(xhat)
     mag = np.abs(xhat)
     out = np.zeros_like(xhat)
-    keep = mag > eps
+    keep = mag > NORMALIZE_EPS
     out[keep] = xhat[keep] / mag[keep]
     return out
 

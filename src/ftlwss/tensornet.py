@@ -8,11 +8,12 @@ over sub-bands and averaged over the samples in the batch, with plain SGD.
 
 The parameter set splits into general-feature layers (both convolutions) and
 domain-specific layers (both fully connected layers). Gradients are plain
-dicts from parameter name to array: `backward` returns all eight, or only the
-four domain-specific ones under ``scope="ds_only"``, and `sgd_step` steps
-exactly the parameters its gradient dict holds. Under an optional prune mask
-over the hidden FC weight matrix, `sgd_step` updates only the kept entries
-and writes +0.0 at the pruned ones, so pruned weights stay exactly zero.
+dicts from parameter name to array: `backward` returns all eight from the
+cache of a ``scope="all"`` forward, only the four domain-specific ones from
+that of a ``scope="ds_only"`` forward, and `sgd_step` steps exactly the
+parameters its gradient dict holds. Under an optional prune mask over the
+hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
++0.0 at the pruned ones, so pruned weights stay exactly zero.
 
 `forward` runs both convolutions in one loop over blocks of samples, and
 its two scopes give the same bytes. Under ``scope="all"`` the loop runs one
@@ -23,9 +24,11 @@ adaptation): its blocks are L2-sized, the cache keeps only what the FC
 gradients read, and conv1's output can come precomputed
 (`conv1_activations`), since conv1 is frozen while the FC layers adapt.
 
-Everything is plain numpy. Forward/backward are pure with respect to the
-weights; all randomness (init, shuffling, dropout) flows through explicit
-generators, so runs are bit-reproducible per seed.
+Every entry point takes a batch: (B, L, N, 2) features and (B, L) labels
+or probabilities; one sample is the batch ``x[None]``. Everything is plain
+numpy. Forward/backward are pure with respect to the weights; all
+randomness (init, shuffling, dropout) flows through explicit generators, so
+runs are bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -259,12 +262,13 @@ def forward(
 ):
     """Run the network. Returns (probabilities, cache).
 
-    ``x`` is one sample (L, N, 2) or a batch (B, L, N, 2). Eval mode is
-    deterministic and dropout-free. Train mode draws inverted-dropout masks
-    from ``rng`` unless explicit ``dropout_masks`` (already keep-scaled) are
-    given, which the gradient checker uses to hold masks fixed.
+    ``x`` is a batch (B, L, N, 2). Eval mode is deterministic and
+    dropout-free. Train mode draws inverted-dropout masks from ``rng``
+    unless explicit ``dropout_masks`` (already keep-scaled) are given, which
+    the gradient checker uses to hold masks fixed.
 
-    ``scope`` names the gradients the cache must serve, as in `backward`.
+    ``scope`` names the gradients the cache must serve: all eight
+    (``"all"``) or the four domain-specific ones (``"ds_only"``).
     Both convolutions run as im2col + GEMM in one loop over blocks of
     samples. Under ``"all"`` that loop runs one block, the whole batch, and
     the cache keeps its intermediates. ``"ds_only"`` is the lean path for
@@ -280,13 +284,8 @@ def forward(
     """
     if scope not in ("all", "ds_only"):
         raise ValueError(f"unknown scope {scope!r}")
-    x = np.asarray(x)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    _check_input(spec, x)
     dtype = weights.dtype
-    x = x.astype(dtype, copy=False)
+    x = _check_input(spec, np.asarray(x)).astype(dtype, copy=False)
     batch = x.shape[0]
     if train and rng is None and dropout_masks is None:
         raise ValueError("train mode needs an rng (or explicit dropout masks)")
@@ -342,7 +341,7 @@ def forward(
         cache.x, cache.cols1, cache.z1, cache.mask1 = x, cols1, z1, mask1
         cache.a1 = a1.reshape(batch, r1, c1, f1)
         cache.cols2, cache.z2, cache.mask2 = cols2, z2, mask2
-    return (probs[0] if single else probs), cache
+    return probs, cache
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -352,33 +351,28 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     for saturated predictions. Note the per-sample value is a sum over the L
     outputs, not a mean.
     """
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    if probs.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {probs.shape} vs {labels.shape}")
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape != labels.shape:
+        raise ValueError(f"expected (B, L) probabilities and labels, got {probs.shape} and {labels.shape}")
     p = np.clip(probs, BCE_CLIP, 1.0 - BCE_CLIP)
     per_sample = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).sum(axis=1)
     return float(per_sample.mean())
 
 
-def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, labels: np.ndarray,
-             scope: str = "all") -> dict[str, np.ndarray]:
+def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
+             labels: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradient of `bce_loss(forward(...))`, as a dict from parameter
     name to array.
 
     Uses the fused sigmoid + cross-entropy form d/dz = (p - o) / batch and
     honours the dropout masks captured in the cache (a train-mode forward).
-    ``scope="all"`` returns all eight gradients; ``scope="ds_only"`` stops
-    after the fully connected layers and returns only the four
-    domain-specific ones, so the general-feature gradients are never
-    computed. A cache from a ``scope="ds_only"`` forward serves only the
-    latter.
+    The forward's scope sets the result: a ``scope="all"`` cache gives all
+    eight gradients, and a ``scope="ds_only"`` cache only the four
+    domain-specific ones, stopping after the fully connected layers so the
+    general-feature gradients are never computed. ``labels`` is (B, L).
     """
-    if scope not in ("all", "ds_only"):
-        raise ValueError(f"unknown scope {scope!r}")
-    if scope == "all" and cache.cols1 is None:
-        raise ValueError('scope="all" needs the cache of a scope="all" forward')
-    labels = np.atleast_2d(np.asarray(labels))
+    labels = np.asarray(labels)
     probs = cache.probs
     if labels.shape != probs.shape:
         raise ValueError(f"labels shape {labels.shape} does not match predictions {probs.shape}")
@@ -397,7 +391,7 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache, lab
     dz3 = dh3 * (cache.z3 > 0)
     grads = {"fc1_w": cache.flat.T @ dz3, "fc1_b": dz3.sum(axis=0),
              "out_w": g_out_w, "out_b": g_out_b}
-    if scope == "ds_only":
+    if cache.cols1 is None:  # the cache of a scope="ds_only" forward
         return grads
 
     dflat = dz3 @ weights.fc1_w.T
@@ -483,15 +477,19 @@ class TrainResult:
     best_epoch: int = 0
 
 
+# Samples per forward pass of `evaluate_loss`; part of the loss's bits.
+_LOSS_CHUNK = 256
+
+
 def evaluate_loss(spec: DetectorSpec, weights: ModelWeights, features: np.ndarray,
-                  labels: np.ndarray, chunk: int = 256) -> float:
+                  labels: np.ndarray) -> float:
     """Eval-mode BCE over a whole dataset, averaged over all samples, on the
     lean forward path. Only one chunk's forward cache is alive at a time.
     """
     n = features.shape[0]
     total = 0.0
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, _LOSS_CHUNK):
+        sl = slice(start, min(start + _LOSS_CHUNK, n))
         total += bce_loss(forward(spec, weights, features[sl], scope="ds_only")[0], labels[sl]) * (sl.stop - sl.start)
     return total / n
 

@@ -22,7 +22,7 @@ class TestSompBasics:
     def test_zero_sparsity(self):
         a = matrix_for(range(6))
         y = np.ones((6, 8), dtype=complex)
-        result = baselines.somp_detect(y, a, 0)
+        result = baselines.somp_detect(y[None], a, 0)[0]
         assert result.support == ()
         assert result.iterations == 0
         assert result.residual_norm == pytest.approx(np.linalg.norm(y))
@@ -31,26 +31,24 @@ class TestSompBasics:
         rng = np.random.default_rng(0)
         a = matrix_for(range(6))
         y = row_sparse_spectra(a, [9], rng)
-        for selection in ("correlation", "rank_aware"):
-            result = baselines.somp_detect(y, a, 1, selection=selection)
-            assert result.support == (10,)  # 1-based
-            assert result.iterations == 1
-            assert result.residual_norm < 1e-8 * np.linalg.norm(y)
+        result = baselines.somp_detect(y[None], a, 1)[0]
+        assert result.support == (10,)  # 1-based
+        assert result.iterations == 1
+        assert result.residual_norm < 1e-8 * np.linalg.norm(y)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            baselines.somp_detect(np.zeros((5, 4)), matrix_for(range(6)), 2)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            baselines.somp_detect(np.zeros((1, 5, 4)), matrix_for(range(6)), 2)
+        # one sample is the batch y[None], not a (P, N) array
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            baselines.somp_detect(np.zeros((6, 4)), matrix_for(range(6)), 2)
 
     def test_rejects_bad_sparsity(self):
         a = matrix_for(range(6))
-        with pytest.raises(ValueError):
-            baselines.somp_detect(np.zeros((6, 4)), a, 17)
-        with pytest.raises(ValueError):
-            baselines.somp_detect(np.zeros((6, 4)), a, -1)
-
-    def test_rejects_unknown_selection(self):
-        with pytest.raises(ValueError):
-            baselines.somp_detect(np.zeros((6, 4)), matrix_for(range(6)), 1, selection="magic")
+        with pytest.raises(ValueError, match="sparsity"):
+            baselines.somp_detect(np.zeros((1, 6, 4)), a, 17)
+        with pytest.raises(ValueError, match="sparsity"):
+            baselines.somp_detect(np.zeros((1, 6, 4)), a, -1)
 
     def test_occupancy_conversion(self):
         result = baselines.SompResult(support=(3, 7), residual_norm=0.0, iterations=2)
@@ -69,7 +67,7 @@ class TestExactRecovery:
             k = int(rng.integers(1, 6))
             support = np.sort(rng.choice(16, size=k, replace=False))
             y = row_sparse_spectra(a, support, rng)
-            result = baselines.somp_detect(y, a, k, selection="rank_aware")
+            result = baselines.somp_detect(y[None], a, k)[0]
             got = np.sort(np.array([c - 1 for c in result.support]))
             assert np.array_equal(got, support)
 
@@ -92,7 +90,7 @@ class TestExactRecovery:
         for _ in range(60):
             support = np.sort(rng.choice(16, size=9, replace=False))
             y = row_sparse_spectra(a, support, rng)
-            result = baselines.somp_detect(y, a, 9)
+            result = baselines.somp_detect(y[None], a, 9)[0]
             assert result.infeasible_sparsity
             assert len(result.support) == 9
             got = np.sort(np.array([c - 1 for c in result.support]))
@@ -108,7 +106,7 @@ class TestInvariants:
             + 0.1 * (rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32)))
         norms = [np.linalg.norm(y)]
         for k in range(1, 7):
-            norms.append(baselines.somp_detect(y, a, k).residual_norm)
+            norms.append(baselines.somp_detect(y[None], a, k)[0].residual_norm)
         assert all(b <= a_ + 1e-9 for a_, b in zip(norms, norms[1:]))
 
     def test_scale_invariant_support(self):
@@ -116,11 +114,10 @@ class TestInvariants:
         a = matrix_for(range(6))
         y = row_sparse_spectra(a, [1, 8], rng) \
             + 0.05 * (rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32)))
-        for selection in ("correlation", "rank_aware"):
-            base = baselines.somp_detect(y, a, 2, selection=selection)
-            for c in (3.0, -2.0, 1j * 0.25, 0.5 - 0.5j):
-                scaled = baselines.somp_detect(c * y, a, 2, selection=selection)
-                assert scaled.support == base.support
+        base = baselines.somp_detect(y[None], a, 2)[0]
+        for c in (3.0, -2.0, 1j * 0.25, 0.5 - 0.5j):
+            scaled = baselines.somp_detect(c * y[None], a, 2)[0]
+            assert scaled.support == base.support
 
     def test_full_sparsity_noiseless_residualableiten(self):
         # selecting P independent columns spans the measurement space, so
@@ -128,7 +125,7 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         a = matrix_for(range(6))
         y = row_sparse_spectra(a, np.sort(rng.choice(16, 6, replace=False)), rng)
-        result = baselines.somp_detect(y, a, 6)
+        result = baselines.somp_detect(y[None], a, 6)[0]
         assert result.residual_norm < 1e-8 * np.linalg.norm(y)
 
     def test_lowest_index_tie_break(self):
@@ -138,7 +135,7 @@ class TestInvariants:
         x = np.zeros((16, 8), dtype=complex)
         x[3] = rng.normal(size=8) + 1j * rng.normal(size=8)
         y = a @ x
-        result = baselines.somp_detect(y, a, 1)
+        result = baselines.somp_detect(y[None], a, 1)[0]
         assert result.support == (4,)  # column 3 (0-based), not its duplicate 11
 
 
@@ -170,16 +167,13 @@ def _per_sample_rank_aware_scores(a, residual, selected, remaining):
     return (np.abs(basis.conj().T @ atoms) ** 2).sum(axis=0) / safe**2
 
 
-def _per_sample_somp(y, a, sparsity, selection):
+def _per_sample_somp(y, a, sparsity):
     """The one-sample SOMP loop that ran before the batch form, as reference:
     (support, residual norm)."""
     residual = y
     selected = []
     for _ in range(sparsity):
-        if selection == "rank_aware":
-            scores = _per_sample_rank_aware_scores(a, residual, selected, sparsity - len(selected))
-        else:
-            scores = (np.abs(a.conj().T @ residual) ** 2).sum(axis=1)
+        scores = _per_sample_rank_aware_scores(a, residual, selected, sparsity - len(selected))
         if selected:
             scores[np.asarray(selected)] = -np.inf
         selected.append(int(np.argmax(scores)))
@@ -196,9 +190,8 @@ class TestBatchedOracle:
     harness stores.
     """
 
-    @pytest.mark.parametrize("selection", ["rank_aware", "correlation"])
     @pytest.mark.parametrize("preset,count", [("scaled_default", 12), ("full_scale", 3)])
-    def test_batch_equals_per_sample_loop(self, preset, count, selection):
+    def test_batch_equals_per_sample_loop(self, preset, count):
         from ftlwss import harness
         config = getattr(harness, preset)()
         a = mc.build_measurement_matrix(config.sensing.pattern()).values
@@ -208,12 +201,11 @@ class TestBatchedOracle:
                 spectra = harness.build_dataset(
                     config, domain, count, harness.dataset_rng(config, domain, "test", snr_db),
                     snr_db=snr_db, keep_spectra=True).coset_spectra
-                batch = baselines.somp_detect(spectra, a, k, selection=selection)
+                batch = baselines.somp_detect(spectra, a, k)
                 for y, got in zip(spectra, batch):
-                    assert (got.support, got.residual_norm) == _per_sample_somp(y, a, k, selection)
-                # the one-sample form is the batch of one
-                single = baselines.somp_detect(spectra[0], a, k, selection=selection)
-                assert single == batch[0]
+                    assert (got.support, got.residual_norm) == _per_sample_somp(y, a, k)
+                # a sample's result is that of its batch of one
+                assert baselines.somp_detect(spectra[:1], a, k) == batch[:1]
 
     def test_mixed_ranks_in_one_batch(self):
         # noiseless samples of different true sparsity give residuals of
@@ -223,7 +215,6 @@ class TestBatchedOracle:
         a = matrix_for(range(6))
         ys = np.stack([row_sparse_spectra(a, rng.choice(16, size=s, replace=False), rng)
                        for s in (1, 2, 3, 4, 5, 5, 3, 1)])
-        for selection in ("rank_aware", "correlation"):
-            batch = baselines.somp_detect(ys, a, 5, selection=selection)
-            for y, got in zip(ys, batch):
-                assert (got.support, got.residual_norm) == _per_sample_somp(y, a, 5, selection)
+        batch = baselines.somp_detect(ys, a, 5)
+        for y, got in zip(ys, batch):
+            assert (got.support, got.residual_norm) == _per_sample_somp(y, a, 5)

@@ -44,6 +44,13 @@ def toy_upload(seed=0, round_idx=1, su_id=2, n_samples=20, mask=None):
     return upload if mask is None else on_the_wire(upload, mask)
 
 
+def ds_gradients(spec, weights, cache, labels):
+    """The domain-specific gradients of a full-cache `backward`, the ones a
+    ``scope="ds_only"`` cache gives."""
+    return {n: g for n, g in tn.backward(spec, weights, cache, labels).items()
+            if n in tn.DOMAIN_SPECIFIC_PARAMS}
+
+
 def kept_part(name, array, mask):
     """``array`` as an upload carries it: ``fc1_w`` as its values at the
     kept entries in flat order (every entry without a mask)."""
@@ -178,7 +185,7 @@ class TestLocalTraining:
             for start in (0, 10):
                 idx = order[start:start + 10]
                 _, cache = tn.forward(SPEC, local, features[idx], train=True, rng=rng)
-                grads = tn.backward(SPEC, local, cache, labels[idx], scope="ds_only")
+                grads = ds_gradients(SPEC, local, cache, labels[idx])
                 local = tn.sgd_step(local, grads, 0.05)
                 for name in tn.DOMAIN_SPECIFIC_PARAMS:
                     acc[name] += grads[name]
@@ -697,6 +704,22 @@ class TestFrames:
             assert np.array_equal(array, getattr(weights, name)), name
 
 
+def scripted_su(sock, su, cfg, answers, then):
+    """Serve the broadcasts on ``sock`` as ``su``: answer the first
+    ``answers`` (all of them for None), then close the connection on the
+    next one (``then="leave"``) or read on without answering until EOF
+    (``"stall"``)."""
+    with sock:
+        answered = 0
+        while (frame := fed.recv_frame(sock)) is not None:
+            if answers is not None and answered == answers:
+                if then == "leave":
+                    return
+                continue
+            fed.send_frame(sock, su.answer(fed.decode_message(frame), cfg, seed=3))
+            answered += 1
+
+
 class TestSocketFaults:
     def test_late_upload_of_an_aborted_attempt_is_dropped(self, monkeypatch):
         # SU 2's round-0 upload comes after the server gave up on attempt 0
@@ -793,6 +816,49 @@ class TestSocketFaults:
             client.close()
         assert [type(exc) for exc in errors] == [fed.ProtocolError]
         assert "1 of 2 SUs connected" in str(errors[0])
+
+    @pytest.mark.parametrize("answers, then, message", [
+        (1, "leave", "SU 2 closed its connection mid-round"),
+        (0, "leave", "the SU on connection 0 closed its connection mid-round"),
+        (1, "stall", "round failed after 2 attempts: SU 2 sent no upload within 1.0 s"),
+    ], ids=["leaves-after-uploading", "leaves-before-uploading", "stalls"])
+    def test_failing_su_is_named(self, answers, then, message):
+        # SU 2 answers ``answers`` rounds, then closes its connection on the
+        # next broadcast or reads on without answering; the round fails with
+        # a ProtocolError naming it, and every thread ends. SU 1 runs the
+        # real client, and closing the server with its upload unread resets
+        # it, which must end it as cleanly as an EOF
+        weights = toy_weights(masked=True)
+        sus = uneven_sus((10, 15))
+        cfg = fed.FtlConfig(n_sus=2, rounds=3, local_epochs=1, batch_size=5, lr=0.05,
+                            timeout_s=1.0, max_retries=1)
+        server = fed.SocketServerTransport(n_sus=2, timeout_s=cfg.timeout_s, max_retries=cfg.max_retries)
+        # connected before SU 1's thread starts, so SU 2 is connection 0
+        # and fails each round before SU 1's upload is read
+        failing = socket.create_connection(server.address)
+        errors = []
+
+        def drive():
+            try:
+                fed.run_ftl(SPEC, weights, cfg, server)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=scripted_su, args=(failing, sus[1], cfg, answers, then)),
+                   threading.Thread(target=sus[0].serve, args=(server.address, cfg, 3)),
+                   threading.Thread(target=drive)]
+        for thread in threads:
+            thread.daemon = True  # a hang fails the joins below instead of the suite
+            thread.start()
+        try:
+            threads[-1].join(timeout=20)
+        finally:
+            server.close()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [type(exc) for exc in errors] == [fed.ProtocolError]
+        assert message in str(errors[0])
 
     def test_timeout_inside_a_frame_is_a_protocol_error(self):
         a, b = socket.socketpair()
@@ -933,7 +999,7 @@ def old_local_training(spec, global_weights, features, labels, su_id, round_idx,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             _, cache = tn.forward(spec, local, features[idx], train=True, rng=rng)
-            grads = tn.backward(spec, local, cache, labels[idx], scope="ds_only")
+            grads = ds_gradients(spec, local, cache, labels[idx])
             local = tn.sgd_step(local, grads, cfg.lr)
             for name in tn.DOMAIN_SPECIFIC_PARAMS:
                 acc[name] += grads[name].astype(dtype, copy=False)

@@ -326,6 +326,43 @@ class TestDatasetPersistence:
         with pytest.raises(DecodeError):
             harness.load_dataset(path)
 
+    def test_every_truncation_and_bit_flip_raises_decode_error(self, tmp_path):
+        # each prefix of the data file and of its sidecar, then seeded
+        # single-bit flips of each: a load succeeds or raises DecodeError
+        # (a flipped high bit used to escape as UnicodeDecodeError)
+        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        path = tmp_path / "data.bin"
+        harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
+        sidecar = tmp_path / "data.bin.json"
+        rng = np.random.default_rng(13)
+        for target, flips in ((path, 300), (sidecar, 3000)):
+            good = target.read_bytes()
+            bad = [good[:end] for end in range(len(good))]
+            for bit in rng.integers(0, 8 * len(good), size=flips):
+                flipped = bytearray(good)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                bad.append(bytes(flipped))
+            for data in bad:
+                target.write_bytes(data)
+                try:
+                    harness.load_dataset(path)
+                except DecodeError:
+                    pass
+            target.write_bytes(good)
+        harness.load_dataset(path)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        path = tmp_path / "data.bin"
+        harness.save_dataset(ds, path)
+        (tmp_path / "data.bin.json").unlink()
+        with pytest.raises(FileNotFoundError):
+            harness.load_dataset(path)
+        harness.save_dataset(ds, path)
+        path.unlink()
+        with pytest.raises(FileNotFoundError):
+            harness.load_dataset(path)
+
     def test_sidecar_contents(self, tmp_path):
         cfg = tiny_config()
         ds = harness.build_dataset(cfg, "T3", 5, np.random.default_rng(4))
@@ -347,9 +384,9 @@ class TestPrediction:
         for name in tn.PARAM_NAMES:
             getattr(weights, name)[:] = 0
         # zero weights produce 0.5 everywhere; inclusive threshold keeps ones
-        feature = np.zeros((spec.in_rows, spec.in_cols, 2), dtype=np.float32)
-        assert harness.predict_occupancy(spec, weights, feature, 0.5).tolist() == [1] * 8
-        assert harness.predict_occupancy(spec, weights, feature, 0.51).tolist() == [0] * 8
+        feature = np.zeros((1, spec.in_rows, spec.in_cols, 2), dtype=np.float32)
+        assert harness.predict_occupancy(spec, weights, feature, 0.5).tolist() == [[1] * 8]
+        assert harness.predict_occupancy(spec, weights, feature, 0.51).tolist() == [[0] * 8]
 
     def test_monotone_in_threshold(self):
         cfg = tiny_config()
@@ -390,16 +427,18 @@ class TestPredictionMemory:
         self.features = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
         self.labels = (np.random.default_rng(2).random((96, self.spec.n_outputs)) < 0.4).astype(np.int8)
 
-    def test_predict_probs(self):
-        one = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features[:32], chunk=32))
-        three = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features, chunk=32))
+    def test_predict_probs(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PREDICT_CHUNK", 32)
+        one = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features[:32]))
+        three = _traced_peak(lambda: harness.predict_probs(self.spec, self.weights, self.features))
         assert three < 1.3 * one
 
-    def test_evaluate_loss(self):
+    def test_evaluate_loss(self, monkeypatch):
+        monkeypatch.setattr(tn, "_LOSS_CHUNK", 32)
         one = _traced_peak(lambda: tn.evaluate_loss(self.spec, self.weights, self.features[:32],
-                                                    self.labels[:32], chunk=32))
+                                                    self.labels[:32]))
         three = _traced_peak(lambda: tn.evaluate_loss(self.spec, self.weights, self.features,
-                                                      self.labels, chunk=32))
+                                                      self.labels))
         assert three < 1.3 * one
 
 
@@ -599,6 +638,32 @@ class TestPipeline:
         assert sorted(d for d in built if d != "S") == ["T1", "T2", "T3", "T4"]
         for name in ("model_ftl.bin", "model_tl.bin", "model_ftl_zero_shot.bin"):
             assert (tmp_path / name).exists(), name
+
+    def test_each_su_computes_conv1_once_per_stage_on_either_transport(self, tmp_path, monkeypatch):
+        # the stage's three runs share one SU per target domain, and the
+        # loopback threads serve those SUs, so over sockets too each SU
+        # computes its conv1 activations once; both give the same models
+        from dataclasses import replace
+
+        from ftlwss import federation, pruning
+        base = harness.scaled_default()
+        cfg = replace(base, ftl=replace(base.ftl, rounds=2, samples_per_su=10))
+        pruned = pruning.prune_model(tn.init_weights(cfg.detector_spec(), np.random.default_rng(0)),
+                                     cfg.prune.ratio)[0]
+        calls = []
+        original = federation.conv1_activations
+        monkeypatch.setattr(federation, "conv1_activations",
+                            lambda *args: calls.append(1) or original(*args))
+        models = {}
+        for transport in ("inproc", "socket"):
+            calls.clear()
+            outdir = tmp_path / transport
+            outdir.mkdir()
+            harness.ftl_stage(cfg, outdir, pruned, transport)
+            assert len(calls) == len(cfg.domains.target_names()), transport
+            models[transport] = {p.name: p.read_bytes() for p in outdir.glob("model_*.bin")}
+        assert len(models["inproc"]) == 3
+        assert models["socket"] == models["inproc"]
 
     def test_unknown_transport_is_ftl_stage_failure(self, tmp_path):
         cfg = tiny_config()
