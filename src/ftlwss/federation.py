@@ -16,8 +16,10 @@ Messages are a small binary format (magic "FTLM", version 3; the README's
 "Federation wire format" has the layout) so the same round logic runs in
 process (``InProcessTransport``) or over length-prefixed frames on a TCP
 socket (``SocketServerTransport`` against ``run_su_client`` peers, or
-``LoopbackSocketTransport``, both ends on localhost). Both message headers
-carry (round, attempt), so a server that retries a timed-out round can tell
+``LoopbackSocketTransport``, both ends on localhost). A broadcast is the
+message header and ``tensornet.model_bytes``'s sparse model section; this
+module owns the header, the upload layout and the framing. Every header
+carries (round, attempt), so a server that retries a timed-out round can tell
 a late upload of the aborted attempt from the one it waits for. At full
 scale with 90% pruning a broadcast is 2.36 MB and an upload 1.79 MB, where
 the dense format sent 18.3 and 17.7 MB. The 20-byte message header puts
@@ -45,7 +47,6 @@ handled as a fresh one.
 
 from __future__ import annotations
 
-import math
 import os
 import socket
 import struct
@@ -59,21 +60,17 @@ import numpy as np
 from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
 from .tensornet import (
     DOMAIN_SPECIFIC_PARAMS,
-    PARAM_NAMES,
-    SPEC_HEADER,
     DetectorSpec,
+    KeptEntries,
     ModelWeights,
     backward,
     conv1_activations,
     forward,
     kept_update,
-    mask_section_nbytes,
-    pack_mask,
-    read_mask_section,
-    read_spec,
+    kept_values,
+    model_bytes,
+    read_model,
     sgd_step,
-    write_mask_section,
-    write_spec,
 )
 
 MESSAGE_MAGIC = b"FTLM"
@@ -105,29 +102,6 @@ class FtlConfig:
             raise ValueError("n_sus, rounds, local_epochs and batch_size must all be >= 1")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
-
-
-@dataclass(frozen=True)
-class KeptEntries:
-    """The fc1_w entries a round carries: their flat indices
-    (``np.flatnonzero(prune_mask)``) and the mask as ``pack_mask``'s bitset.
-    Both are None without a mask, when every entry is kept.
-    """
-
-    indices: np.ndarray | None = None
-    bits: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, mask: np.ndarray | None) -> "KeptEntries":
-        return cls() if mask is None else cls(np.flatnonzero(mask), pack_mask(mask))
-
-
-def _kept_values(array: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
-    """The entries of ``array`` at the flat ``indices`` (all of them for
-    None), as a 1-D array.
-    """
-    flat = array.reshape(-1)
-    return flat if indices is None else flat[indices]
 
 
 @dataclass
@@ -172,23 +146,15 @@ _UPLOAD_HEADER = struct.Struct("<IQ")
 def encode_message(msg) -> bytearray:
     """Encode a broadcast or an upload in one pass.
 
-    A broadcast writes ``fc1_w`` as the 1-D tensor of its kept values,
-    followed after the small FC tensors by the mask section, so its cost
-    grows with the kept entries, not with the dense matrix.
+    A broadcast is the message header and the sparse model section of
+    ``tensornet.model_bytes``, whose cost grows with the kept entries, not
+    with the dense matrix.
     """
     if isinstance(msg, ModelBroadcast):
-        weights = msg.weights
-        kept = msg.kept if msg.kept is not None else KeptEntries.of(weights.prune_mask)
-        arrays = [_kept_values(weights.fc1_w, kept.indices) if name == "fc1_w"
-                  else getattr(weights, name) for name in PARAM_NAMES]
-        size = _MESSAGE_HEADER.size + SPEC_HEADER.size + mask_section_nbytes(kept.bits)
-        buf = bytearray(size + sum(tensor_nbytes(a) for a in arrays))
+        kept = msg.kept if msg.kept is not None else KeptEntries.of(msg.weights.prune_mask)
+        buf = model_bytes(msg.spec, msg.weights, _MESSAGE_HEADER.size, kept)
         _MESSAGE_HEADER.pack_into(buf, 0, MESSAGE_MAGIC, MESSAGE_VERSION, MSG_BROADCAST,
                                   msg.round_idx, msg.attempt)
-        offset = write_spec(buf, _MESSAGE_HEADER.size, msg.spec)
-        for array in arrays:
-            offset = write_tensor(buf, offset, array)
-        write_mask_section(buf, offset, kept.bits, weights.fc1_w.size)
         return buf
     if not isinstance(msg, GradientUpload):
         raise TypeError(f"cannot encode {type(msg).__name__}")
@@ -205,13 +171,9 @@ def encode_message(msg) -> bytearray:
 
 def decode_message(data, *, kept: KeptEntries | None = None):
     """Decode a message; any malformed input raises ``DecodeError``. A
-    broadcast's ``fc1_w`` is scattered into a dense matrix with +0.0 at the
-    pruned entries; its other tensors are views of ``data``.
-
-    ``kept`` is the previous broadcast's ``KeptEntries``, passed by a
-    receiver that decodes many broadcasts under one mask: when the bitset
-    bytes are equal its indices are reused, so only the first broadcast
-    pays for ``np.flatnonzero`` over the mask.
+    broadcast's model is read by ``tensornet.read_model``, with ``kept``,
+    the previous broadcast's ``KeptEntries``, whose indices it reuses while
+    the mask is unchanged.
     """
     reader = ByteReader(data)
     magic = bytes(reader.take(4))
@@ -224,7 +186,9 @@ def decode_message(data, *, kept: KeptEntries | None = None):
     round_idx = reader.u32()
     attempt = reader.u32()
     if msg_type == MSG_BROADCAST:
-        return _decode_broadcast(reader, round_idx, attempt, kept)
+        spec, weights, kept = read_model(reader, sparse=True, kept=kept)
+        return ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights,
+                              attempt=attempt, kept=kept)
     if msg_type == MSG_UPLOAD:
         su_id = reader.u32()
         n_samples = reader.u64()
@@ -233,42 +197,6 @@ def decode_message(data, *, kept: KeptEntries | None = None):
         return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n_samples,
                               attempt=attempt, **tensors)
     raise DecodeError(f"unknown message type {msg_type}", 8)
-
-
-def _decode_broadcast(reader: ByteReader, round_idx: int, attempt: int,
-                      kept: KeptEntries | None) -> ModelBroadcast:
-    spec = read_spec(reader)
-    shapes = spec.param_shapes()
-    fields = {}
-    for name in PARAM_NAMES:
-        offset = reader.offset
-        tensor = reader.tensor()
-        # the kept fc1_w values come as one 1-D tensor
-        expected = (tensor.size,) if name == "fc1_w" else shapes[name]
-        if tensor.shape != expected:
-            raise DecodeError(f"tensor {name} has shape {tensor.shape}, expected {expected}", offset)
-        fields[name] = tensor
-    offset = reader.offset
-    mask, bits = read_mask_section(reader, shapes["fc1_w"])
-    reader.expect_end()
-    values, shape = fields["fc1_w"], shapes["fc1_w"]
-    if mask is None:
-        kept = KeptEntries()
-    elif kept is None or kept.bits is None or not np.array_equal(bits, kept.bits):
-        # a copy of the bitset, so keeping the entries pins no frame buffer
-        kept = KeptEntries(np.flatnonzero(mask), bits.copy())
-    n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
-    if values.size != n_kept:
-        raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
-    if kept.indices is None:
-        fields["fc1_w"] = values.reshape(shape)
-    else:
-        dense = np.zeros(mask.size, dtype=values.dtype)
-        dense[kept.indices] = values
-        fields["fc1_w"] = dense.reshape(shape)
-    return ModelBroadcast(round_idx=round_idx, spec=spec,
-                          weights=ModelWeights(**fields, prune_mask=mask),
-                          attempt=attempt, kept=kept)
 
 
 def su_round_rng(seed: int, su_id: int, round_idx: int) -> np.random.Generator:
@@ -335,7 +263,7 @@ def local_training(
             del cache  # else this batch's activations stay alive through the next forward
             for name in DOMAIN_SPECIFIC_PARAMS:
                 grad = grads[name].astype(dtype, copy=False)
-                acc[name] += _kept_values(grad, kept) if name == "fc1_w" else grad
+                acc[name] += kept_values(grad, kept) if name == "fc1_w" else grad
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
@@ -590,10 +518,11 @@ class SocketServerTransport(Transport):
     ``max_retries`` times. Late uploads of an aborted attempt are read and
     dropped. Each connection is bound to the SU id of its first upload; an
     upload under another id, or a second connection claiming a bound id, is
-    a protocol error. A frame error (a timeout or EOF inside a frame, a
-    malformed or out-of-order message, a wrong SU id) closes that SU's
-    connection and raises, and so does every later round. Waiting for the
-    SUs to connect gives up after ``timeout_s`` without a new connection.
+    a protocol error. A frame error (a timeout, EOF or reset inside a
+    frame, a malformed or out-of-order message, a wrong SU id, a broadcast
+    that cannot be sent) closes that SU's connection and raises, and so
+    does every later round. Waiting for the SUs to connect gives up after
+    ``timeout_s`` without a new connection.
     """
 
     def __init__(self, n_sus: int, host: str = "127.0.0.1", port: int = 0,
@@ -630,12 +559,13 @@ class SocketServerTransport(Transport):
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             frame = _with_attempt(broadcast_bytes, attempt)
-            for conn in self._connections:
+            for i, conn in enumerate(self._connections):
                 try:
                     send_frame(conn, frame)
-                except TimeoutError:
+                except OSError as exc:  # a timeout, or a reset by the SU
                     conn.close()
-                    raise ProtocolError("timed out sending a broadcast") from None
+                    raise ProtocolError(
+                        f"sending a broadcast to {self._name(i)} failed: {exc}") from None
             try:
                 return [self._receive(i, round_idx, attempt) for i in range(len(self._connections))]
             except TimeoutError as exc:  # abort + retry whole round
@@ -657,6 +587,8 @@ class SocketServerTransport(Transport):
                 except TimeoutError:
                     raise TimeoutError(f"{self._name(index)} sent no upload within "
                                        f"{self.timeout_s} s") from None
+                except ConnectionResetError:
+                    frame = None
                 if frame is None:
                     raise ProtocolError(f"{self._name(index)} closed its connection mid-round")
                 msg = decode_message(frame)

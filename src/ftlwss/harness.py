@@ -63,12 +63,21 @@ class SensingConfig:
     pu_energy: float = 1.0
 
     def __post_init__(self):
+        if self.bandwidth_hz <= 0:
+            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if self.n_cosets >= self.n_subbands:
             raise ValueError("sub-Nyquist operation needs n_cosets < n_subbands")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be >= 1")
         if self.coset_offsets is not None:
             object.__setattr__(self, "coset_offsets", tuple(self.coset_offsets))
+            if len(self.coset_offsets) != self.n_cosets:
+                raise ValueError(f"coset_offsets holds {len(self.coset_offsets)} offsets, "
+                                 f"n_cosets is {self.n_cosets}")
+            try:
+                self.pattern()
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"coset_offsets: {exc}") from exc
 
     @property
     def nyquist_period_s(self) -> float:

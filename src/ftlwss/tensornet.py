@@ -25,8 +25,11 @@ gradients read, and conv1's output can come precomputed
 (`conv1_activations`), since conv1 is frozen while the FC layers adapt.
 
 Every entry point takes a batch: (B, L, N, 2) features and (B, L) labels
-or probabilities; one sample is the batch ``x[None]``. Everything is plain
-numpy. Forward/backward are pure with respect to the weights; all
+or probabilities; one sample is the batch ``x[None]``. `model_bytes` and
+`read_model` are the one writer and reader of the model section, which a
+checkpoint stores with the dense fc1_w and a federation broadcast with its
+kept values. Everything is plain numpy. Forward/backward are pure with
+respect to the weights; all
 randomness (init, shuffling, dropout) flows through explicit generators, so
 runs are bit-reproducible per seed.
 """
@@ -451,6 +454,14 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float, *,
     return ModelWeights(**fields, prune_mask=weights.prune_mask)
 
 
+def kept_values(array: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
+    """The entries of ``array`` at the flat ``indices`` (all of them for
+    None), as a 1-D array.
+    """
+    flat = array.reshape(-1)
+    return flat if indices is None else flat[indices]
+
+
 def kept_update(value: np.ndarray, kept: np.ndarray, step: np.ndarray) -> np.ndarray:
     """``value - step`` at the flat indices ``kept``, +0.0 everywhere else.
     ``step`` holds one entry per kept index and is overwritten.
@@ -610,93 +621,140 @@ def finite_difference_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint codec: magic "WSSN", version, spec header, eight float32 tensor
-# sections, then a tagged prune-mask bitset section. Federation broadcasts
-# reuse the spec header and the mask section.
+# Model codec. A model section is the spec header, the eight float32 tensors
+# in PARAM_NAMES order and the prune-mask section. A checkpoint is magic
+# "WSSN" and a version before it; a federation broadcast is the message
+# header before it and carries fc1_w as the 1-D vector of its kept values.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_HEADER = struct.Struct("<4sI")
-SPEC_HEADER = struct.Struct("<5I2f")
+_SPEC_HEADER = struct.Struct("<5I2f")
+_MASK_HEADER = struct.Struct("<BQ")  # tag 1, bit count
 
 
-def write_spec(buf, offset: int, spec: DetectorSpec) -> int:
-    """Write the spec header at ``offset`` of ``buf``; returns the end offset."""
-    SPEC_HEADER.pack_into(
-        buf, offset, spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
+def _pack_mask(mask: np.ndarray) -> np.ndarray:
+    """The prune mask as a little-endian bitset, one bit per fc1_w entry."""
+    return np.packbits(np.asarray(mask, dtype=bool).view(np.uint8).reshape(-1), bitorder="little")
+
+
+@dataclass(frozen=True)
+class KeptEntries:
+    """The fc1_w entries a sparse model section carries: their flat indices
+    (``np.flatnonzero(prune_mask)``) and the mask's bitset. Both are None
+    without a mask, when every entry is kept.
+    """
+
+    indices: np.ndarray | None = None
+    bits: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, mask: np.ndarray | None) -> "KeptEntries":
+        return cls() if mask is None else cls(np.flatnonzero(mask), _pack_mask(mask))
+
+
+def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int,
+                kept: KeptEntries | None = None) -> bytearray:
+    """A buffer holding the model section of ``weights`` after ``start``
+    zero bytes, which the caller fills with its header; written in one pass.
+
+    Without ``kept`` the section is dense: fc1_w is the matrix. With it the
+    section is sparse: fc1_w is the 1-D vector of its values at
+    ``kept.indices``, and the mask section holds ``kept.bits``, so the cost
+    grows with the kept entries, not with the matrix.
+    """
+    if kept is None:
+        fc1_w = weights.fc1_w
+        bits = None if weights.prune_mask is None else _pack_mask(weights.prune_mask)
+    else:
+        fc1_w, bits = kept_values(weights.fc1_w, kept.indices), kept.bits
+    arrays = [fc1_w if name == "fc1_w" else getattr(weights, name) for name in PARAM_NAMES]
+    mask_nbytes = 1 if bits is None else _MASK_HEADER.size + bits.size
+    buf = bytearray(start + _SPEC_HEADER.size + sum(map(tensor_nbytes, arrays)) + mask_nbytes)
+    _SPEC_HEADER.pack_into(
+        buf, start, spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
         spec.hidden_units, spec.dropout_conv, spec.dropout_fc,
     )
-    return offset + SPEC_HEADER.size
+    offset = start + _SPEC_HEADER.size
+    for array in arrays:
+        offset = write_tensor(buf, offset, array)
+    if bits is not None:  # else the zero byte left there is tag 0, no mask
+        _MASK_HEADER.pack_into(buf, offset, 1, weights.fc1_w.size)
+        buf[offset + _MASK_HEADER.size:] = memoryview(bits)
+    return buf
 
 
-def read_spec(reader: ByteReader) -> DetectorSpec:
+def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = None):
+    """Read the model section that ends ``reader``'s buffer, as `model_bytes`
+    writes it dense or ``sparse``; returns (spec, weights, kept). Any
+    malformed input raises ``DecodeError``. The tensors are views of the
+    buffer, but a sparse section's fc1_w values are scattered into a dense
+    matrix with +0.0 at the pruned entries.
+
+    The returned ``kept`` describes a sparse section's mask (None for a
+    dense one). Passed back in with the next sparse read, its indices are
+    reused while the bitset bytes are equal, so a receiver of many models
+    under one mask pays for ``np.flatnonzero`` once.
+    """
     offset = reader.offset
-    in_rows, in_cols, conv1, conv2, hidden, drop_conv, drop_fc = SPEC_HEADER.unpack(
-        reader.take(SPEC_HEADER.size))
+    in_rows, in_cols, conv1, conv2, hidden, drop_conv, drop_fc = _SPEC_HEADER.unpack(
+        reader.take(_SPEC_HEADER.size))
     try:
-        return DetectorSpec(
+        spec = DetectorSpec(
             in_rows=in_rows, in_cols=in_cols, conv1_filters=conv1,
             conv2_filters=conv2, hidden_units=hidden,
             dropout_conv=round(drop_conv, 6), dropout_fc=round(drop_fc, 6),
         )
     except ValueError as exc:
         raise DecodeError(f"invalid spec header: {exc}", offset) from exc
+    shapes = spec.param_shapes()
+    fields = {}
+    for name in PARAM_NAMES:
+        offset = reader.offset
+        tensor = reader.tensor()
+        expected = (tensor.size,) if sparse and name == "fc1_w" else shapes[name]
+        if tensor.shape != expected:
+            raise DecodeError(f"tensor {name} has shape {tensor.shape}, expected {expected}", offset)
+        fields[name] = tensor
 
-
-def pack_mask(mask: np.ndarray) -> np.ndarray:
-    """The prune mask as a little-endian bitset, one bit per fc1_w entry."""
-    return np.packbits(np.asarray(mask, dtype=bool).view(np.uint8).reshape(-1), bitorder="little")
-
-
-def mask_section_nbytes(bits: np.ndarray | None) -> int:
-    """Encoded size of the mask section for ``pack_mask``'s bitset, or of
-    the one tag byte that says there is no mask.
-    """
-    return 1 if bits is None else 9 + bits.size
-
-
-def write_mask_section(buf, offset: int, bits: np.ndarray | None, nbits: int) -> int:
-    """Write the mask section (tag 0, or tag 1, the bit count and the
-    bitset) at ``offset`` of ``buf``; returns the end offset.
-    """
-    if bits is None:
-        buf[offset] = 0
-        return offset + 1
-    struct.pack_into("<BQ", buf, offset, 1, nbits)
-    offset += 9
-    buf[offset:offset + bits.size] = memoryview(bits)
-    return offset + bits.size
-
-
-def read_mask_section(reader: ByteReader, shape: tuple[int, ...]):
-    """(mask of ``shape``, its raw bitset), or (None, None) for tag 0."""
+    shape = shapes["fc1_w"]
+    offset = reader.offset
     tag = reader.u8()
-    if tag == 0:
-        return None, None
-    if tag != 1:
-        raise DecodeError(f"unknown mask section tag {tag}", reader.offset - 1)
-    nbits = reader.u64()
-    if nbits != math.prod(shape):
-        raise DecodeError(f"mask bit count {nbits} does not cover fc1_w {shape}", reader.offset)
-    bits = np.frombuffer(reader.take((nbits + 7) // 8), dtype=np.uint8)
-    # pack_mask pads with zeros, so equal bitsets always mean equal masks
-    if nbits % 8 and bits[-1] >> (nbits % 8):
-        raise DecodeError(f"mask bitset has bits set past its {nbits} bits", reader.offset - 1)
-    mask = np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)
-    return mask, bits
+    mask = bits = None
+    if tag == 1:
+        nbits = reader.u64()
+        if nbits != math.prod(shape):
+            raise DecodeError(f"mask bit count {nbits} does not cover fc1_w {shape}", reader.offset)
+        bits = np.frombuffer(reader.take((nbits + 7) // 8), dtype=np.uint8)
+        # _pack_mask pads with zeros, so equal bitsets always mean equal masks
+        if nbits % 8 and bits[-1] >> (nbits % 8):
+            raise DecodeError(f"mask bitset has bits set past its {nbits} bits", reader.offset - 1)
+        mask = np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)
+    elif tag != 0:
+        raise DecodeError(f"unknown mask section tag {tag}", offset)
+    reader.expect_end()
+    if not sparse:
+        return spec, ModelWeights(**fields, prune_mask=mask), None
+
+    if mask is None:
+        kept = KeptEntries()
+    elif kept is None or kept.bits is None or not np.array_equal(bits, kept.bits):
+        # a copy of the bitset, so keeping the entries pins no buffer
+        kept = KeptEntries(np.flatnonzero(mask), bits.copy())
+    values = fc1_w = fields["fc1_w"]
+    n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
+    if values.size != n_kept:
+        raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
+    if kept.indices is not None:
+        fc1_w = np.zeros(mask.size, dtype=values.dtype)
+        fc1_w[kept.indices] = values
+    fields["fc1_w"] = fc1_w.reshape(shape)
+    return spec, ModelWeights(**fields, prune_mask=mask), kept
 
 
 def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights) -> bytearray:
     """The checkpoint of ``weights``, written in one pass."""
-    mask = weights.prune_mask
-    bits = None if mask is None else pack_mask(mask)
-    size = _CHECKPOINT_HEADER.size + SPEC_HEADER.size + mask_section_nbytes(bits)
-    size += sum(tensor_nbytes(getattr(weights, name)) for name in PARAM_NAMES)
-    buf = bytearray(size)
+    buf = model_bytes(spec, weights, _CHECKPOINT_HEADER.size)
     _CHECKPOINT_HEADER.pack_into(buf, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    offset = write_spec(buf, _CHECKPOINT_HEADER.size, spec)
-    for name in PARAM_NAMES:
-        offset = write_tensor(buf, offset, getattr(weights, name))
-    write_mask_section(buf, offset, bits, weights.fc1_w.size)
     return buf
 
 
@@ -708,20 +766,8 @@ def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise DecodeError(f"unsupported checkpoint version {version}", 4)
-    spec = read_spec(reader)
-    fields = {}
-    expected = spec.param_shapes()
-    for name in PARAM_NAMES:
-        tensor = reader.tensor()
-        if tensor.shape != expected[name]:
-            raise DecodeError(
-                f"tensor {name} has shape {tensor.shape}, spec implies {expected[name]}",
-                reader.offset,
-            )
-        fields[name] = tensor
-    mask, _ = read_mask_section(reader, expected["fc1_w"])
-    reader.expect_end()
-    return spec, ModelWeights(**fields, prune_mask=mask)
+    spec, weights, _ = read_model(reader, sparse=False)
+    return spec, weights
 
 
 def save_checkpoint(path, spec: DetectorSpec, weights: ModelWeights) -> None:

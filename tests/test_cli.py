@@ -174,6 +174,7 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
     ("ftl", "rounds", 0),
     ("ftl", "samples_per_su", 0),
     ("ftl", "lr", -1),
+    ("sensing", "coset_offsets", [0, 1, 99]),
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
     # rejected when the config loads, before the train stage writes anything

@@ -142,6 +142,24 @@ class TestDecodeErrors:
             tn.parse_checkpoint(data)
         assert err.value.offset == 8
 
+    def test_checkpoint_with_a_kept_vector_fc1_is_rejected(self):
+        # a checkpoint holds the dense fc1_w; here the broadcast's body
+        # follows the checkpoint header
+        spec, weights = model("desk", True, np.float32)
+        body = old_encode_message(fed.ModelBroadcast(0, spec, weights))[20:]
+        data = tn.CHECKPOINT_MAGIC + struct.pack("<I", tn.CHECKPOINT_VERSION) + body
+        with pytest.raises(DecodeError, match="tensor fc1_w has shape"):
+            tn.parse_checkpoint(data)
+
+    def test_broadcast_with_a_dense_fc1_is_rejected(self):
+        # a masked broadcast carries the kept values; here the checkpoint's
+        # body follows the message header
+        spec, weights = model("desk", True, np.float32)
+        header = old_encode_message(fed.ModelBroadcast(0, spec, weights))[:20]
+        data = header + old_checkpoint_bytes(spec, weights)[8:]
+        with pytest.raises(DecodeError, match="tensor fc1_w has shape"):
+            fed.decode_message(data)
+
     def test_tensor_reads_exact_payload(self):
         data = encode_tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         reader = ByteReader(bytes(data[:-1]))
@@ -264,7 +282,7 @@ class TestMalformedMessages:
         spec = SPECS["desk"]
         weights = pruned_model(spec)
         data = bytearray(fed.encode_message(fed.ModelBroadcast(0, spec, weights)))
-        offset = len(data) - len(tn.pack_mask(weights.prune_mask)) - 8
+        offset = len(data) - len(tn.KeptEntries.of(weights.prune_mask).bits) - 8
         nbits = spec.flat_dim * spec.hidden_units
         assert struct.unpack_from("<Q", data, offset)[0] == nbits
         struct.pack_into("<Q", data, offset, nbits + change)

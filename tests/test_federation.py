@@ -1,3 +1,4 @@
+import re
 import socket
 import struct
 import sys
@@ -707,13 +708,15 @@ class TestFrames:
 def scripted_su(sock, su, cfg, answers, then):
     """Serve the broadcasts on ``sock`` as ``su``: answer the first
     ``answers`` (all of them for None), then close the connection on the
-    next one (``then="leave"``) or read on without answering until EOF
-    (``"stall"``)."""
+    next one (``then="leave"``), reset it (``"reset"``) or read on without
+    answering until EOF (``"stall"``)."""
     with sock:
         answered = 0
         while (frame := fed.recv_frame(sock)) is not None:
             if answers is not None and answered == answers:
-                if then == "leave":
+                if then == "reset":  # linger 0: the close sends a reset, not a FIN
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                if then != "stall":
                     return
                 continue
             fed.send_frame(sock, su.answer(fed.decode_message(frame), cfg, seed=3))
@@ -820,14 +823,17 @@ class TestSocketFaults:
     @pytest.mark.parametrize("answers, then, message", [
         (1, "leave", "SU 2 closed its connection mid-round"),
         (0, "leave", "the SU on connection 0 closed its connection mid-round"),
-        (1, "stall", "round failed after 2 attempts: SU 2 sent no upload within 1.0 s"),
-    ], ids=["leaves-after-uploading", "leaves-before-uploading", "stalls"])
+        # a reset SU fails the round's upload, or under load the retry's broadcast
+        (1, "reset", "SU 2 closed its connection mid-round|sending a broadcast to SU 2 failed"),
+        (1, "stall", r"round failed after 2 attempts: SU 2 sent no upload within 1\.0 s"),
+    ], ids=["leaves-after-uploading", "leaves-before-uploading", "resets-after-uploading",
+            "stalls"])
     def test_failing_su_is_named(self, answers, then, message):
-        # SU 2 answers ``answers`` rounds, then closes its connection on the
-        # next broadcast or reads on without answering; the round fails with
-        # a ProtocolError naming it, and every thread ends. SU 1 runs the
-        # real client, and closing the server with its upload unread resets
-        # it, which must end it as cleanly as an EOF
+        # SU 2 answers ``answers`` rounds, then closes or resets its
+        # connection on the next broadcast, or reads on without answering;
+        # the round fails with a ProtocolError naming it, and every thread
+        # ends. SU 1 runs the real client, and closing the server with its
+        # upload unread resets it, which must end it as cleanly as an EOF
         weights = toy_weights(masked=True)
         sus = uneven_sus((10, 15))
         cfg = fed.FtlConfig(n_sus=2, rounds=3, local_epochs=1, batch_size=5, lr=0.05,
@@ -858,7 +864,50 @@ class TestSocketFaults:
                 thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
         assert [type(exc) for exc in errors] == [fed.ProtocolError]
-        assert message in str(errors[0])
+        assert re.search(message, str(errors[0]))
+
+    def test_su_that_resets_before_a_broadcast_is_named(self):
+        # SU 2 uploads round 0, then resets its connection; sending round
+        # 1's broadcast to it fails with a ProtocolError naming it and
+        # closes that connection, so the next round says so. SU 1 runs the
+        # real client, which the closing server ends with an EOF
+        weights = toy_weights(masked=True)
+        sus = uneven_sus((10, 15))
+        cfg = fed.FtlConfig(n_sus=2, rounds=2, local_epochs=1, batch_size=5, lr=0.05,
+                            timeout_s=2.0, max_retries=0)
+        server = fed.SocketServerTransport(n_sus=2, timeout_s=cfg.timeout_s, max_retries=0)
+        failing = socket.create_connection(server.address)  # connection 0
+        uploaded = threading.Event()
+
+        def upload_then_reset():
+            with failing:
+                frame = fed.recv_frame(failing)
+                fed.send_frame(failing, sus[1].answer(fed.decode_message(frame), cfg, seed=3))
+                uploaded.wait(timeout=10)
+                # linger 0: the close sends a reset, not a FIN
+                failing.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        threads = [threading.Thread(target=upload_then_reset, daemon=True),
+                   threading.Thread(target=sus[0].serve, args=(server.address, cfg, 3), daemon=True)]
+        for thread in threads:
+            thread.start()
+        try:
+            server.wait_for_clients()
+            uploads = server.run_round(fed.encode_message(fed.ModelBroadcast(0, SPEC, weights)))
+            assert [u.su_id for u in uploads] == [2, 1]
+            uploaded.set()
+            threads[0].join(timeout=10)
+            broadcast = fed.encode_message(fed.ModelBroadcast(1, SPEC, weights))
+            with pytest.raises(fed.ProtocolError, match="sending a broadcast to SU 2 failed"):
+                server.run_round(broadcast)
+            with pytest.raises(fed.ProtocolError, match="closed after a frame error"):
+                server.run_round(broadcast)
+        finally:
+            uploaded.set()
+            server.close()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_timeout_inside_a_frame_is_a_protocol_error(self):
         a, b = socket.socketpair()

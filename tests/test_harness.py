@@ -44,6 +44,12 @@ BAD_STAGE_SETTINGS = [
     ("ftl", "timeout_s", 0),
     ("ftl", "timeout_s", -1.0),
     ("ftl", "max_retries", -1),
+    # the default sensing section has 6 cosets over 16 sub-bands
+    ("sensing", "coset_offsets", [0, 0, 1, 2, 3, 4]),
+    ("sensing", "coset_offsets", [0, 1, 2, 3, 4, 99]),
+    ("sensing", "coset_offsets", [0, 3]),
+    ("sensing", "coset_offsets", list(range(16))),
+    ("sensing", "bandwidth_hz", 0),
 ]
 
 
@@ -350,6 +356,34 @@ class TestDatasetPersistence:
                     pass
             target.write_bytes(good)
         harness.load_dataset(path)
+
+    def test_truncations_and_bit_flips_hypothesis(self, tmp_path):
+        # a prefix of the data file or of its sidecar with up to four bits
+        # flipped: a load succeeds or raises DecodeError
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        path = tmp_path / "data.bin"
+        harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
+        files = {"data": path, "sidecar": tmp_path / "data.bin.json"}
+        good = {name: target.read_bytes() for name, target in files.items()}
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.sampled_from(sorted(files)), st.data())
+        def check(name, draw):
+            data = bytearray(good[name])
+            end = draw.draw(st.integers(0, len(data)))
+            for bit in draw.draw(st.lists(st.integers(0, 8 * len(data) - 1), max_size=4)):
+                data[bit // 8] ^= 1 << (bit % 8)
+            files[name].write_bytes(bytes(data[:end]))
+            try:
+                harness.load_dataset(path)
+            except DecodeError:
+                pass
+            finally:
+                files[name].write_bytes(good[name])
+
+        check()
 
     def test_missing_file_stays_an_os_error(self, tmp_path):
         ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))

@@ -554,6 +554,32 @@ class TestCheckpoint:
             except DecodeError:
                 pass
 
+    def test_truncations_and_bit_flips_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from ftlwss.codec import DecodeError
+
+        w = tiny_weights(dtype=np.float32)
+        w.prune_mask = np.random.default_rng(3).random(w.fc1_w.shape) > 0.3
+        w.fc1_w[~w.prune_mask] = 0
+        data = bytes(tn.checkpoint_bytes(TINY, w))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.integers(0, len(data) - 1),
+                          st.lists(st.integers(0, 8 * len(data) - 1), min_size=1, max_size=4))
+        def check(end, bits):
+            with pytest.raises(DecodeError):
+                tn.parse_checkpoint(data[:end])
+            flipped = bytearray(data)
+            for bit in bits:
+                flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                tn.parse_checkpoint(flipped)
+            except DecodeError:
+                pass
+
+        check()
+
     def test_file_round_trip(self, tmp_path):
         w = tiny_weights(dtype=np.float32)
         path = tmp_path / "model.bin"
