@@ -39,10 +39,10 @@ Both transports answer a broadcast through one SU object, ``LocalSu``.
 Local training takes the lean forward path (``tensornet.forward`` with
 ``scope="ds_only"``). The frozen conv1 and an SU's fixed samples give the
 same conv1 activations in every round, so each ``LocalSu`` computes them
-once, and the receiver of the broadcasts reuses the last one's kept indices
-while the mask bitset is unchanged. Both are checked against the bytes of
-every broadcast, so a model with other conv1 weights or another mask is
-handled as a fresh one.
+once. The mask's kept entries travel with the model (``ModelWeights.kept``),
+and the receiver of the broadcasts reuses the last model's while the bitset
+and shape are unchanged. Both are checked against every broadcast's bytes,
+so a model with other conv1 weights or another mask is handled as fresh.
 """
 
 from __future__ import annotations
@@ -106,15 +106,12 @@ class FtlConfig:
 
 @dataclass
 class ModelBroadcast:
-    """The model for one attempt at a round. ``kept`` describes
-    ``weights.prune_mask``; the encoder derives it when it is None.
-    """
+    """The model for one attempt at a round."""
 
     round_idx: int
     spec: DetectorSpec
     weights: ModelWeights
     attempt: int = 0
-    kept: KeptEntries | None = None
 
 
 @dataclass
@@ -151,8 +148,7 @@ def encode_message(msg) -> bytearray:
     with the dense matrix.
     """
     if isinstance(msg, ModelBroadcast):
-        kept = msg.kept if msg.kept is not None else KeptEntries.of(msg.weights.prune_mask)
-        buf = model_bytes(msg.spec, msg.weights, _MESSAGE_HEADER.size, kept)
+        buf = model_bytes(msg.spec, msg.weights, _MESSAGE_HEADER.size, sparse=True)
         _MESSAGE_HEADER.pack_into(buf, 0, MESSAGE_MAGIC, MESSAGE_VERSION, MSG_BROADCAST,
                                   msg.round_idx, msg.attempt)
         return buf
@@ -172,8 +168,8 @@ def encode_message(msg) -> bytearray:
 def decode_message(data, *, kept: KeptEntries | None = None):
     """Decode a message; any malformed input raises ``DecodeError``. A
     broadcast's model is read by ``tensornet.read_model``, with ``kept``,
-    the previous broadcast's ``KeptEntries``, whose indices it reuses while
-    the mask is unchanged.
+    the previous broadcast's ``weights.kept``, which the model gets while
+    the bitset and the shape are unchanged.
     """
     reader = ByteReader(data)
     magic = bytes(reader.take(4))
@@ -186,9 +182,8 @@ def decode_message(data, *, kept: KeptEntries | None = None):
     round_idx = reader.u32()
     attempt = reader.u32()
     if msg_type == MSG_BROADCAST:
-        spec, weights, kept = read_model(reader, sparse=True, kept=kept)
-        return ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights,
-                              attempt=attempt, kept=kept)
+        spec, weights = read_model(reader, sparse=True, kept=kept)
+        return ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights, attempt=attempt)
     if msg_type == MSG_UPLOAD:
         su_id = reader.u32()
         n_samples = reader.u64()
@@ -216,7 +211,6 @@ def local_training(
     cfg: FtlConfig,
     seed: int,
     *,
-    kept: np.ndarray | None = None,
     conv1_out: np.ndarray | None = None,
 ) -> GradientUpload:
     """One SU's round: E epochs of batch SGD on the domain-specific layers
@@ -226,15 +220,15 @@ def local_training(
     the then-current local weights, so the accumulated value reflects the
     drift of the local model over the round. The convolutional layers never
     change; the prune mask is enforced on every step, and the hidden-FC
-    gradient is accumulated at the kept entries only. Dropout is active
-    (train mode) with this SU's per-round generator. Every forward takes
-    the lean path, which keeps no convolution intermediates.
+    gradient is accumulated at the kept entries only, those the model
+    carries (``global_weights.kept``), which every local step passes on.
+    Dropout is active (train mode) with this SU's per-round generator.
+    Every forward takes the lean path, which keeps no convolution
+    intermediates.
 
-    Two arguments carry what a caller already holds; each is computed here
-    when omitted. ``kept`` is ``np.flatnonzero(global_weights.prune_mask)``
-    (a decoded broadcast carries it). ``conv1_out`` is
-    ``tensornet.conv1_activations`` of ``features`` under the broadcast's
-    conv1 weights, which an SU computes once for all rounds.
+    ``conv1_out`` is ``tensornet.conv1_activations`` of ``features`` under
+    the broadcast's conv1 weights, which an SU computes once for all
+    rounds; it is computed per batch when omitted.
     """
     n = features.shape[0]
     if n == 0:
@@ -242,10 +236,7 @@ def local_training(
     rng = su_round_rng(seed, su_id, round_idx)
     local = global_weights
     dtype = local.dtype
-    if local.prune_mask is None:
-        kept = None
-    elif kept is None:
-        kept = np.flatnonzero(local.prune_mask)
+    kept = local.kept.indices
     n_kept = local.fc1_w.size if kept is None else kept.size
     acc = {name: np.zeros(n_kept if name == "fc1_w" else getattr(local, name).shape, dtype=dtype)
            for name in DOMAIN_SPECIFIC_PARAMS}
@@ -255,7 +246,7 @@ def local_training(
         for start in range(0, n, cfg.batch_size):
             if grads is not None:
                 # the previous batch's step, taken only when a batch reads it
-                local = sgd_step(local, grads, cfg.lr, kept=kept)
+                local = sgd_step(local, grads, cfg.lr)
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng, scope="ds_only",
                                conv1_out=None if conv1_out is None else conv1_out[idx])
@@ -267,19 +258,17 @@ def local_training(
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
-def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *,
-              kept: np.ndarray | None = None) -> ModelWeights:
+def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -> ModelWeights:
     """Server step: theta_ds <- theta_ds - lr * sum_i (n_i / N) * G_i.
 
     Uploads are reduced in ascending SU-id order regardless of arrival order,
     in the model dtype, so aggregation is deterministic. Each upload's
     ``fc1_w`` holds the gradient at the kept entries in flat order, so the
     hidden-FC sum and step touch the kept entries only and every pruned
-    weight of the result is +0.0. The general-feature arrays and the prune
-    mask of the result are the same objects as the input's (models are
-    treated as immutable). ``kept`` is ``np.flatnonzero(weights.prune_mask)``,
-    passed by a caller that aggregates many rounds under one mask; it is
-    computed here when omitted.
+    weight of the result is +0.0. The general-feature arrays, the prune
+    mask and its kept entries (``weights.kept``) of the result are the same
+    objects as the input's (models are treated as immutable), so many
+    rounds under one mask derive the kept indices once.
     """
     if not uploads:
         raise ValueError("aggregate needs at least one upload")
@@ -293,11 +282,7 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *
     total = sum(u.n_samples for u in ordered)
     if total <= 0:
         raise ValueError("total sample count must be positive")
-    mask = weights.prune_mask
-    if mask is None:
-        kept = None
-    elif kept is None:
-        kept = np.flatnonzero(mask)
+    kept = weights.kept.indices
     fields = weights.arrays()
     n_kept = fields["fc1_w"].size if kept is None else kept.size
     for upload in ordered:
@@ -328,7 +313,7 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float, *
             fields[name] = kept_update(value, kept, acc)
         else:
             fields[name] = np.subtract(value.reshape(-1), acc, out=acc).reshape(value.shape)
-    return ModelWeights(**fields, prune_mask=mask)
+    return weights.with_arrays(fields)
 
 
 class Transport(ABC):
@@ -382,8 +367,7 @@ class LocalSu:
         its round and attempt.
         """
         upload = local_training(msg.spec, msg.weights, self.features, self.labels, self.su_id,
-                                msg.round_idx, cfg, seed, kept=msg.kept.indices,
-                                conv1_out=self.conv1_out(msg.spec, msg.weights))
+                                msg.round_idx, cfg, seed, conv1_out=self.conv1_out(msg.spec, msg.weights))
         upload.attempt = msg.attempt
         return encode_message(upload)
 
@@ -407,7 +391,7 @@ class LocalSu:
                     msg = decode_message(frame, kept=kept)
                     if not isinstance(msg, ModelBroadcast):
                         raise ProtocolError(f"SU {self.su_id} expected a broadcast, got {type(msg).__name__}")
-                    kept = msg.kept
+                    kept = msg.weights.kept
                     send_frame(sock, self.answer(msg, cfg, seed))
             except (ConnectionResetError, BrokenPipeError):
                 return
@@ -441,7 +425,7 @@ class InProcessTransport(Transport):
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
         # read-only: every SU reads these weights, and none may write them
         msg = decode_message(memoryview(broadcast_bytes).toreadonly(), kept=self._kept)
-        self._kept = msg.kept
+        self._kept = msg.weights.kept
         # the heavy numpy work (GEMMs, the im2col copy, dropout draws)
         # releases the GIL, so the SUs overlap on the cores
         with ThreadPoolExecutor(max_workers=min(len(self.sus), os.cpu_count() or 1)) as pool:
@@ -695,10 +679,8 @@ def run_ftl(
     to ``init``'s.
     """
     weights = init.copy()
-    # the mask is the same object in every round's model
-    kept = KeptEntries.of(weights.prune_mask)
     for round_idx in range(cfg.rounds):
-        broadcast = ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights, kept=kept)
+        broadcast = ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights)
         uploads = transport.run_round(encode_message(broadcast))
         if len(uploads) != cfg.n_sus:
             raise ProtocolError(f"round {round_idx}: expected {cfg.n_sus} uploads, got {len(uploads)}")
@@ -707,5 +689,5 @@ def run_ftl(
                 raise ProtocolError(
                     f"round {round_idx}: upload from SU {upload.su_id} is for round {upload.round_idx}"
                 )
-        weights = aggregate(weights, uploads, cfg.lr, kept=kept.indices)
+        weights = aggregate(weights, uploads, cfg.lr)
     return weights

@@ -99,6 +99,11 @@ class DomainsConfig:
     source: int = 7
     targets: dict[str, int] = field(default_factory=lambda: {"T1": 2, "T2": 4, "T3": 6, "T4": 9})
 
+    def __post_init__(self):
+        if not self.targets or "S" in self.targets:
+            raise ValueError("targets must name one or more target domains, none of them "
+                             f"'S' (the source), got {sorted(self.targets)}")
+
     def n_active(self, domain: str) -> int:
         if domain == "S":
             return self.source
@@ -209,6 +214,8 @@ class EvalConfig:
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
+        if self.table_snr_db not in self.snr_grid:
+            raise ValueError(f"table_snr_db {self.table_snr_db:g} is not on snr_grid {self.snr_grid}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,10 @@ class ExperimentConfig:
         if not 0 < self.domains.source <= self.sensing.n_subbands:
             raise ValueError("source occupancy count out of range")
         zs = self.ftl.zero_shot_domain
-        if zs is not None and zs not in self.domains.targets:
-            raise ValueError(f"zero_shot_domain {zs!r} is not a target domain")
+        if zs is not None and (zs not in self.domains.targets or len(self.domains.targets) < 2):
+            raise ValueError(f"zero_shot_domain {zs!r} must be one of two or more targets, "
+                             f"got {self.domains.target_names()}")
+        self.detector_spec()  # the net section's widths and rates
 
     def detector_spec(self) -> tensornet.DetectorSpec:
         return tensornet.DetectorSpec(
@@ -405,7 +414,7 @@ def build_dataset(
         samples = signal_model.noiseless_signal(
             signal_model.PuPlacement(carrier_hz, offset_s, energy), scenario, instants)
         if noisy:
-            noise_var = signal_model.noise_variance(snr_db, samples, batched=True) / n_pus
+            noise_var = signal_model.noise_variance(snr_db, samples) / n_pus
             samples = signal_model.scale_noise(samples, std_normal, noise_var)
         xhat, coset_spectra = multicoset.acquire_feature(samples, pattern)
         features[rows] = multicoset.to_tensor(multicoset.normalize_feature(xhat))

@@ -127,19 +127,13 @@ def noiseless_signal(placement: PuPlacement, config: ScenarioConfig, instants: n
     return out
 
 
-def noise_variance(snr_db: float, clean: np.ndarray, batched: bool = False):
-    """Noise variance that realises ``snr_db`` against the average power of
-    the noiseless samples ``clean``: sigma^2 = P_sig / 10^(snr_db / 10).
-
-    With ``batched`` the first axis of ``clean`` indexes samples and the
-    result is one variance per sample, each equal to the unbatched value.
+def noise_variance(snr_db: float, clean: np.ndarray) -> np.ndarray:
+    """One noise variance per sample of the batch ``clean``, whose first axis
+    indexes samples: each realises ``snr_db`` against the average power of
+    that sample's noiseless values, sigma^2 = P_sig / 10^(snr_db / 10).
     """
     power = np.abs(clean) ** 2
-    if batched:
-        p_sig = power.reshape(power.shape[0], -1).mean(axis=1)
-    else:
-        p_sig = float(np.mean(power))
-    return p_sig / (10.0 ** (snr_db / 10.0))
+    return power.reshape(power.shape[0], -1).mean(axis=1) / (10.0 ** (snr_db / 10.0))
 
 
 def scale_noise(clean: np.ndarray, std_normal: np.ndarray, noise_var: float | np.ndarray) -> np.ndarray:
@@ -178,7 +172,7 @@ def awgn_sigma(
     """
     if len(placement) == 0:
         raise ValueError("SNR is undefined with no active PU; supply the noise variance directly")
-    return noise_variance(snr_db, noiseless_signal(placement, config, instants))
+    return float(noise_variance(snr_db, noiseless_signal(placement, config, instants)[None])[0])
 
 
 def sample_received_signal(

@@ -13,7 +13,10 @@ cache of a ``scope="all"`` forward, only the four domain-specific ones from
 that of a ``scope="ds_only"`` forward, and `sgd_step` steps exactly the
 parameters its gradient dict holds. Under an optional prune mask over the
 hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
-+0.0 at the pruned ones, so pruned weights stay exactly zero.
++0.0 at the pruned ones, so pruned weights stay exactly zero. A model
+carries those entries (`ModelWeights.kept`: the mask's flat indices and
+bitset, derived once per mask object by `KeptEntries.of`), and hands them
+on to every model `sgd_step` or `read_model` makes from it.
 
 `forward` runs both convolutions in one loop over blocks of samples, and
 its two scopes give the same bytes. Under ``scope="all"`` the loop runs one
@@ -76,11 +79,12 @@ class DetectorSpec:
     def __post_init__(self):
         if self.in_rows < 5 or self.in_cols < 5:
             raise ValueError("input must be at least 5x5 to survive two valid 3x3 convolutions")
-        if min(self.conv1_filters, self.conv2_filters, self.hidden_units) < 1:
-            raise ValueError("layer widths must be positive")
-        for rate in (self.dropout_conv, self.dropout_fc):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+        for name in ("conv1_filters", "conv2_filters", "hidden_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("dropout_conv", "dropout_fc"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
     @property
     def conv1_shape(self) -> tuple[int, int, int]:
@@ -123,9 +127,25 @@ class ModelWeights:
     out_w: np.ndarray
     out_b: np.ndarray
     prune_mask: np.ndarray | None = None  # True where fc1_w entries are kept
+    _kept: "KeptEntries | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def kept(self) -> "KeptEntries":
+        """The kept entries of ``prune_mask``, derived anew when the mask is
+        another object (masks are replaced, never written in place). Threads
+        that race here derive equal entries, so no lock is needed."""
+        if self._kept is None or self._kept.mask is not self.prune_mask:
+            self._kept = KeptEntries.of(self.prune_mask)
+        return self._kept
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
+
+    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "ModelWeights":
+        """A model of ``arrays`` under this one's mask, sharing its kept entries."""
+        out = ModelWeights(**arrays, prune_mask=self.prune_mask)
+        out._kept = self.kept
+        return out
 
     def copy(self) -> "ModelWeights":
         fields = {name: getattr(self, name).copy() for name in PARAM_NAMES}
@@ -416,8 +436,7 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
             "conv2_w": g_conv2_w, "conv2_b": g_conv2_b, **grads}
 
 
-def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float, *,
-             kept: np.ndarray | None = None) -> ModelWeights:
+def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> ModelWeights:
     """Plain gradient step theta <- theta - lr * g on exactly the parameters
     ``grads`` holds, in ``PARAM_NAMES`` order.
 
@@ -425,10 +444,9 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float, *,
     object, so a step on `backward`'s ``scope="ds_only"`` gradients leaves
     the convolutional (general-feature) layers untouched. With a prune mask
     the hidden-FC step is computed at the kept positions only and every
-    pruned weight is +0.0. The result shares the untouched arrays and the
-    mask with ``weights`` and never writes into it. ``kept`` is
-    ``np.flatnonzero(weights.prune_mask)``, passed by a caller that steps
-    many times under one mask; it is computed here when omitted.
+    pruned weight is +0.0. The result shares the untouched arrays, the mask
+    and its kept entries with ``weights`` and never writes into it, so many
+    steps under one mask derive the kept indices once.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
@@ -444,14 +462,13 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float, *,
         if value.shape != grad.shape:
             raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
         rate = value.dtype.type(lr)
-        if name == "fc1_w" and weights.prune_mask is not None:
-            if kept is None:
-                kept = np.flatnonzero(weights.prune_mask)
+        kept = weights.kept.indices if name == "fc1_w" else None
+        if kept is not None:
             fields[name] = kept_update(value, kept, rate * grad.reshape(-1)[kept])
         else:
             step = rate * grad
             fields[name] = np.subtract(value, step, out=step)
-    return ModelWeights(**fields, prune_mask=weights.prune_mask)
+    return weights.with_arrays(fields)
 
 
 def kept_values(array: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
@@ -541,7 +558,6 @@ def train_offline(
     # worse (on validation) than it was given
     best_val = evaluate_loss(spec, weights, val_features, val_labels)
     stall = 0
-    kept = None if weights.prune_mask is None else np.flatnonzero(weights.prune_mask)
     for epoch in range(max_epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -550,7 +566,7 @@ def train_offline(
             probs, cache = forward(spec, weights, train_features[idx], train=True, rng=rng)
             grads = backward(spec, weights, cache, train_labels[idx])
             del cache  # else this batch's activations stay alive through the next forward
-            weights = sgd_step(weights, grads, lr, kept=kept)
+            weights = sgd_step(weights, grads, lr)
             epoch_loss += bce_loss(probs, train_labels[idx]) * len(idx)
         result.train_losses.append(epoch_loss / n)
         val_loss = evaluate_loss(spec, weights, val_features, val_labels)
@@ -639,36 +655,33 @@ def _pack_mask(mask: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KeptEntries:
-    """The fc1_w entries a sparse model section carries: their flat indices
-    (``np.flatnonzero(prune_mask)``) and the mask's bitset. Both are None
-    without a mask, when every entry is kept.
+    """The fc1_w entries kept under the prune mask ``mask``: their flat
+    indices (``np.flatnonzero(mask)``) and the mask's bitset. All three are
+    None without a mask, when every entry is kept.
     """
 
+    mask: np.ndarray | None = None
     indices: np.ndarray | None = None
     bits: np.ndarray | None = None
 
     @classmethod
     def of(cls, mask: np.ndarray | None) -> "KeptEntries":
-        return cls() if mask is None else cls(np.flatnonzero(mask), _pack_mask(mask))
+        return cls() if mask is None else cls(mask, np.flatnonzero(mask), _pack_mask(mask))
 
 
-def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int,
-                kept: KeptEntries | None = None) -> bytearray:
+def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int, *,
+                sparse: bool) -> bytearray:
     """A buffer holding the model section of ``weights`` after ``start``
     zero bytes, which the caller fills with its header; written in one pass.
 
-    Without ``kept`` the section is dense: fc1_w is the matrix. With it the
-    section is sparse: fc1_w is the 1-D vector of its values at
-    ``kept.indices``, and the mask section holds ``kept.bits``, so the cost
-    grows with the kept entries, not with the matrix.
+    A dense section stores fc1_w as the matrix. A ``sparse`` one stores the
+    1-D vector of its values at the kept entries, so its cost grows with
+    the kept entries, not with the matrix. Both end with the mask's bitset.
     """
-    if kept is None:
-        fc1_w = weights.fc1_w
-        bits = None if weights.prune_mask is None else _pack_mask(weights.prune_mask)
-    else:
-        fc1_w, bits = kept_values(weights.fc1_w, kept.indices), kept.bits
+    kept = weights.kept
+    fc1_w = kept_values(weights.fc1_w, kept.indices) if sparse else weights.fc1_w
     arrays = [fc1_w if name == "fc1_w" else getattr(weights, name) for name in PARAM_NAMES]
-    mask_nbytes = 1 if bits is None else _MASK_HEADER.size + bits.size
+    mask_nbytes = 1 if kept.bits is None else _MASK_HEADER.size + kept.bits.size
     buf = bytearray(start + _SPEC_HEADER.size + sum(map(tensor_nbytes, arrays)) + mask_nbytes)
     _SPEC_HEADER.pack_into(
         buf, start, spec.in_rows, spec.in_cols, spec.conv1_filters, spec.conv2_filters,
@@ -677,23 +690,20 @@ def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int,
     offset = start + _SPEC_HEADER.size
     for array in arrays:
         offset = write_tensor(buf, offset, array)
-    if bits is not None:  # else the zero byte left there is tag 0, no mask
+    if kept.bits is not None:  # else the zero byte left there is tag 0, no mask
         _MASK_HEADER.pack_into(buf, offset, 1, weights.fc1_w.size)
-        buf[offset + _MASK_HEADER.size:] = memoryview(bits)
+        buf[offset + _MASK_HEADER.size:] = memoryview(kept.bits)
     return buf
 
 
 def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = None):
     """Read the model section that ends ``reader``'s buffer, as `model_bytes`
-    writes it dense or ``sparse``; returns (spec, weights, kept). Any
-    malformed input raises ``DecodeError``. The tensors are views of the
-    buffer, but a sparse section's fc1_w values are scattered into a dense
-    matrix with +0.0 at the pruned entries.
-
-    The returned ``kept`` describes a sparse section's mask (None for a
-    dense one). Passed back in with the next sparse read, its indices are
-    reused while the bitset bytes are equal, so a receiver of many models
-    under one mask pays for ``np.flatnonzero`` once.
+    writes it dense or ``sparse``; returns (spec, weights). Any malformed
+    input raises ``DecodeError``. The tensors are views of the buffer, but a
+    sparse section's fc1_w values are scattered into a dense matrix with
+    +0.0 at the pruned entries. ``kept`` is the previous model's entries,
+    from a receiver of many models: the weights get that object, mask
+    included, and the bitset is not unpacked, while bitset and shape match.
     """
     offset = reader.offset
     in_rows, in_cols, conv1, conv2, hidden, drop_conv, drop_fc = _SPEC_HEADER.unpack(
@@ -719,7 +729,6 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
     shape = shapes["fc1_w"]
     offset = reader.offset
     tag = reader.u8()
-    mask = bits = None
     if tag == 1:
         nbits = reader.u64()
         if nbits != math.prod(shape):
@@ -728,32 +737,33 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
         # _pack_mask pads with zeros, so equal bitsets always mean equal masks
         if nbits % 8 and bits[-1] >> (nbits % 8):
             raise DecodeError(f"mask bitset has bits set past its {nbits} bits", reader.offset - 1)
-        mask = np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)
-    elif tag != 0:
+        if (kept is None or kept.mask is None or kept.mask.shape != shape
+                or not np.array_equal(bits, kept.bits)):
+            kept = KeptEntries.of(
+                np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape))
+    elif tag == 0:
+        kept = KeptEntries()
+    else:
         raise DecodeError(f"unknown mask section tag {tag}", offset)
     reader.expect_end()
-    if not sparse:
-        return spec, ModelWeights(**fields, prune_mask=mask), None
 
-    if mask is None:
-        kept = KeptEntries()
-    elif kept is None or kept.bits is None or not np.array_equal(bits, kept.bits):
-        # a copy of the bitset, so keeping the entries pins no buffer
-        kept = KeptEntries(np.flatnonzero(mask), bits.copy())
-    values = fc1_w = fields["fc1_w"]
-    n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
-    if values.size != n_kept:
-        raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
-    if kept.indices is not None:
-        fc1_w = np.zeros(mask.size, dtype=values.dtype)
-        fc1_w[kept.indices] = values
-    fields["fc1_w"] = fc1_w.reshape(shape)
-    return spec, ModelWeights(**fields, prune_mask=mask), kept
+    if sparse:
+        values = fc1_w = fields["fc1_w"]
+        n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
+        if values.size != n_kept:
+            raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
+        if kept.indices is not None:
+            fc1_w = np.zeros(kept.mask.size, dtype=values.dtype)
+            fc1_w[kept.indices] = values
+        fields["fc1_w"] = fc1_w.reshape(shape)
+    weights = ModelWeights(**fields, prune_mask=kept.mask)
+    weights._kept = kept
+    return spec, weights
 
 
 def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights) -> bytearray:
     """The checkpoint of ``weights``, written in one pass."""
-    buf = model_bytes(spec, weights, _CHECKPOINT_HEADER.size)
+    buf = model_bytes(spec, weights, _CHECKPOINT_HEADER.size, sparse=False)
     _CHECKPOINT_HEADER.pack_into(buf, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     return buf
 
@@ -766,8 +776,7 @@ def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise DecodeError(f"unsupported checkpoint version {version}", 4)
-    spec, weights, _ = read_model(reader, sparse=False)
-    return spec, weights
+    return read_model(reader, sparse=False)
 
 
 def save_checkpoint(path, spec: DetectorSpec, weights: ModelWeights) -> None:

@@ -175,6 +175,11 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
     ("ftl", "samples_per_su", 0),
     ("ftl", "lr", -1),
     ("sensing", "coset_offsets", [0, 1, 99]),
+    ("domains", "targets", {"S": 2, "T1": 3}),
+    ("domains", "targets", {}),
+    ("net", "dropout_fc", 1.0),
+    ("evaluation", "snr_grid", []),
+    ("evaluation", "table_snr_db", 7.5),
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
     # rejected when the config loads, before the train stage writes anything
@@ -185,6 +190,28 @@ def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys,
     assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["prune"], ["ftl"], ["eval", "--domain", "T1", "--model", "m.bin"],
+                                     ["sweep"]], ids=lambda command: command[0])
+@pytest.mark.parametrize("section, key, value", [
+    ("net", "dropout_fc", 1.0),
+    ("net", "conv1_filters", 0),
+    ("evaluation", "snr_grid", []),
+    ("evaluation", "table_snr_db", 7.5),
+])
+def test_every_subcommand_rejects_a_bad_net_or_grid(tiny_config_file, tmp_path, capsys, command,
+                                                    section, key, value):
+    # the config load checks the net section and the grid, so a subcommand
+    # that would not use them rejects them too, before it reads a checkpoint
+    data = json.loads(tiny_config_file.read_text())
+    data[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):

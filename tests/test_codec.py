@@ -270,10 +270,14 @@ class TestMalformedMessages:
     def test_kept_value_count_differs_from_mask_popcount(self, change):
         spec = SPECS["desk"]
         weights = pruned_model(spec)
-        kept = fed.KeptEntries.of(weights.prune_mask)
-        indices = kept.indices[:-1] if change < 0 else np.append(kept.indices, kept.indices[0])
-        data = fed.encode_message(fed.ModelBroadcast(
-            0, spec, weights, kept=fed.KeptEntries(indices, kept.bits)))
+        data = fed.encode_message(fed.ModelBroadcast(0, spec, weights))
+        # the message's bitset becomes that of a mask keeping one entry more
+        # (change -1) or one fewer (change 1) than it carries values for
+        mask = weights.prune_mask.reshape(-1).copy()
+        flip = np.flatnonzero(mask == (change > 0))[0]
+        mask[flip] = not mask[flip]
+        bits = np.packbits(mask, bitorder="little")
+        data[len(data) - bits.size:] = bits.tobytes()
         with pytest.raises(DecodeError, match="kept entries"):
             fed.decode_message(data)
 
@@ -282,7 +286,7 @@ class TestMalformedMessages:
         spec = SPECS["desk"]
         weights = pruned_model(spec)
         data = bytearray(fed.encode_message(fed.ModelBroadcast(0, spec, weights)))
-        offset = len(data) - len(tn.KeptEntries.of(weights.prune_mask).bits) - 8
+        offset = len(data) - len(weights.kept.bits) - 8
         nbits = spec.flat_dim * spec.hidden_units
         assert struct.unpack_from("<Q", data, offset)[0] == nbits
         struct.pack_into("<Q", data, offset, nbits + change)

@@ -107,9 +107,9 @@ class TestMessageCodec:
         weights = toy_weights(masked=True)
         data = bytes(fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=SPEC, weights=weights)))
         first = fed.decode_message(data)
-        assert np.array_equal(first.kept.indices, np.flatnonzero(weights.prune_mask))
+        assert np.array_equal(first.weights.kept.indices, np.flatnonzero(weights.prune_mask))
         # the kept bitset is a copy: holding it pins no frame
-        assert not np.shares_memory(first.kept.bits, np.frombuffer(data, dtype=np.uint8))
+        assert not np.shares_memory(first.weights.kept.bits, np.frombuffer(data, dtype=np.uint8))
         stepped = tn.ModelWeights(**{**weights.arrays(), "fc1_w": 2 * weights.fc1_w},
                                   prune_mask=weights.prune_mask)
         second = fed.encode_message(fed.ModelBroadcast(round_idx=1, spec=SPEC, weights=stepped))
@@ -120,17 +120,57 @@ class TestMessageCodec:
         calls = []
         flatnonzero = np.flatnonzero
         monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
-        again = fed.decode_message(second, kept=first.kept)
-        assert again.kept is first.kept and calls == []
-        changed = fed.decode_message(third, kept=first.kept)
+        again = fed.decode_message(second, kept=first.weights.kept)
+        assert again.weights.kept is first.weights.kept and calls == []
+        changed = fed.decode_message(third, kept=first.weights.kept)
         assert calls == [1]
-        assert np.array_equal(changed.kept.indices, np.flatnonzero(other.prune_mask))
+        assert np.array_equal(changed.weights.kept.indices, np.flatnonzero(other.prune_mask))
         for got, want in zip((again, changed), fresh):
             assert tn.checkpoint_bytes(SPEC, got.weights) == tn.checkpoint_bytes(SPEC, want.weights)
         dense = tn.ModelWeights(**weights.arrays())
         unmasked = fed.decode_message(fed.encode_message(fed.ModelBroadcast(3, SPEC, dense)),
-                                      kept=first.kept)
-        assert unmasked.kept.indices is None and unmasked.weights.prune_mask is None
+                                      kept=first.weights.kept)
+        assert unmasked.weights.kept.indices is None and unmasked.weights.prune_mask is None
+
+    def test_reused_entries_skip_the_unpack_and_share_the_mask(self, monkeypatch):
+        weights = toy_weights(masked=True)
+        first = fed.decode_message(fed.encode_message(fed.ModelBroadcast(0, SPEC, weights)))
+        stepped = tn.ModelWeights(**{**weights.arrays(), "fc1_w": 3 * weights.fc1_w},
+                                  prune_mask=weights.prune_mask.copy())
+        data = fed.encode_message(fed.ModelBroadcast(1, SPEC, stepped))
+        calls = []
+        for name in ("unpackbits", "flatnonzero", "packbits"):
+            def counting(*args, _name=name, _original=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        again = fed.decode_message(data, kept=first.weights.kept)
+        assert calls == []
+        assert again.weights.kept is first.weights.kept
+        assert again.weights.prune_mask is first.weights.prune_mask
+        assert np.array_equal(again.weights.fc1_w, stepped.fc1_w)
+
+    def test_transposed_fc1_shape_gets_fresh_entries(self):
+        # fc1_w is (2, 3) under one spec and (3, 2) under the other, so the
+        # same six bits of bitset describe masks of two shapes
+        specs = [tn.DetectorSpec(in_rows=5, in_cols=5, conv1_filters=1, conv2_filters=f2,
+                                 hidden_units=h) for f2, h in ((2, 3), (3, 2))]
+        flat_mask = np.array([True, False, True, True, False, False])
+        decoded = []
+        for spec in specs:
+            weights = tn.init_weights(spec, np.random.default_rng(0))
+            mask = flat_mask.reshape(spec.param_shapes()["fc1_w"])
+            weights.fc1_w = np.where(mask, weights.fc1_w, np.float32(0))
+            weights.prune_mask = mask
+            data = fed.encode_message(fed.ModelBroadcast(0, spec, weights))
+            hint = decoded[-1].weights.kept if decoded else None
+            decoded.append(fed.decode_message(data, kept=hint))
+            assert decoded[-1].weights.prune_mask.shape == mask.shape
+            assert np.array_equal(decoded[-1].weights.fc1_w, weights.fc1_w)
+        first, second = decoded
+        assert np.array_equal(first.weights.kept.bits, second.weights.kept.bits)
+        assert second.weights.kept is not first.weights.kept
 
     def test_bits_past_the_mask_are_rejected(self):
         # three fc1_w entries: one bitset byte with five bits of padding
@@ -231,6 +271,13 @@ class TestAggregate:
                         - np.float32(lr) * (np.float32(0.25) * getattr(up1, name)
                                             + np.float32(0.75) * getattr(up2, name)))
             assert np.max(np.abs(getattr(out, name) - expected)) < 1e-6
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_result_shares_the_kept_entries(self, masked):
+        weights = toy_weights(masked=masked)
+        kept = weights.kept
+        out = fed.aggregate(weights, [toy_upload(su_id=1, mask=weights.prune_mask)], lr=0.5)
+        assert out.kept is kept and out.prune_mask is weights.prune_mask
 
     def test_single_upload_degenerate(self):
         weights = toy_weights()

@@ -50,6 +50,15 @@ BAD_STAGE_SETTINGS = [
     ("sensing", "coset_offsets", [0, 3]),
     ("sensing", "coset_offsets", list(range(16))),
     ("sensing", "bandwidth_hz", 0),
+    # a target named S would train on the source stream
+    ("domains", "targets", {"S": 2, "T1": 3}),
+    ("domains", "targets", {}),
+    # the default zero_shot_domain, T2, as the only target
+    ("domains", "targets", {"T2": 4}),
+    ("net", "dropout_fc", 1.0),
+    ("net", "conv1_filters", 0),
+    ("evaluation", "snr_grid", []),
+    ("evaluation", "table_snr_db", 7.5),
 ]
 
 

@@ -108,6 +108,15 @@ class TestPruneModel:
         assert report.zeroed_count == math.ceil(0.8 * report.total_count) - 1
         assert pruned.prune_mask is not None
 
+    def test_repruning_gives_fresh_kept_entries(self):
+        weights, _, _ = tiny_setup()
+        light, _ = pruning.prune_model(weights, 0.5)
+        kept = light.kept
+        heavy, _ = pruning.prune_model(light, 0.8)
+        assert light.kept is kept
+        assert heavy.kept.mask is heavy.prune_mask
+        assert np.array_equal(heavy.kept.indices, np.flatnonzero(heavy.prune_mask))
+
     def test_biases_untouched(self):
         weights, _, _ = tiny_setup()
         weights.fc1_b[:] = 1e-9  # tiny bias magnitudes must survive pruning

@@ -198,7 +198,7 @@ class TestAddAwgn:
         placement = sm.place_pus(np.array([1, 0, 1, 0, 0, 1, 0, 0]), cfg, np.random.default_rng(2))
         t = np.linspace(0, cfg.duration_s, 96)
         clean = sm.noiseless_signal(placement, cfg, t)
-        sigma2 = sm.noise_variance(5.0, clean)
+        sigma2 = float(sm.noise_variance(5.0, clean[None])[0])
         assert sigma2 == sm.awgn_sigma(5.0, placement, cfg, t)
         got = sm.add_awgn(clean, np.random.default_rng(8), sigma2)
         want = sm.sample_received_signal(placement, cfg, t, np.random.default_rng(8), sigma2)

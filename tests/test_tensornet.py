@@ -499,6 +499,45 @@ class TestMaskPropagation:
             assert np.all(w.fc1_w[~mask] == 0)
 
 
+class TestKeptEntries:
+    def test_derived_once_per_mask_object(self):
+        w, _ = hostile_masked_weights(np.float32)
+        first = w.kept
+        assert w.kept is first and first.mask is w.prune_mask
+        assert np.array_equal(first.indices, np.flatnonzero(w.prune_mask))
+        assert np.array_equal(first.bits, np.packbits(w.prune_mask.reshape(-1), bitorder="little"))
+
+    def test_reassigned_mask_gets_fresh_entries(self):
+        w, _ = hostile_masked_weights(np.float32)
+        first = w.kept
+        w.prune_mask = w.prune_mask.copy()  # equal values, another object
+        fresh = w.kept
+        assert fresh is not first and fresh.mask is w.prune_mask
+        assert np.array_equal(fresh.indices, first.indices)
+        w.prune_mask = ~w.prune_mask
+        assert np.array_equal(w.kept.indices, np.flatnonzero(w.prune_mask))
+        w.prune_mask = None
+        assert w.kept.mask is None and w.kept.indices is None and w.kept.bits is None
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_sgd_step_results_share_the_entries(self, masked):
+        w, g = hostile_masked_weights(np.float32)
+        if not masked:
+            w.prune_mask = None
+        kept = w.kept
+        once = tn.sgd_step(w, g, 0.1)
+        twice = tn.sgd_step(once, {n: g[n] for n in tn.DOMAIN_SPECIFIC_PARAMS}, 0.1)
+        assert once.kept is kept and twice.kept is kept
+
+    def test_checkpoint_round_trip_carries_entries_of_its_mask(self):
+        w, _ = hostile_masked_weights(np.float32)
+        w.fc1_w = np.where(w.prune_mask, w.fc1_w, np.float32(0))
+        _, loaded = tn.parse_checkpoint(tn.checkpoint_bytes(TINY, w))
+        assert loaded.kept.mask is loaded.prune_mask
+        assert np.array_equal(loaded.kept.indices, w.kept.indices)
+        assert np.array_equal(loaded.kept.bits, w.kept.bits)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self):
         w = tiny_weights(dtype=np.float32)
