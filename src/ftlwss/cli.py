@@ -87,9 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
     count = args.count if args.count is not None else config.training.n_train
     snr_db = config.training.snr_db if args.snr_db is None else args.snr_db
-    rng = harness.dataset_rng(config, args.domain, args.purpose, None if args.noiseless else snr_db)
-    dataset = harness.build_dataset(config, args.domain, count, rng,
-                                    snr_db=snr_db, noiseless=args.noiseless)
+    dataset = harness.build_dataset(config, args.domain, args.purpose, count,
+                                    None if args.noiseless else snr_db)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"dataset_{args.domain}_{args.purpose}.bin"
     harness.save_dataset(dataset, path, seed=config.seed,
@@ -129,9 +128,7 @@ def _cmd_ftl(args, config: harness.ExperimentConfig) -> int:
 def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
     spec, weights = _load_model("eval", args.model)
     snr_db = args.snr_db if args.snr_db is not None else config.evaluation.table_snr_db
-    test = harness.build_dataset(
-        config, args.domain, config.evaluation.n_test,
-        harness.dataset_rng(config, args.domain, "test", snr_db), snr_db=snr_db)
+    test = harness.build_dataset(config, args.domain, "test", config.evaluation.n_test, snr_db)
     preds = harness.predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
     p_acc = harness.prediction_accuracy(preds, test.labels)
     print(f"domain={args.domain} snr_db={snr_db:g} p_acc={p_acc:.6f} n_test={len(test)}")

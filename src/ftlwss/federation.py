@@ -511,6 +511,10 @@ class SocketServerTransport(Transport):
 
     def __init__(self, n_sus: int, host: str = "127.0.0.1", port: int = 0,
                  timeout_s: float = 60.0, max_retries: int = 2):
+        if not timeout_s > 0:
+            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.n_sus = n_sus
         self.timeout_s = timeout_s
         self.max_retries = max_retries

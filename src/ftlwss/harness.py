@@ -69,6 +69,8 @@ class SensingConfig:
             raise ValueError("sub-Nyquist operation needs n_cosets < n_subbands")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be >= 1")
+        if self.pu_energy <= 0:
+            raise ValueError(f"pu_energy must be positive, got {self.pu_energy}")
         if self.coset_offsets is not None:
             object.__setattr__(self, "coset_offsets", tuple(self.coset_offsets))
             if len(self.coset_offsets) != self.n_cosets:
@@ -153,9 +155,11 @@ class TrainingConfig:
     restart_margin: float = 0.93
 
     def __post_init__(self):
-        for name in ("n_train", "n_val", "n_test", "batch_size"):
+        for name in ("n_train", "n_val", "n_test", "batch_size", "lr_decay_stall", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lr_decay_factor <= 0:
+            raise ValueError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
         if self.restart_epochs < 1:
             raise ValueError("restart_epochs must be >= 1: a probe needs a validation loss")
         if self.lr < 0:
@@ -172,6 +176,8 @@ class PruneStageConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if self.finetune_epochs < 0:
+            raise ValueError(f"finetune_epochs must be >= 0, got {self.finetune_epochs}")
         if self.finetune_lr < 0:
             raise ValueError(f"finetune_lr must be non-negative, got {self.finetune_lr}")
         if self.finetune_batch_size < 1:
@@ -214,6 +220,8 @@ class EvalConfig:
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
+        if len(set(self.snr_grid)) != len(self.snr_grid):
+            raise ValueError(f"snr_grid repeats a point: {self.snr_grid}")
         if self.table_snr_db not in self.snr_grid:
             raise ValueError(f"table_snr_db {self.table_snr_db:g} is not on snr_grid {self.snr_grid}")
 
@@ -358,19 +366,21 @@ _FRONT_END_CHUNK = 256
 def build_dataset(
     config: ExperimentConfig,
     domain: str,
+    purpose: str,
     count: int,
-    rng: np.random.Generator,
-    snr_db: float | None = None,
-    noiseless: bool = False,
+    snr_db: float | None,
+    *,
     keep_spectra: bool = False,
 ) -> LabeledDataset:
-    """Draw ``count`` i.i.d. labelled samples from one domain.
+    """Draw ``count`` i.i.d. labelled samples from one domain, on the stream
+    `dataset_rng` derives from the domain, the ``purpose`` ("train", "val",
+    "test" or "adapt") and ``snr_db``.
 
     Per sample: draw the occupancy, place one PU per occupied band with a
     fresh time offset, evaluate the received signal at the coset sampling
     instants with calibrated noise, run the multicoset front end, and phase-
-    normalize into the network's input tensor. ``snr_db=None`` falls back to
-    the training SNR; ``noiseless=True`` disables noise entirely.
+    normalize into the network's input tensor. ``snr_db=None`` draws no
+    noise at all.
 
     Noise calibration is per transmitter: the variance realising ``snr_db``
     against the whole received power is divided by the PU count, so the SNR
@@ -384,14 +394,13 @@ def build_dataset(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    rng = dataset_rng(config, domain, purpose, snr_db)
     sensing = config.sensing
     pattern = sensing.pattern()
-    if snr_db is None and not noiseless:
-        snr_db = config.training.snr_db
     scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     n_pus = scenario.n_active_pus
-    noisy = not noiseless and n_pus > 0
+    noisy = snr_db is not None and n_pus > 0
 
     ell, n = sensing.n_subbands, sensing.n_snapshots
     features = np.empty((count, ell, n, 2), dtype=np.float32)
@@ -637,11 +646,9 @@ def _train_rng(config: ExperimentConfig, domain: str, attempt: int = 0) -> np.ra
 
 
 def _domain_datasets(config: ExperimentConfig, domain: str):
-    tr = build_dataset(config, domain, config.training.n_train,
-                       dataset_rng(config, domain, "train", config.training.snr_db))
-    va = build_dataset(config, domain, config.training.n_val,
-                       dataset_rng(config, domain, "val", config.training.snr_db))
-    return tr, va
+    t = config.training
+    return (build_dataset(config, domain, "train", t.n_train, t.snr_db),
+            build_dataset(config, domain, "val", t.n_val, t.snr_db))
 
 
 def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDataset,
@@ -656,7 +663,7 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
     spec = config.detector_spec()
     t = config.training
     probe = None
-    for attempt in range(max(1, t.restarts)):
+    for attempt in range(t.restarts):
         rng = _train_rng(config, domain, attempt)
         candidate = tensornet.train_offline(
             spec, tr.features, tr.labels, va.features, va.labels, rng,
@@ -679,8 +686,7 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
 
 
 def _source_test_set(config: ExperimentConfig) -> LabeledDataset:
-    return build_dataset(config, "S", config.training.n_test,
-                         dataset_rng(config, "S", "test", config.training.snr_db))
+    return build_dataset(config, "S", "test", config.training.n_test, config.training.snr_db)
 
 
 def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights,
@@ -749,8 +755,7 @@ def adaptation_sets(config: ExperimentConfig, domains: list[str]) -> list[federa
     sus = []
     for name in domains:
         su_id = config.domains.domain_tag(name)
-        ds = build_dataset(config, name, config.ftl.samples_per_su,
-                           dataset_rng(config, name, "adapt", config.training.snr_db))
+        ds = build_dataset(config, name, "adapt", config.ftl.samples_per_su, config.training.snr_db)
         sus.append(federation.LocalSu(su_id=su_id, features=ds.features, labels=ds.labels))
     return sus
 
@@ -875,11 +880,7 @@ def evaluate_schemes(config: ExperimentConfig, result: PipelineResult, log=lambd
         models = [(SCHEME_FTL, result.ftl_model), (SCHEME_TL, result.tl_model),
                   (SCHEME_FTL_ZERO_SHOT, zero_shot), (SCHEME_RT, result.rt_models.get(domain))]
         for snr_db in config.evaluation.snr_grid:
-            test = build_dataset(
-                config, domain, n_test,
-                dataset_rng(config, domain, "test", snr_db),
-                snr_db=snr_db, keep_spectra=True,
-            )
+            test = build_dataset(config, domain, "test", n_test, snr_db, keep_spectra=True)
             scored = [
                 (scheme, prediction_accuracy(predict_occupancy(spec, model, test.features, threshold),
                                              test.labels))

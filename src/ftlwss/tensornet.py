@@ -20,8 +20,8 @@ on to every model `sgd_step` or `read_model` makes from it.
 
 `forward` runs both convolutions in one loop over blocks of samples, and
 its two scopes give the same bytes. Under ``scope="all"`` the loop runs one
-block, the whole batch, and the cache keeps every intermediate for the full
-backward pass. ``scope="ds_only"`` is the lean path for every pass that
+block, the whole batch, and the cache keeps every intermediate the full
+backward pass reads. ``scope="ds_only"`` is the lean path for every pass that
 needs no convolution gradient (evaluation, prediction, federated
 adaptation): its blocks are L2-sized, the cache keeps only what the FC
 gradients read, and conv1's output can come precomputed
@@ -215,18 +215,19 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.nda
 
 @dataclass
 class ForwardCache:
+    """What `backward` reads of a forward pass, and nothing else: the FC
+    layers' tensors always, the convolutions' patches, pre-activations and
+    dropout masks only after a ``scope="all"`` forward (None otherwise).
+    The masks are None in eval mode."""
+
     flat: np.ndarray        # conv2 activation, flattened, post-dropout
     z3: np.ndarray
     mask3: np.ndarray | None
     h3: np.ndarray
     probs: np.ndarray
-    # what only the convolutions' gradients read: None after a
-    # ``scope="ds_only"`` forward
-    x: np.ndarray | None = None
     cols1: np.ndarray | None = None
     z1: np.ndarray | None = None
     mask1: np.ndarray | None = None
-    a1: np.ndarray | None = None          # conv1 activation, image layout, post-dropout
     cols2: np.ndarray | None = None
     z2: np.ndarray | None = None
     mask2: np.ndarray | None = None
@@ -278,7 +279,6 @@ def forward(
     x: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     *,
     scope: str = "all",
     conv1_out: np.ndarray | None = None,
@@ -286,9 +286,9 @@ def forward(
     """Run the network. Returns (probabilities, cache).
 
     ``x`` is a batch (B, L, N, 2). Eval mode is deterministic and
-    dropout-free. Train mode draws inverted-dropout masks from ``rng``
-    unless explicit ``dropout_masks`` (already keep-scaled) are given, which
-    the gradient checker uses to hold masks fixed.
+    dropout-free. Train mode draws the three inverted-dropout masks from
+    ``rng`` before anything else, so two generators in one state give one
+    set of masks.
 
     ``scope`` names the gradients the cache must serve: all eight
     (``"all"``) or the four domain-specific ones (``"ds_only"``).
@@ -310,8 +310,8 @@ def forward(
     dtype = weights.dtype
     x = _check_input(spec, np.asarray(x)).astype(dtype, copy=False)
     batch = x.shape[0]
-    if train and rng is None and dropout_masks is None:
-        raise ValueError("train mode needs an rng (or explicit dropout masks)")
+    if train and rng is None:
+        raise ValueError("train mode needs an rng")
     if conv1_out is not None:
         if scope != "ds_only":
             raise ValueError('conv1_out needs scope="ds_only": conv1\'s gradient reads its input')
@@ -323,12 +323,9 @@ def forward(
     r2, c2, f2 = spec.conv2_shape
     mask1 = mask2 = mask3 = None
     if train:
-        if dropout_masks is not None:
-            mask1, mask2, mask3 = dropout_masks
-        else:
-            mask1 = _dropout_mask((batch, r1 * c1, f1), spec.dropout_conv, rng, dtype)
-            mask2 = _dropout_mask((batch, r2 * c2, f2), spec.dropout_conv, rng, dtype)
-            mask3 = _dropout_mask((batch, spec.hidden_units), spec.dropout_fc, rng, dtype)
+        mask1 = _dropout_mask((batch, r1 * c1, f1), spec.dropout_conv, rng, dtype)
+        mask2 = _dropout_mask((batch, r2 * c2, f2), spec.dropout_conv, rng, dtype)
+        mask3 = _dropout_mask((batch, spec.hidden_units), spec.dropout_fc, rng, dtype)
 
     step = batch if scope == "all" else _conv_block(spec, dtype)
     flat = np.empty((batch, spec.flat_dim), dtype=dtype)
@@ -361,8 +358,7 @@ def forward(
 
     cache = ForwardCache(flat=flat, z3=z3, mask3=mask3, h3=h3, probs=probs)
     if scope == "all":
-        cache.x, cache.cols1, cache.z1, cache.mask1 = x, cols1, z1, mask1
-        cache.a1 = a1.reshape(batch, r1, c1, f1)
+        cache.cols1, cache.z1, cache.mask1 = cols1, z1, mask1
         cache.cols2, cache.z2, cache.mask2 = cols2, z2, mask2
     return probs, cache
 
@@ -425,7 +421,7 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
     g_conv2_w = np.tensordot(cache.cols2, dz2, axes=([0, 1], [0, 1])).reshape(3, 3, f1, f2)
     g_conv2_b = dz2.sum(axis=(0, 1))
 
-    da1 = _conv_input_grad(dz2, weights.conv2_w, cache.a1.shape).reshape(batch, r1 * c1, f1)
+    da1 = _conv_input_grad(dz2, weights.conv2_w, (batch, r1, c1, f1)).reshape(batch, r1 * c1, f1)
     if cache.mask1 is not None:
         da1 = da1 * cache.mask1
     dz1 = da1 * (cache.z1 > 0)
@@ -590,49 +586,40 @@ def finite_difference_check(
     weights: ModelWeights,
     x: np.ndarray,
     labels: np.ndarray,
-    delta: float = 1e-5,
-    indices: dict[str, np.ndarray] | None = None,
-    dropout_masks: tuple | None = None,
+    dropout_seed: int | None = None,
 ) -> float:
     """Worst relative error between the analytic gradient and central finite
-    differences over the selected parameter entries.
+    differences over every entry of every parameter (tiny nets only).
 
-    ``indices`` maps parameter names to flat index arrays; by default every
-    entry of every parameter is checked (tiny nets only). The step for entry
-    theta_i is delta * max(1, |theta_i|). The error denominator is floored at
-    1e-5 so near-zero gradient pairs that agree to ~1e-11 absolute do not
-    register as large relative errors. When ``dropout_masks`` is given the
-    same masks are used for the analytic pass and both sides of every
-    difference, so the check is valid in train mode too.
+    The step for entry theta_i is 1e-5 * max(1, |theta_i|). The error
+    denominator is floored at 1e-5 so near-zero gradient pairs that agree to
+    ~1e-11 absolute do not register as large relative errors. With a
+    ``dropout_seed`` every pass runs in train mode on a fresh
+    ``np.random.default_rng(dropout_seed)``, so the analytic pass and both
+    sides of every difference draw the same dropout masks.
     """
-    train = dropout_masks is not None
+    train = dropout_seed is not None
 
-    def loss_at() -> float:
-        probs, _ = forward(spec, weights, x, train=train, dropout_masks=dropout_masks)
-        return bce_loss(probs, labels)
+    def run():
+        rng = np.random.default_rng(dropout_seed) if train else None
+        return forward(spec, weights, x, train=train, rng=rng)
 
-    probs, cache = forward(spec, weights, x, train=train, dropout_masks=dropout_masks)
-    analytic = backward(spec, weights, cache, labels)
-    if indices is None:
-        indices = {name: np.arange(getattr(weights, name).size) for name in PARAM_NAMES}
-
+    analytic = backward(spec, weights, run()[1], labels)
     worst = 0.0
-    for name, idx in indices.items():
-        arr = getattr(weights, name)
+    for name in PARAM_NAMES:
         grad = analytic[name].reshape(-1)
-        flat = arr.reshape(-1)
-        for i in np.asarray(idx, dtype=np.int64):
+        flat = getattr(weights, name).reshape(-1)
+        for i in range(flat.size):
             orig = flat[i]
-            step = delta * max(1.0, abs(float(orig)))
+            step = 1e-5 * max(1.0, abs(float(orig)))
             flat[i] = orig + step
-            loss_plus = loss_at()
+            loss_plus = bce_loss(run()[0], labels)
             flat[i] = orig - step
-            loss_minus = loss_at()
+            loss_minus = bce_loss(run()[0], labels)
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * step)
             ga = float(grad[i])
-            rel = abs(fd - ga) / max(abs(fd), abs(ga), 1e-5)
-            worst = max(worst, rel)
+            worst = max(worst, abs(fd - ga) / max(abs(fd), abs(ga), 1e-5))
     return worst
 
 

@@ -198,9 +198,8 @@ class TestBatchedOracle:
         for domain in config.domains.target_names():
             k = config.domains.n_active(domain)
             for snr_db in config.evaluation.snr_grid:
-                spectra = harness.build_dataset(
-                    config, domain, count, harness.dataset_rng(config, domain, "test", snr_db),
-                    snr_db=snr_db, keep_spectra=True).coset_spectra
+                spectra = harness.build_dataset(config, domain, "test", count, snr_db,
+                                                keep_spectra=True).coset_spectra
                 batch = baselines.somp_detect(spectra, a, k)
                 for y, got in zip(spectra, batch):
                     assert (got.support, got.residual_norm) == _per_sample_somp(y, a, k)

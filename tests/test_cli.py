@@ -56,19 +56,18 @@ def test_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):
     assert sidecar["count"] == 5
 
 
-@pytest.mark.parametrize("snr_db", [0.0, -5.0])
+@pytest.mark.parametrize("snr_db", [0.0, -5.0, None])
 def test_gen_data_at_explicit_snr_uses_that_snr_stream(tiny_config_file, tmp_path, snr_db):
-    # 0 dB is a valid SNR, not "unset": it must seed from the 0 dB stream
+    # 0 dB is a valid SNR, not "unset": it must seed from the 0 dB stream;
+    # None stands for --noiseless, which draws from the noiseless stream
     out = tmp_path / "out"
+    noise = ["--noiseless"] if snr_db is None else ["--snr-db", str(snr_db)]
     code = cli.main(["gen-data", "--config", str(tiny_config_file), "--out", str(out),
-                     "--domain", "T2", "--count", "5", "--purpose", "test",
-                     "--snr-db", str(snr_db)])
+                     "--domain", "T2", "--count", "5", "--purpose", "test", *noise])
     assert code == cli.EXIT_OK
     loaded = harness.load_dataset(out / "dataset_T2_test.bin")
     config = harness.ExperimentConfig.from_json_file(tiny_config_file)
-    expected = harness.build_dataset(config, "T2", 5,
-                                     harness.dataset_rng(config, "T2", "test", snr_db),
-                                     snr_db=snr_db)
+    expected = harness.build_dataset(config, "T2", "test", 5, snr_db)
     assert np.array_equal(loaded.features, expected.features)
     assert np.array_equal(loaded.labels, expected.labels)
 

@@ -842,6 +842,20 @@ class TestSocketFaults:
             for client in clients:
                 client.close()
 
+    @pytest.mark.parametrize("setting, value", [("timeout_s", 0), ("timeout_s", -1.0),
+                                                ("max_retries", -1)])
+    def test_bad_timeout_or_retries_named_before_listening(self, monkeypatch, setting, value):
+        # FtlConfig leaves both to the transport, which rejects them before it
+        # opens its listener or starts an SU thread
+        def no_listener(*args, **kwargs):
+            raise AssertionError("listener opened")
+
+        monkeypatch.setattr(fed.socket, "create_server", no_listener)
+        features, labels = toy_dataset(seed=1, count=4)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, **{setting: value})
+        with pytest.raises(ValueError, match=setting):
+            fed.LoopbackSocketTransport([fed.LocalSu(1, features, labels)], cfg, seed=3)
+
     def test_round_fails_when_an_su_never_connects(self):
         # the round runs on a daemon thread, so a server blocked in accept
         # fails the join below instead of hanging the suite

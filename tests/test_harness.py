@@ -59,6 +59,12 @@ BAD_STAGE_SETTINGS = [
     ("net", "conv1_filters", 0),
     ("evaluation", "snr_grid", []),
     ("evaluation", "table_snr_db", 7.5),
+    ("training", "lr_decay_stall", 0),
+    ("training", "lr_decay_factor", -1),
+    ("sensing", "pu_energy", 0),
+    ("prune", "finetune_epochs", -2),
+    ("training", "restarts", 0),
+    ("evaluation", "snr_grid", [10.0, 10.0]),
 ]
 
 
@@ -140,33 +146,32 @@ class TestBuildDataset:
     def test_noiseless_empty_spectrum_is_all_zero(self):
         cfg = tiny_config(
             domains=harness.DomainsConfig(source=3, targets={"T1": 0, "T2": 2, "T3": 4, "T4": 5}))
-        ds = harness.build_dataset(cfg, "T1", 1, np.random.default_rng(0), noiseless=True)
+        ds = harness.build_dataset(cfg, "T1", "test", 1, None)
         assert np.all(ds.features == 0)
         assert np.all(ds.labels == 0)
 
     def test_same_seed_bit_identical(self):
         cfg = tiny_config()
-        a = harness.build_dataset(cfg, "T3", 6, harness.dataset_rng(cfg, "T3", "train", 10.0))
-        b = harness.build_dataset(cfg, "T3", 6, harness.dataset_rng(cfg, "T3", "train", 10.0))
+        a = harness.build_dataset(cfg, "T3", "train", 6, 10.0)
+        b = harness.build_dataset(cfg, "T3", "train", 6, 10.0)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_purpose_streams_differ(self):
         cfg = tiny_config()
-        a = harness.build_dataset(cfg, "T3", 6, harness.dataset_rng(cfg, "T3", "train", 10.0))
-        b = harness.build_dataset(cfg, "T3", 6, harness.dataset_rng(cfg, "T3", "test", 10.0))
+        a = harness.build_dataset(cfg, "T3", "train", 6, 10.0)
+        b = harness.build_dataset(cfg, "T3", "test", 6, 10.0)
         assert not np.array_equal(a.features, b.features)
 
     def test_labels_have_expected_popcount(self):
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T4", 10, harness.dataset_rng(cfg, "T4", "val", 10.0))
+        ds = harness.build_dataset(cfg, "T4", "val", 10, 10.0)
         assert np.all(ds.labels.sum(axis=1) == 5)
 
     def test_noiseless_single_pu_argmax(self):
         # multicoset end-to-end property through the dataset builder
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T1", 20, np.random.default_rng(3),
-                                   noiseless=True, keep_spectra=True)
+        ds = harness.build_dataset(cfg, "T1", "test", 20, None, keep_spectra=True)
         from ftlwss import multicoset as mc
         pattern = cfg.sensing.pattern()
         pinv = mc.pseudo_inverse(mc.build_measurement_matrix(pattern))
@@ -178,22 +183,20 @@ class TestBuildDataset:
 
     def test_feature_entries_unit_or_zero(self):
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T2", 4, np.random.default_rng(1))
+        ds = harness.build_dataset(cfg, "T2", "test", 4, 10.0)
         mags = np.hypot(ds.features[..., 0], ds.features[..., 1])
         assert np.all((np.abs(mags - 1) < 1e-5) | (mags < 1e-5))
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
-            harness.build_dataset(tiny_config(), "T1", 0, np.random.default_rng(0))
+            harness.build_dataset(tiny_config(), "T1", "test", 0, 10.0)
 
 
-def _two_pass_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
+def _two_pass_dataset(config, domain, count, rng, snr_db, noiseless):
     """Reference loop that renders the clean signal twice per sample: once to
     calibrate the noise (`awgn_sigma`), once under it (`sample_received_signal`)."""
     sensing = config.sensing
     pattern = sensing.pattern()
-    if snr_db is None and not noiseless:
-        snr_db = config.training.snr_db
     scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
@@ -215,14 +218,12 @@ def _two_pass_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
     return np.stack(features), np.stack(labels), np.stack(spectra)
 
 
-def _per_sample_dataset(config, domain, count, rng, snr_db=None, noiseless=False):
+def _per_sample_dataset(config, domain, count, rng, snr_db, noiseless):
     """The per-sample loop ``build_dataset`` ran before its front end was
     batched, with the signal renderer and the noise draw of that time inline:
     one PU at a time into the clean signal, ``rng.normal`` for the noise."""
     sensing = config.sensing
     pattern = sensing.pattern()
-    if snr_db is None and not noiseless:
-        snr_db = config.training.snr_db
     scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
     pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
@@ -256,11 +257,9 @@ class TestBuildDatasetOracle:
     @pytest.mark.parametrize("domain", ["S", "T1", "T4"])
     def test_bytes_equal_two_pass_loop(self, domain, snr_db, noiseless):
         cfg = tiny_config()
-        rng_args = (cfg, domain, "test", None if noiseless else snr_db)
-        got = harness.build_dataset(cfg, domain, 12, harness.dataset_rng(*rng_args),
-                                    snr_db=snr_db, noiseless=noiseless, keep_spectra=True)
+        got = harness.build_dataset(cfg, domain, "test", 12, snr_db, keep_spectra=True)
         features, labels, spectra = _two_pass_dataset(
-            cfg, domain, 12, harness.dataset_rng(*rng_args), snr_db=snr_db, noiseless=noiseless)
+            cfg, domain, 12, harness.dataset_rng(cfg, domain, "test", snr_db), snr_db, noiseless)
         assert got.features.tobytes() == features.tobytes()
         assert got.labels.tobytes() == labels.tobytes()
         assert got.coset_spectra.tobytes() == spectra.tobytes()
@@ -273,10 +272,10 @@ class TestBuildDatasetOracle:
         original = signal_model.noiseless_signal
         monkeypatch.setattr(signal_model, "noiseless_signal",
                             lambda p, *a, **k: batches.append(p.carrier_hz.shape[0]) or original(p, *a, **k))
-        harness.build_dataset(tiny_config(), "T3", 7, np.random.default_rng(2), snr_db=0.0)
+        harness.build_dataset(tiny_config(), "T3", "test", 7, 0.0)
         assert batches == [7]
         batches.clear()
-        harness.build_dataset(tiny_config(), "T3", chunk + 1, np.random.default_rng(2), snr_db=0.0)
+        harness.build_dataset(tiny_config(), "T3", "test", chunk + 1, 0.0)
         assert batches == [chunk, 1]
 
     @pytest.mark.parametrize("count", [1, harness._FRONT_END_CHUNK - 1, harness._FRONT_END_CHUNK,
@@ -286,11 +285,9 @@ class TestBuildDatasetOracle:
     ])
     def test_bytes_equal_per_sample_loop(self, count, domain, snr_db, noiseless):
         cfg = tiny_config()
-        rng_args = (cfg, domain, "test", None if noiseless else snr_db)
-        got = harness.build_dataset(cfg, domain, count, harness.dataset_rng(*rng_args),
-                                    snr_db=snr_db, noiseless=noiseless, keep_spectra=True)
+        got = harness.build_dataset(cfg, domain, "test", count, snr_db, keep_spectra=True)
         features, labels, spectra = _per_sample_dataset(
-            cfg, domain, count, harness.dataset_rng(*rng_args), snr_db=snr_db, noiseless=noiseless)
+            cfg, domain, count, harness.dataset_rng(cfg, domain, "test", snr_db), snr_db, noiseless)
         assert got.features.tobytes() == features.tobytes()
         assert got.labels.tobytes() == labels.tobytes()
         assert got.coset_spectra.tobytes() == spectra.tobytes()
@@ -299,7 +296,7 @@ class TestBuildDatasetOracle:
 class TestDatasetPersistence:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T3", 5, np.random.default_rng(4))
+        ds = harness.build_dataset(cfg, "T3", "test", 5, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=cfg.seed, config_sha256=harness.config_hash(cfg))
         loaded = harness.load_dataset(path)
@@ -314,7 +311,7 @@ class TestDatasetPersistence:
     ])
     def test_length_mismatch_raises_decode_error(self, tmp_path, edit):
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T3", 5, np.random.default_rng(4))
+        ds = harness.build_dataset(cfg, "T3", "test", 5, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
         path.write_bytes(edit(path.read_bytes()))
@@ -332,7 +329,7 @@ class TestDatasetPersistence:
         pytest.param(lambda car: '{"count": 3,', id="not-json"),
     ])
     def test_malformed_sidecar_raises_decode_error(self, tmp_path, edit):
-        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
         sidecar = tmp_path / "data.bin.json"
@@ -345,7 +342,7 @@ class TestDatasetPersistence:
         # each prefix of the data file and of its sidecar, then seeded
         # single-bit flips of each: a load succeeds or raises DecodeError
         # (a flipped high bit used to escape as UnicodeDecodeError)
-        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
         sidecar = tmp_path / "data.bin.json"
@@ -371,7 +368,7 @@ class TestDatasetPersistence:
         # flipped: a load succeeds or raises DecodeError
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
         files = {"data": path, "sidecar": tmp_path / "data.bin.json"}
@@ -395,7 +392,7 @@ class TestDatasetPersistence:
         check()
 
     def test_missing_file_stays_an_os_error(self, tmp_path):
-        ds = harness.build_dataset(tiny_config(), "T3", 3, np.random.default_rng(4))
+        ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
         (tmp_path / "data.bin.json").unlink()
@@ -408,7 +405,7 @@ class TestDatasetPersistence:
 
     def test_sidecar_contents(self, tmp_path):
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T3", 5, np.random.default_rng(4))
+        ds = harness.build_dataset(cfg, "T3", "test", 5, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=11, config_sha256="ab" * 32)
         sidecar = json.loads((tmp_path / "data.bin.json").read_text())
@@ -435,7 +432,7 @@ class TestPrediction:
         cfg = tiny_config()
         spec = cfg.detector_spec()
         weights = tn.init_weights(spec, np.random.default_rng(1))
-        ds = harness.build_dataset(cfg, "T3", 6, np.random.default_rng(2))
+        ds = harness.build_dataset(cfg, "T3", "test", 6, 10.0)
         low = harness.predict_occupancy(spec, weights, ds.features, 0.3)
         high = harness.predict_occupancy(spec, weights, ds.features, 0.7)
         assert np.all(high <= low)
@@ -549,7 +546,7 @@ class TestPredictionAccuracy:
     def test_all_zero_predictor_base_rate(self):
         # on a K-occupied domain the all-zero predictor scores (L - K) / L
         cfg = tiny_config()
-        ds = harness.build_dataset(cfg, "T4", 20, np.random.default_rng(5))
+        ds = harness.build_dataset(cfg, "T4", "test", 20, 10.0)
         zeros = np.zeros_like(ds.labels)
         assert harness.prediction_accuracy(zeros, ds.labels) == pytest.approx((8 - 5) / 8)
 
@@ -651,9 +648,9 @@ class TestPipeline:
         built = []
         original = harness.build_dataset
 
-        def counting(config, domain, count, rng, **kwargs):
+        def counting(config, domain, purpose, count, snr_db, **kwargs):
             built.append((domain, count))
-            return original(config, domain, count, rng, **kwargs)
+            return original(config, domain, purpose, count, snr_db, **kwargs)
 
         monkeypatch.setattr(harness, "build_dataset", counting)
         cfg = replace(tiny_config(), stages=("train", "prune"))
@@ -671,9 +668,9 @@ class TestPipeline:
         built = []
         original = harness.build_dataset
 
-        def counting(config, domain, count, rng, **kwargs):
+        def counting(config, domain, purpose, count, snr_db, **kwargs):
             built.append(domain)
-            return original(config, domain, count, rng, **kwargs)
+            return original(config, domain, purpose, count, snr_db, **kwargs)
 
         monkeypatch.setattr(harness, "build_dataset", counting)
         from dataclasses import replace

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,17 +173,23 @@ class TestBackward:
         assert tn.finite_difference_check(TINY, w, x, labels) < 1e-6
 
     def test_finite_difference_fixed_dropout(self):
-        rng = np.random.default_rng(9)
         w = tiny_weights(2)
         x, labels = tiny_batch(batch=2)
-        r1 = TINY.conv1_shape
-        r2 = TINY.conv2_shape
-        masks = (
-            (rng.random((2, r1[0] * r1[1], r1[2])) >= 0.2) / 0.8,
-            (rng.random((2, r2[0] * r2[1], r2[2])) >= 0.2) / 0.8,
-            (rng.random((2, TINY.hidden_units)) >= 0.5) / 0.5,
-        )
-        assert tn.finite_difference_check(TINY, w, x, labels, dropout_masks=masks) < 1e-6
+        assert tn.finite_difference_check(TINY, w, x, labels, dropout_seed=9) < 1e-6
+
+    def test_finite_difference_flags_a_dropped_mask(self, monkeypatch):
+        # a backward that forgets the hidden layer's dropout mask is wrong
+        # only in train mode: the seeded check sees it, eval mode cannot
+        w = tiny_weights(2)
+        x, labels = tiny_batch(batch=2)
+        original = tn.backward
+
+        def without_mask3(spec, weights, cache, labels):
+            return original(spec, weights, replace(cache, mask3=None), labels)
+
+        monkeypatch.setattr(tn, "backward", without_mask3)
+        assert tn.finite_difference_check(TINY, w, x, labels) < 1e-6
+        assert tn.finite_difference_check(TINY, w, x, labels, dropout_seed=3) > 1e-2
 
     def test_single_precision_gradient_accuracy(self):
         # the float64 analytic gradient is itself verified against central
@@ -286,7 +294,7 @@ def assert_caches_agree(lean, full):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("x", "cols1", "z1", "mask1", "a1", "cols2", "z2", "mask2"):
+    for name in ("cols1", "z1", "mask1", "cols2", "z2", "mask2"):
         assert getattr(lean, name) is None, name
 
 
