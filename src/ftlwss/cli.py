@@ -2,10 +2,12 @@
 
 Subcommands mirror the pipeline stages: gen-data, train, prune, ftl, eval,
 sweep, and all; train, prune, ftl and sweep call the harness stage
-functions. Each takes --config (JSON; the built-in desk-scale preset when
-omitted), --seed (overrides the config seed) and --out (artifact
-directory). Exit codes: 0 success, 1 configuration error, 2 stage failure,
-a missing or malformed input checkpoint included.
+functions, which read their input checkpoints from --out (or --model) and
+write their outputs there. Each takes --config (JSON; the built-in
+desk-scale preset when omitted), --seed (overrides the config seed) and
+--out (artifact directory). Exit codes: 0 success, 1 configuration error,
+2 stage failure, a missing, malformed or other-spec input checkpoint and an
+--out that cannot be created included.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
     snr_db = config.training.snr_db if args.snr_db is None else args.snr_db
     dataset = harness.build_dataset(config, args.domain, args.purpose, count,
                                     None if args.noiseless else snr_db)
-    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"dataset_{args.domain}_{args.purpose}.bin"
     harness.save_dataset(dataset, path, seed=config.seed,
                          config_sha256=harness.config_hash(config))
@@ -102,31 +103,23 @@ def _cmd_train(args, config: harness.ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _load_model(stage: str, path: Path):
-    """(spec, weights) of a stage's input checkpoint; a missing or malformed
-    file fails that stage."""
-    try:
-        return tensornet.load_checkpoint(path)
-    except (OSError, DecodeError) as exc:
-        raise harness.StageError(stage, exc) from exc
-
-
 def _cmd_prune(args, config: harness.ExperimentConfig) -> int:
-    _, weights = _load_model("prune", args.model or args.out / "model_source.bin")
-    args.out.mkdir(parents=True, exist_ok=True)
-    harness.prune_stage(config, args.out, weights, log=print)
+    harness.prune_stage(config, args.out, args.model or args.out / "model_source.bin", log=print)
     return EXIT_OK
 
 
 def _cmd_ftl(args, config: harness.ExperimentConfig) -> int:
-    _, weights = _load_model("ftl", args.model or args.out / "model_pruned.bin")
-    args.out.mkdir(parents=True, exist_ok=True)
-    harness.ftl_stage(config, args.out, weights, args.transport, log=print)
+    harness.ftl_stage(config, args.out, args.model or args.out / "model_pruned.bin", args.transport,
+                      log=print)
     return EXIT_OK
 
 
 def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
-    spec, weights = _load_model("eval", args.model)
+    # scored under the checkpoint's own spec, whatever the config builds
+    try:
+        spec, weights = tensornet.load_checkpoint(args.model)
+    except (OSError, DecodeError) as exc:
+        raise harness.StageError("eval", exc) from exc
     snr_db = args.snr_db if args.snr_db is not None else config.evaluation.table_snr_db
     test = harness.build_dataset(config, args.domain, "test", config.evaluation.n_test, snr_db)
     preds = harness.predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
@@ -136,24 +129,7 @@ def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, config: harness.ExperimentConfig) -> int:
-    loaded = []
-
-    def load(name: str):
-        path = args.out / name
-        if not path.exists():
-            return None
-        loaded.append(name)
-        return _load_model("eval", path)[1]
-
-    models = harness.PipelineResult(
-        config=config, spec=config.detector_spec(), ftl_model=load("model_ftl.bin"),
-        tl_model=load("model_tl.bin"), zero_shot_model=load("model_ftl_zero_shot.bin"))
-    for domain in config.domains.target_names():
-        weights = load(f"model_rt_{domain}.bin")
-        if weights is not None:
-            models.rt_models[domain] = weights
-    print(f"sweeping with checkpoints: {loaded or 'none (SOMP only)'}")
-    harness.eval_stage(config, args.out, models, log=print)
+    harness.eval_stage(config, args.out, log=print)
     return EXIT_OK
 
 
@@ -181,6 +157,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command != "eval":  # every other subcommand writes to --out
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create --out {args.out}: {exc}", file=sys.stderr)
+            return EXIT_STAGE
     try:
         return _COMMANDS[args.command](args, config)
     except harness.StageError as exc:

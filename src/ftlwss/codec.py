@@ -91,7 +91,10 @@ class ByteReader:
         # BLAS takes only aligned operands; numpy's fallback rounds differently
         if not array.flags.aligned:
             array = array.copy()
-        return array.reshape(shape)
+        try:
+            return array.reshape(shape)
+        except ValueError as exc:  # no elements, but dimensions too large to address
+            raise DecodeError(f"tensor of shape {shape} is too large to address", self.offset) from exc
 
     def expect_end(self) -> None:
         if self.offset != len(self._data):

@@ -8,7 +8,8 @@ CPU, ``full_scale`` is the full-size configuration.
 
 Every stage derives its randomness from the experiment seed through fixed
 ``SeedSequence`` tags, so datasets, trained models and result files are
-bit-reproducible, and any stage can be re-run from persisted artifacts with
+bit-reproducible. Stages hand models over through checkpoint files in the
+run directory, so any stage can be re-run from persisted artifacts with
 identical output.
 """
 
@@ -18,6 +19,9 @@ import functools
 import hashlib
 import json
 import math
+import numbers
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -43,13 +47,36 @@ SCHEME_FTL_ZERO_SHOT = "ftl_zero_shot"
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _misfit(hint, value) -> bool:
+    """Whether ``value`` breaks the number rule of a field declared ``hint``:
+    an int field takes an int and a float field a real number, neither a
+    bool; the items of dict values, tuples and optional fields follow the
+    rule of their declared type."""
+    if isinstance(value, bool):
+        return hint in (int, float)
+    if hint in (int, float):
+        return not isinstance(value, int if hint is int else numbers.Real)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict and isinstance(value, dict):
+        return any(_misfit(args[1], item) for item in value.values())
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return any(_misfit(args[0], item) for item in value)
+    if origin is types.UnionType and value is not None:
+        return all(_misfit(arm, value) for arm in args if arm is not type(None))
+    return False
+
+
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ValueError(f"{context}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(declared)
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if _misfit(hints[key], value):
+            raise ValueError(f"{context}: {key} must be {declared[key]}, got {value!r}")
     return cls(**data)
 
 
@@ -610,9 +637,10 @@ class StageError(RuntimeError):
 
 def _stage(name: str):
     """Make a stage function raise any failure as a ``StageError`` of stage
-    ``name``. A stage function takes the config, the artifact directory, its
-    inputs and a log callable, writes its artifacts and returns its outputs;
-    run_pipeline and the CLI subcommands call the same functions."""
+    ``name``. A stage function takes the config, the run directory, the
+    paths of its input checkpoints and a log callable, writes its artifacts
+    there and returns no model; run_pipeline and the CLI subcommands call
+    the same functions."""
     def decorate(run):
         @functools.wraps(run)
         def staged(*args, **kwargs):
@@ -626,10 +654,11 @@ def _stage(name: str):
 
 @dataclass
 class PipelineResult:
+    """The models the eval stage read from the run directory and the rows
+    it scored; run_pipeline adds its prune report and source accuracies."""
+
     config: ExperimentConfig
     spec: tensornet.DetectorSpec
-    source_model: tensornet.ModelWeights | None = None
-    pruned_model: tensornet.ModelWeights | None = None
     prune_report: pruning.PruneReport | None = None
     source_p_acc_unpruned: float | None = None
     source_p_acc_pruned: float | None = None
@@ -638,6 +667,15 @@ class PipelineResult:
     zero_shot_model: tensornet.ModelWeights | None = None
     rt_models: dict[str, tensornet.ModelWeights] = field(default_factory=dict)
     rows: list[SweepRow] = field(default_factory=list)
+
+
+def _load_model(config: ExperimentConfig, path) -> tensornet.ModelWeights:
+    """The weights in the checkpoint at ``path``, which must hold a model of
+    the shapes ``config.detector_spec()`` builds."""
+    spec, weights = tensornet.load_checkpoint(path)
+    if spec.param_shapes() != config.detector_spec().param_shapes():
+        raise ValueError(f"{path} holds a model of {spec}, the config builds {config.detector_spec()}")
+    return weights
 
 
 def _train_rng(config: ExperimentConfig, domain: str, attempt: int = 0) -> np.random.Generator:
@@ -682,6 +720,10 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
         init=probe.weights)
     result.train_losses = probe.train_losses + result.train_losses
     result.val_losses = probe.val_losses + result.val_losses
+    # the continuation starts from the probe's best snapshot and keeps it
+    # while no epoch beats it
+    result.best_epoch = (len(probe.val_losses) + result.best_epoch if result.best_epoch >= 0
+                         else probe.best_epoch)
     return result
 
 
@@ -698,8 +740,8 @@ def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeig
 @_stage("train")
 def train_stage(config: ExperimentConfig, outdir, log=lambda msg: None):
     """The train stage: offline training on the source domain, written to
-    ``model_source.bin``. Returns the weights, their source test accuracy
-    and the source (train, val, test) sets, which the prune stage reuses."""
+    ``model_source.bin``. Returns the model's source test accuracy and the
+    source (train, val, test) sets, which the prune stage reuses."""
     log("stage train: offline training on the source domain")
     tr, va = _domain_datasets(config, "S")
     trained = _train_domain_model(config, "S", tr, va, log)
@@ -707,22 +749,23 @@ def train_stage(config: ExperimentConfig, outdir, log=lambda msg: None):
     test = _source_test_set(config)
     p_acc = _source_test_accuracy(config, trained.weights, test)
     log(f"stage train: source test accuracy {p_acc:.4f} (best epoch {trained.best_epoch})")
-    return trained.weights, p_acc, (tr, va, test)
+    return p_acc, (tr, va, test)
 
 
 @_stage("prune")
-def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights,
+def prune_stage(config: ExperimentConfig, outdir, source,
                 sets: tuple[LabeledDataset, LabeledDataset, LabeledDataset] | None = None,
                 p_acc_unpruned: float | None = None, log=lambda msg: None):
-    """The prune stage: magnitude-prune ``source``, fine-tune it on the source
-    train/val sets, score both models on the source test set, and write
-    ``model_pruned.bin`` and ``prune_report.json`` under ``outdir``.
+    """The prune stage: magnitude-prune the model in the checkpoint ``source``,
+    fine-tune it on the source train/val sets, score both models on the
+    source test set, and write ``model_pruned.bin`` and ``prune_report.json``.
 
     ``sets`` (train, val, test) and the unpruned test accuracy are built and
     measured here when the caller does not already hold them. Returns the
-    pruned weights, the prune report and the pruned test accuracy.
+    prune report and the pruned test accuracy.
     """
     outdir = Path(outdir)
+    source = _load_model(config, source)
     if sets is None:
         sets = (*_domain_datasets(config, "S"), _source_test_set(config))
     tr, va, test = sets
@@ -747,7 +790,7 @@ def prune_stage(config: ExperimentConfig, outdir, source: tensornet.ModelWeights
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     log(f"stage prune: zeroed {report.zeroed_count}/{report.total_count}, "
         f"source accuracy {p_acc_unpruned:.4f} -> {p_acc_pruned:.4f}")
-    return tuned.weights, report, p_acc_pruned
+    return report, p_acc_pruned
 
 
 def adaptation_sets(config: ExperimentConfig, domains: list[str]) -> list[federation.LocalSu]:
@@ -764,14 +807,14 @@ _TRANSPORTS = {"inproc": federation.InProcessTransport, "socket": federation.Loo
 
 
 @_stage("ftl")
-def ftl_stage(config: ExperimentConfig, outdir, pruned: tensornet.ModelWeights,
-              transport: str = "inproc", log=lambda msg: None):
-    """The ftl stage: federated adaptation of the pruned model over one SU
-    per target domain (``model_ftl.bin``), over the first target only
-    (``model_tl.bin``) and, with a ``zero_shot_domain``, over every other
-    target (``model_ftl_zero_shot.bin``). The runs share one SU set per
-    domain. ``transport`` is "inproc" or "socket"; both give the same bytes.
-    Returns the three models, the last None without a zero-shot domain.
+def ftl_stage(config: ExperimentConfig, outdir, pruned, transport: str = "inproc",
+              log=lambda msg: None) -> None:
+    """The ftl stage: federated adaptation of the model in the checkpoint
+    ``pruned`` over one SU per target domain (``model_ftl.bin``), over the
+    first target only (``model_tl.bin``) and, with a ``zero_shot_domain``,
+    over every other target (``model_ftl_zero_shot.bin``). The runs share
+    one SU set per domain. ``transport`` is "inproc" or "socket"; both give
+    the same bytes.
     """
     outdir = Path(outdir)
     spec = config.detector_spec()
@@ -779,51 +822,57 @@ def ftl_stage(config: ExperimentConfig, outdir, pruned: tensornet.ModelWeights,
     targets = config.domains.target_names()
     if transport not in _TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; expected one of {sorted(_TRANSPORTS)}")
+    pruned = _load_model(config, pruned)
     sus = dict(zip(targets, adaptation_sets(config, targets)))
 
-    def adapt(domains: list[str], name: str) -> tensornet.ModelWeights:
+    def adapt(domains: list[str], name: str) -> None:
         cfg = federation.FtlConfig(n_sus=len(domains), rounds=f.rounds, local_epochs=f.local_epochs,
                                    batch_size=f.batch_size, lr=f.lr, timeout_s=f.timeout_s,
                                    max_retries=f.max_retries)
         with _TRANSPORTS[transport]([sus[d] for d in domains], cfg, config.seed) as link:
             model = federation.run_ftl(spec, pruned, cfg, link)
         tensornet.save_checkpoint(outdir / name, spec, model)
-        return model
 
     log(f"stage ftl: {f.rounds} rounds over SUs {targets}")
-    ftl = adapt(targets, "model_ftl.bin")
+    adapt(targets, "model_ftl.bin")
     log(f"stage ftl: single-SU transfer using {targets[0]} only")
-    tl = adapt(targets[:1], "model_tl.bin")
-    zero_shot = None
+    adapt(targets[:1], "model_tl.bin")
     if f.zero_shot_domain is not None:
         log(f"stage ftl: zero-shot variant excluding {f.zero_shot_domain}")
-        zero_shot = adapt([d for d in targets if d != f.zero_shot_domain], "model_ftl_zero_shot.bin")
-    return ftl, tl, zero_shot
+        adapt([d for d in targets if d != f.zero_shot_domain], "model_ftl_zero_shot.bin")
 
 
 @_stage("rt")
-def rt_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> dict[str, tensornet.ModelWeights]:
+def rt_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> None:
     """The rt stage: regular training from scratch on each target domain,
-    written to ``model_rt_<domain>.bin``. Returns the models by domain."""
-    models = {}
+    written to ``model_rt_<domain>.bin``."""
     for domain in config.domains.target_names():
         log(f"stage rt: regular training on {domain}")
-        models[domain] = _train_domain_model(config, domain, *_domain_datasets(config, domain), log).weights
+        trained = _train_domain_model(config, domain, *_domain_datasets(config, domain), log)
         tensornet.save_checkpoint(Path(outdir) / f"model_rt_{domain}.bin", config.detector_spec(),
-                                  models[domain])
-    return models
+                                  trained.weights)
 
 
 @_stage("eval")
-def eval_stage(config: ExperimentConfig, outdir, models: PipelineResult,
-               log=lambda msg: None) -> list[SweepRow]:
-    """The eval stage: `evaluate_schemes` on the models ``models`` holds,
-    written to ``results.csv`` and ``summary.json``. Returns the rows."""
-    rows = evaluate_schemes(config, models, log)
-    csv_path = Path(outdir) / "results.csv"
-    emit_results(rows, csv_path, Path(outdir) / "summary.json", table_snr_db=config.evaluation.table_snr_db)
-    log(f"stage eval: wrote {len(rows)} rows to {csv_path}")
-    return rows
+def eval_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> PipelineResult:
+    """The eval stage: `evaluate_schemes` on every scheme checkpoint the run
+    directory ``outdir`` holds (SOMP alone when it holds none), written to
+    ``results.csv`` and ``summary.json``. Returns the result it scored."""
+    outdir = Path(outdir)
+    rt = {f"model_rt_{domain}.bin": domain for domain in config.domains.target_names()}
+    zero_shot = ["model_ftl_zero_shot.bin"] if config.ftl.zero_shot_domain is not None else []
+    names = ("model_ftl.bin", "model_tl.bin", *zero_shot, *rt)
+    models = {name: _load_model(config, outdir / name) for name in names if (outdir / name).exists()}
+    log(f"stage eval: scoring checkpoints {list(models) or 'none (SOMP only)'}")
+    result = PipelineResult(
+        config=config, spec=config.detector_spec(), ftl_model=models.get("model_ftl.bin"),
+        tl_model=models.get("model_tl.bin"), zero_shot_model=models.get("model_ftl_zero_shot.bin"),
+        rt_models={domain: models[name] for name, domain in rt.items() if name in models})
+    result.rows = evaluate_schemes(config, result, log)
+    csv_path = outdir / "results.csv"
+    emit_results(result.rows, csv_path, outdir / "summary.json", table_snr_db=config.evaluation.table_snr_db)
+    log(f"stage eval: wrote {len(result.rows)} rows to {csv_path}")
+    return result
 
 
 def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: int) -> float:
@@ -837,32 +886,35 @@ def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: 
 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:
-    """Execute the configured stages end to end, writing checkpoints, the
-    prune report, and the sweep CSV/JSON under ``outdir``. The prune and ftl
-    stages need the train stage's source model, so either runs it.
+    """Execute the configured stages end to end in the run directory
+    ``outdir``, where each stage reads its input checkpoints. The prune and
+    ftl stages need the train stage's source model, so either runs it.
+    Returns the eval stage's result (a bare one without eval) with the prune
+    report and source accuracies of this run.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     log = progress if progress is not None else (lambda msg: None)
-    result = PipelineResult(config=config, spec=config.detector_spec())
     stages = set(config.stages)
     (outdir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
 
+    p_acc_unpruned = report = p_acc_pruned = None
     if stages & {"train", "prune", "ftl"}:
-        result.source_model, result.source_p_acc_unpruned, source_sets = train_stage(config, outdir, log)
+        p_acc_unpruned, source_sets = train_stage(config, outdir, log)
         if stages & {"prune", "ftl"}:
-            result.pruned_model, result.prune_report, result.source_p_acc_pruned = prune_stage(
-                config, outdir, result.source_model, source_sets, result.source_p_acc_unpruned, log)
+            report, p_acc_pruned = prune_stage(config, outdir, outdir / "model_source.bin",
+                                               source_sets, p_acc_unpruned, log)
         # the source sets served the train and prune stages; drop them so the
         # later stages do not hold them alongside their own
         del source_sets
     if "ftl" in stages:
-        result.ftl_model, result.tl_model, result.zero_shot_model = ftl_stage(
-            config, outdir, result.pruned_model, "inproc", log)
+        ftl_stage(config, outdir, outdir / "model_pruned.bin", "inproc", log)
     if "rt" in stages:
-        result.rt_models = rt_stage(config, outdir, log)
-    if "eval" in stages:
-        result.rows = eval_stage(config, outdir, result, log)
+        rt_stage(config, outdir, log)
+    result = (eval_stage(config, outdir, log) if "eval" in stages
+              else PipelineResult(config=config, spec=config.detector_spec()))
+    result.prune_report, result.source_p_acc_unpruned, result.source_p_acc_pruned = (
+        report, p_acc_unpruned, p_acc_pruned)
     return result
 
 

@@ -134,23 +134,38 @@ def _truncated_checkpoint(config_file, path):
     path.write_bytes(data[:len(data) // 2])
 
 
+def _other_spec_checkpoint(config_file, path):
+    # the tiny config's hidden layer is 6 wide
+    spec = replace(harness.ExperimentConfig.from_json_file(config_file).detector_spec(), hidden_units=7)
+    tn.save_checkpoint(path, spec, tn.init_weights(spec, np.random.default_rng(0)))
+
+
 def _assert_one_line_stage_error(capsys, stage):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: stage {stage!r} failed"), lines
+    return lines[0]
 
 
-@pytest.mark.parametrize("command,stage", [("eval", "eval"), ("prune", "prune"), ("ftl", "ftl")])
-@pytest.mark.parametrize("broken", ["missing", "truncated"])
+@pytest.mark.parametrize("broken,command,stage", [
+    *[(broken, command, command) for broken in ("missing", "truncated") for command in ("eval", "prune", "ftl")],
+    # `ftlwss eval` scores a checkpoint under its own spec; the stages need the config's
+    ("other-spec", "prune", "prune"),
+    ("other-spec", "ftl", "ftl"),
+])
 def test_bad_input_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys, command, stage, broken):
     model = tmp_path / "model.bin"
     if broken == "truncated":
         _truncated_checkpoint(tiny_config_file, model)
+    elif broken == "other-spec":
+        _other_spec_checkpoint(tiny_config_file, model)
     argv = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "out"),
             "--model", str(model)]
     if command == "eval":
         argv += ["--domain", "T2"]
     assert cli.main(argv) == cli.EXIT_STAGE
-    _assert_one_line_stage_error(capsys, stage)
+    line = _assert_one_line_stage_error(capsys, stage)
+    if broken == "other-spec":
+        assert str(model) in line and "hidden_units=7" in line and "hidden_units=6" in line
 
 
 def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys):
@@ -160,6 +175,45 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
     assert cli.main(["sweep", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_STAGE
     _assert_one_line_stage_error(capsys, "eval")
     assert not (out / "results.csv").exists()
+
+
+def test_sweep_with_checkpoint_of_another_spec_is_stage_failure(tiny_config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    _other_spec_checkpoint(tiny_config_file, out / "model_rt_T1.bin")
+    assert cli.main(["sweep", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_STAGE
+    assert "model_rt_T1.bin" in _assert_one_line_stage_error(capsys, "eval")
+    assert not (out / "results.csv").exists()
+
+
+def test_eval_scores_a_checkpoint_of_another_spec(tiny_config_file, tmp_path, capsys):
+    model = tmp_path / "model.bin"
+    _other_spec_checkpoint(tiny_config_file, model)
+    assert cli.main(["eval", "--config", str(tiny_config_file), "--out", str(tmp_path / "out"),
+                     "--model", str(model), "--domain", "T2"]) == cli.EXIT_OK
+    assert "p_acc=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["train"], ["prune"], ["ftl"], ["sweep"], ["all"]],
+                         ids=lambda command: command[0])
+def test_out_that_cannot_be_created_is_one_error_line(tiny_config_file, tmp_path, capsys, command):
+    (tmp_path / "notadir").write_text("")
+    out = tmp_path / "notadir" / "x"
+    assert cli.main([*command, "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_STAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot create --out {out}"), lines
+
+
+def test_eval_writes_nothing_to_out(tiny_config_file, tmp_path, capsys):
+    # the one subcommand that ignores --out: an uncreatable one does not fail it
+    config = harness.ExperimentConfig.from_json_file(tiny_config_file)
+    model = tmp_path / "model.bin"
+    tn.save_checkpoint(model, config.detector_spec(),
+                       tn.init_weights(config.detector_spec(), np.random.default_rng(0)))
+    (tmp_path / "notadir").write_text("")
+    assert cli.main(["eval", "--config", str(tiny_config_file), "--out", str(tmp_path / "notadir" / "x"),
+                     "--model", str(model), "--domain", "T2"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -179,6 +233,20 @@ def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_
     ("net", "dropout_fc", 1.0),
     ("evaluation", "snr_grid", []),
     ("evaluation", "table_snr_db", 7.5),
+    # an integer setting takes an int that is not a bool, a float one a
+    # real number that is not a bool
+    ("training", "n_train", 16.5),
+    ("training", "n_train", True),
+    ("training", "batch_size", 2.5),
+    ("training", "max_epochs", 1.5),
+    ("sensing", "n_snapshots", 8.0),
+    ("net", "hidden_units", 6.5),
+    ("prune", "finetune_epochs", 1.5),
+    ("ftl", "rounds", 1.5),
+    ("ftl", "samples_per_su", True),
+    ("domains", "targets", {"T1": 1.5, "T2": 2, "T3": 4, "T4": 5}),
+    ("evaluation", "n_test", 6.0),
+    ("training", "snr_db", True),
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
     # rejected when the config loads, before the train stage writes anything

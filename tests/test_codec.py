@@ -160,6 +160,12 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="tensor fc1_w has shape"):
             fed.decode_message(data)
 
+    def test_empty_tensor_of_unaddressable_shape(self):
+        # no elements, but numpy cannot address an array of the other dimensions
+        data = struct.pack("<5I", 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(DecodeError, match="too large to address"):
+            ByteReader(data).tensor()
+
     def test_tensor_reads_exact_payload(self):
         data = encode_tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         reader = ByteReader(bytes(data[:-1]))

@@ -93,6 +93,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             harness.ExperimentConfig.from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            harness.ExperimentConfig.from_dict({"seed": seed})
+
+    def test_float_settings_take_integers(self):
+        cfg = harness.ExperimentConfig.from_dict({"training": {"snr_db": 10, "lr": 1},
+                                                  "evaluation": {"snr_grid": [0, 10]}})
+        assert cfg.training.snr_db == 10 and cfg.evaluation.snr_grid == (0, 10)
+
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):
             harness.ExperimentConfig(stages=("train", "deploy"))
@@ -532,6 +542,20 @@ def test_training_and_lean_prediction_independent_of_blas_threads():
     assert len(digests) == 1, digests
 
 
+@pytest.mark.parametrize("max_epochs", [10, 3])
+def test_best_epoch_indexes_the_joined_loss_history(max_epochs):
+    # the probe's 3 epochs open the history; at max_epochs 3 no continuation
+    # epoch runs, and the probe's best snapshot is the result
+    from dataclasses import replace
+    base = tiny_config()
+    cfg = replace(base, training=replace(base.training, n_train=200, n_val=66, restart_epochs=3,
+                                         max_epochs=max_epochs, patience=max_epochs))
+    trained = harness._train_domain_model(cfg, "S", *harness._domain_datasets(cfg, "S"))
+    assert len(trained.val_losses) == max_epochs
+    assert trained.best_epoch >= 0
+    assert trained.val_losses[trained.best_epoch] == min(trained.val_losses)
+
+
 class TestPredictionAccuracy:
     def test_perfect(self):
         labels = np.array([[1, 0, 1], [0, 0, 1]])
@@ -628,13 +652,27 @@ class TestPipeline:
         assert schemes == {"rt", "somp"}
         assert not (tmp_path / "model_ftl.bin").exists()
 
+    def test_eval_scores_every_checkpoint_in_the_directory(self, tmp_path):
+        # a stage-gated run scores what an earlier run left, as `ftlwss sweep` does
+        from dataclasses import replace
+        harness.run_pipeline(replace(tiny_config(), stages=("ftl",)), tmp_path)
+        result = harness.run_pipeline(replace(tiny_config(), stages=("eval",)), tmp_path)
+        assert {r.scheme for r in result.rows} == {"ftl", "tl", "ftl_zero_shot", "somp"}
+        assert result.ftl_model is not None and result.prune_report is None
+        # without a zero-shot domain the zero-shot checkpoint is neither scored nor named
+        logged = []
+        cfg = tiny_config(ftl=replace(tiny_config().ftl, zero_shot_domain=None))
+        assert harness.eval_stage(cfg, tmp_path, logged.append).zero_shot_model is None
+        assert logged[0] == "stage eval: scoring checkpoints ['model_ftl.bin', 'model_tl.bin']"
+
     def test_frozen_convs_after_adaptation(self, tmp_path):
         cfg = tiny_config()
         result = harness.run_pipeline(cfg, tmp_path)
-        assert np.array_equal(result.ftl_model.conv1_w, result.pruned_model.conv1_w)
-        assert np.array_equal(result.ftl_model.conv2_w, result.pruned_model.conv2_w)
+        _, pruned = tn.load_checkpoint(tmp_path / "model_pruned.bin")
+        assert np.array_equal(result.ftl_model.conv1_w, pruned.conv1_w)
+        assert np.array_equal(result.ftl_model.conv2_w, pruned.conv2_w)
         # the pruned sparsity pattern survives adaptation
-        assert np.all(result.ftl_model.fc1_w[~result.pruned_model.prune_mask] == 0)
+        assert np.all(result.ftl_model.fc1_w[~pruned.prune_mask] == 0)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = tiny_config()
@@ -688,8 +726,9 @@ class TestPipeline:
         from ftlwss import federation, pruning
         base = harness.scaled_default()
         cfg = replace(base, ftl=replace(base.ftl, rounds=2, samples_per_su=10))
-        pruned = pruning.prune_model(tn.init_weights(cfg.detector_spec(), np.random.default_rng(0)),
-                                     cfg.prune.ratio)[0]
+        pruned = tmp_path / "model_pruned.bin"
+        tn.save_checkpoint(pruned, cfg.detector_spec(), pruning.prune_model(
+            tn.init_weights(cfg.detector_spec(), np.random.default_rng(0)), cfg.prune.ratio)[0])
         calls = []
         original = federation.conv1_activations
         monkeypatch.setattr(federation, "conv1_activations",
@@ -706,9 +745,7 @@ class TestPipeline:
         assert models["socket"] == models["inproc"]
 
     def test_unknown_transport_is_ftl_stage_failure(self, tmp_path):
-        cfg = tiny_config()
-        spec = cfg.detector_spec()
-        weights = tn.init_weights(spec, np.random.default_rng(0), dtype=np.float32)
+        # named before the stage reads its input checkpoint
         with pytest.raises(harness.StageError, match="unknown transport") as info:
-            harness.ftl_stage(cfg, tmp_path, weights, "carrier-pigeon")
+            harness.ftl_stage(tiny_config(), tmp_path, tmp_path / "model_pruned.bin", "carrier-pigeon")
         assert info.value.stage == "ftl"
