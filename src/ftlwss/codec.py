@@ -1,4 +1,5 @@
-"""Low-level binary encoding shared by checkpoints and federation messages.
+"""Low-level binary encoding shared by checkpoints, federation messages and
+datasets.
 
 Tensor sections are self-describing: a u32 rank, the u32 dimensions, then the
 row-major float32 payload. All integers and floats are little-endian. Decoding
@@ -8,12 +9,14 @@ and never leave partially constructed state behind.
 Encoders size their output first and write every section in place, so
 ``encode_*`` returns a ``bytearray`` built in one pass. Decoded arrays are
 views of the message buffer (read-only when it is ``bytes``), copied only
-when their payload does not sit on a 4-byte boundary.
+when their payload does not sit on a 4-byte boundary; a file read by
+:func:`read_file` is one writable buffer.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -48,6 +51,14 @@ def encode_tensor(array: np.ndarray) -> bytearray:
     buf = bytearray(tensor_nbytes(array))
     write_tensor(buf, 0, array)
     return buf
+
+
+def read_file(path) -> bytearray:
+    """The contents of the file at ``path``, read into one bytearray."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    return data
 
 
 class ByteReader:

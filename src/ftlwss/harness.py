@@ -20,21 +20,27 @@ import hashlib
 import json
 import math
 import numbers
+import re
+import struct
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, federation, multicoset, pruning, signal_model, tensornet
-from .codec import DecodeError
+from .codec import ByteReader, DecodeError, encode_tensor, read_file
 
 ALL_STAGES = ("train", "prune", "ftl", "rt", "eval")
 
 # purpose tags for dataset seed derivation
 _PURPOSE_TAGS = {"train": 0, "val": 1, "test": 2, "adapt": 3}
 _STAGE_DATA, _STAGE_TRAIN, _STAGE_FINETUNE = 1, 2, 3
+
+DATASET_MAGIC = b"WSSD"
+DATASET_VERSION = 1
+_DATASET_HEADER = struct.Struct("<4sI")
 
 SCHEME_FTL = "ftl"
 SCHEME_TL = "tl"
@@ -49,13 +55,15 @@ SCHEME_FTL_ZERO_SHOT = "ftl_zero_shot"
 
 def _misfit(hint, value) -> bool:
     """Whether ``value`` breaks the number rule of a field declared ``hint``:
-    an int field takes an int and a float field a real number, neither a
-    bool; the items of dict values, tuples and optional fields follow the
+    an int field takes an int and a float field a finite real number, neither
+    a bool; the items of dict values, tuples and optional fields follow the
     rule of their declared type."""
     if isinstance(value, bool):
         return hint in (int, float)
-    if hint in (int, float):
-        return not isinstance(value, int if hint is int else numbers.Real)
+    if hint is int:
+        return not isinstance(value, int)
+    if hint is float:
+        return not (isinstance(value, numbers.Real) and math.isfinite(value))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is dict and isinstance(value, dict):
         return any(_misfit(args[1], item) for item in value.values())
@@ -74,10 +82,14 @@ def _from_dict(cls, data: dict, context: str):
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
+    values = {}
     for key, value in data.items():
-        if _misfit(hints[key], value):
+        if is_dataclass(hints[key]):
+            value = _from_dict(hints[key], value, key)
+        elif _misfit(hints[key], value):
             raise ValueError(f"{context}: {key} must be {declared[key]}, got {value!r}")
-    return cls(**data)
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,10 @@ class DomainsConfig:
         if not self.targets or "S" in self.targets:
             raise ValueError("targets must name one or more target domains, none of them "
                              f"'S' (the source), got {sorted(self.targets)}")
+        # a name becomes part of file names and a CSV cell
+        bad = [name for name in self.targets if not re.fullmatch(r"[A-Za-z0-9_-]+", name)]
+        if bad:
+            raise ValueError(f"targets must be named with letters, digits, '_' and '-' only, got {bad}")
 
     def n_active(self, domain: str) -> int:
         if domain == "S":
@@ -311,22 +327,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if isinstance(data, dict):
-            data = {key: _from_dict(_SECTIONS[key], value, key) if key in _SECTIONS else value
-                    for key, value in data.items()}
         return _from_dict(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-_SECTIONS = {
-    "sensing": SensingConfig, "domains": DomainsConfig, "net": NetConfig,
-    "training": TrainingConfig, "prune": PruneStageConfig, "ftl": FtlStageConfig,
-    "evaluation": EvalConfig,
-}
 
 
 def scaled_default() -> ExperimentConfig:
@@ -462,65 +468,47 @@ def build_dataset(
 
 def save_dataset(dataset: LabeledDataset, path, seed: int | None = None,
                  config_sha256: str | None = None) -> None:
-    """Write the dataset as a raw float32 feature block followed by a packed
-    label bitset, with a JSON sidecar (``<path>.json``) describing the layout.
+    """Write ``dataset`` as one self-describing file: magic ``WSSD``, u32
+    version 1, then the (B, L, N, 2) features and the (B, L) labels as codec
+    tensor sections, the labels as float32 0s and 1s. ``<path>.json`` notes
+    the ``seed`` and ``config_sha256`` the data was drawn under; no loader
+    reads it.
     """
-    path = Path(path)
-    count = len(dataset)
-    feature_shape = list(dataset.features.shape[1:])
-    bits = np.packbits(dataset.labels.astype(np.uint8).reshape(-1), bitorder="little")
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
-        fh.write(bits.tobytes())
-    sidecar = {
-        "count": count,
-        "feature_shape": feature_shape,
-        "label_bits_per_sample": int(dataset.labels.shape[1]),
-        "seed": seed,
-        "config_sha256": config_sha256,
-    }
+        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION))
+        fh.write(encode_tensor(dataset.features))
+        fh.write(encode_tensor(dataset.labels))
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump({"seed": seed, "config_sha256": config_sha256}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _read_sidecar(path: Path) -> tuple[int, tuple[int, ...], int]:
-    """(count, feature shape, label bits per sample) from a dataset's JSON
-    sidecar; anything but UTF-8 JSON of non-negative integers is a DecodeError.
-    """
-    raw = Path(str(path) + ".json").read_bytes()
-    try:
-        sidecar = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"dataset sidecar is not UTF-8: {exc.reason}", exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"dataset sidecar is not JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(sidecar, dict):
-        raise DecodeError("dataset sidecar must be a JSON object", 0)
-    count, shape, bits = (sidecar.get(k) for k in ("count", "feature_shape", "label_bits_per_sample"))
-
-    def natural(value) -> bool:
-        return type(value) is int and value >= 0
-
-    if not (natural(count) and natural(bits) and isinstance(shape, list) and all(map(natural, shape))):
-        raise DecodeError(f"dataset sidecar fields malformed: count={count!r}, "
-                          f"feature_shape={shape!r}, label_bits_per_sample={bits!r}", 0)
-    return count, tuple(shape), bits
-
-
 def load_dataset(path) -> LabeledDataset:
-    path = Path(path)
-    count, feature_shape, label_bits = _read_sidecar(path)
-    feature_bytes = 4 * count * math.prod(feature_shape)
-    expected = feature_bytes + (count * label_bits + 7) // 8
-    raw = path.read_bytes()
-    if len(raw) != expected:
-        raise DecodeError(f"dataset file holds {len(raw)} bytes, its sidecar implies {expected}",
-                          min(len(raw), expected))
-    features = np.frombuffer(raw[:feature_bytes], dtype="<f4").reshape((count,) + feature_shape).copy()
-    packed = np.frombuffer(raw[feature_bytes:], dtype=np.uint8)
-    labels = np.unpackbits(packed, count=count * label_bits, bitorder="little")
-    return LabeledDataset(features=features, labels=labels.astype(np.int8).reshape(count, label_bits))
+    """Read a file `save_dataset` wrote. Any other magic or version, a
+    truncated or overlong file, features not shaped (B, L, N, 2), labels not
+    shaped (B, L) or a label other than 0 or 1 raises ``DecodeError``; a
+    missing file stays an ``OSError``. The features are a writable view of
+    the file's buffer.
+    """
+    reader = ByteReader(read_file(path))
+    magic = bytes(reader.take(4))
+    if magic != DATASET_MAGIC:
+        raise DecodeError(f"bad dataset magic {magic!r}", 0)
+    version = reader.u32()
+    if version != DATASET_VERSION:
+        raise DecodeError(f"unsupported dataset version {version}", 4)
+    features = reader.tensor()
+    labels_at = reader.offset
+    labels = reader.tensor()
+    reader.expect_end()
+    if features.ndim != 4 or features.shape[3] != 2:
+        raise DecodeError(f"features of shape {features.shape} are not (B, L, N, 2)", 8)
+    if labels.shape != features.shape[:2]:
+        raise DecodeError(f"labels of shape {labels.shape} do not match features of shape "
+                          f"{features.shape}", labels_at)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DecodeError("a label is neither 0 nor 1", labels_at)
+    return LabeledDataset(features=features, labels=labels.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------

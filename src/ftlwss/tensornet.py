@@ -40,14 +40,13 @@ runs are bit-reproducible per seed.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
+from .codec import ByteReader, DecodeError, read_file, tensor_nbytes, write_tensor
 
 CHECKPOINT_MAGIC = b"WSSN"
 CHECKPOINT_VERSION = 1
@@ -773,7 +772,4 @@ def save_checkpoint(path, spec: DetectorSpec, weights: ModelWeights) -> None:
 
 def load_checkpoint(path) -> tuple[DetectorSpec, ModelWeights]:
     """Read a checkpoint file; the weights are writable views of one buffer."""
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
-    return parse_checkpoint(data)
+    return parse_checkpoint(read_file(path))

@@ -52,8 +52,9 @@ def test_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):
     assert data_path.exists()
     dataset = harness.load_dataset(data_path)
     assert len(dataset) == 5
-    sidecar = json.loads((out / "dataset_T2_test.bin.json").read_text())
-    assert sidecar["count"] == 5
+    note = json.loads((out / "dataset_T2_test.bin.json").read_text())
+    config = harness.ExperimentConfig.from_json_file(tiny_config_file)
+    assert note == {"seed": config.seed, "config_sha256": harness.config_hash(config)}
 
 
 @pytest.mark.parametrize("snr_db", [0.0, -5.0, None])
@@ -247,6 +248,14 @@ def test_eval_writes_nothing_to_out(tiny_config_file, tmp_path, capsys):
     ("domains", "targets", {"T1": 1.5, "T2": 2, "T3": 4, "T4": 5}),
     ("evaluation", "n_test", 6.0),
     ("training", "snr_db", True),
+    # a real-valued setting takes a finite number
+    ("training", "lr", float("nan")),
+    ("ftl", "lr", float("inf")),
+    ("evaluation", "snr_grid", [float("nan"), 10.0]),
+    # a target name becomes part of file names and a CSV cell
+    ("domains", "targets", {"T,1": 1, "T2": 2, "T3": 4, "T4": 5}),
+    ("domains", "targets", {"T/1": 1, "T2": 2, "T3": 4, "T4": 5}),
+    ("domains", "targets", {"": 1, "T2": 2, "T3": 4, "T4": 5}),
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
     # rejected when the config loads, before the train stage writes anything

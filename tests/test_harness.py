@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from ftlwss import harness, multicoset, signal_model
 from ftlwss import tensornet as tn
-from ftlwss.codec import DecodeError
+from ftlwss.codec import DecodeError, encode_tensor
 
 
 def tiny_config(**overrides):
@@ -303,6 +304,14 @@ class TestBuildDatasetOracle:
         assert got.coset_spectra.tobytes() == spectra.tobytes()
 
 
+_FEATURES = np.arange(3 * 8 * 8 * 2, dtype=np.float32).reshape(3, 8, 8, 2)
+_LABELS = np.eye(3, 8, 1, dtype=np.float32)
+
+
+def _dataset_file(features, labels, magic=b"WSSD", version=1) -> bytes:
+    return magic + struct.pack("<I", version) + encode_tensor(features) + encode_tensor(labels)
+
+
 class TestDatasetPersistence:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -328,102 +337,100 @@ class TestDatasetPersistence:
         with pytest.raises(DecodeError):
             harness.load_dataset(path)
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda car: {**car, "count": "3"}, id="count-string"),
-        pytest.param(lambda car: {**car, "feature_shape": None}, id="shape-null"),
-        pytest.param(lambda car: {**car, "feature_shape": [8, 8.0, 2]}, id="shape-float"),
-        pytest.param(lambda car: {k: v for k, v in car.items() if k != "count"}, id="count-missing"),
-        pytest.param(lambda car: {k: v for k, v in car.items() if k != "label_bits_per_sample"},
-                     id="label-bits-missing"),
-        pytest.param(lambda car: [car], id="not-an-object"),
-        pytest.param(lambda car: '{"count": 3,', id="not-json"),
-    ])
-    def test_malformed_sidecar_raises_decode_error(self, tmp_path, edit):
+    def test_layout(self, tmp_path):
+        # magic, version, then the features and the float32 labels as codec tensors
         ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
-        sidecar = tmp_path / "data.bin.json"
-        edited = edit(json.loads(sidecar.read_text()))
-        sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        assert path.read_bytes() == _dataset_file(ds.features, ds.labels.astype(np.float32))
+
+    @pytest.mark.parametrize("magic, version, features, labels", [
+        pytest.param(b"WSSX", 1, _FEATURES, _LABELS, id="bad-magic"),
+        pytest.param(b"WSSD", 2, _FEATURES, _LABELS, id="other-version"),
+        pytest.param(b"WSSD", 1, _FEATURES[..., 0], _LABELS, id="features-rank-3"),
+        pytest.param(b"WSSD", 1, _FEATURES[..., None], _LABELS, id="features-rank-5"),
+        pytest.param(b"WSSD", 1, _FEATURES[..., :1], _LABELS, id="features-one-channel"),
+        pytest.param(b"WSSD", 1, _FEATURES, _LABELS[:, :4], id="labels-fewer-bands"),
+        pytest.param(b"WSSD", 1, _FEATURES, _LABELS[:2], id="labels-fewer-samples"),
+        pytest.param(b"WSSD", 1, _FEATURES, _LABELS.reshape(-1), id="labels-flat"),
+        pytest.param(b"WSSD", 1, _FEATURES, np.where(np.eye(3, 8), 0.5, _LABELS), id="label-half"),
+        pytest.param(b"WSSD", 1, _FEATURES, np.where(np.eye(3, 8), np.nan, _LABELS), id="label-nan"),
+        pytest.param(b"WSSD", 1, _FEATURES, _LABELS + 2, id="label-two"),
+    ])
+    def test_malformed_format_raises_decode_error(self, tmp_path, magic, version, features, labels):
+        path = tmp_path / "data.bin"
+        path.write_bytes(_dataset_file(features, labels, magic, version))
         with pytest.raises(DecodeError):
             harness.load_dataset(path)
+        path.write_bytes(_dataset_file(_FEATURES, _LABELS))
+        assert len(harness.load_dataset(path)) == 3
 
     def test_every_truncation_and_bit_flip_raises_decode_error(self, tmp_path):
-        # each prefix of the data file and of its sidecar, then seeded
-        # single-bit flips of each: a load succeeds or raises DecodeError
-        # (a flipped high bit used to escape as UnicodeDecodeError)
+        # each prefix of the data file, then seeded single-bit flips of it:
+        # a load succeeds or raises DecodeError
         ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
-        sidecar = tmp_path / "data.bin.json"
         rng = np.random.default_rng(13)
-        for target, flips in ((path, 300), (sidecar, 3000)):
-            good = target.read_bytes()
-            bad = [good[:end] for end in range(len(good))]
-            for bit in rng.integers(0, 8 * len(good), size=flips):
-                flipped = bytearray(good)
-                flipped[bit // 8] ^= 1 << (bit % 8)
-                bad.append(bytes(flipped))
-            for data in bad:
-                target.write_bytes(data)
-                try:
-                    harness.load_dataset(path)
-                except DecodeError:
-                    pass
-            target.write_bytes(good)
+        good = path.read_bytes()
+        bad = [good[:end] for end in range(len(good))]
+        for bit in rng.integers(0, 8 * len(good), size=3000):
+            flipped = bytearray(good)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            bad.append(bytes(flipped))
+        for data in bad:
+            path.write_bytes(data)
+            try:
+                harness.load_dataset(path)
+            except DecodeError:
+                pass
+        path.write_bytes(good)
         harness.load_dataset(path)
 
     def test_truncations_and_bit_flips_hypothesis(self, tmp_path):
-        # a prefix of the data file or of its sidecar with up to four bits
-        # flipped: a load succeeds or raises DecodeError
+        # a prefix of the data file with up to four bits flipped: a load
+        # succeeds or raises DecodeError
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=7, config_sha256="ab" * 32)
-        files = {"data": path, "sidecar": tmp_path / "data.bin.json"}
-        good = {name: target.read_bytes() for name, target in files.items()}
+        good = path.read_bytes()
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None)
-        @hypothesis.given(st.sampled_from(sorted(files)), st.data())
-        def check(name, draw):
-            data = bytearray(good[name])
+        @hypothesis.given(st.data())
+        def check(draw):
+            data = bytearray(good)
             end = draw.draw(st.integers(0, len(data)))
             for bit in draw.draw(st.lists(st.integers(0, 8 * len(data) - 1), max_size=4)):
                 data[bit // 8] ^= 1 << (bit % 8)
-            files[name].write_bytes(bytes(data[:end]))
+            path.write_bytes(bytes(data[:end]))
             try:
                 harness.load_dataset(path)
             except DecodeError:
                 pass
-            finally:
-                files[name].write_bytes(good[name])
 
         check()
 
     def test_missing_file_stays_an_os_error(self, tmp_path):
+        # the data file stands alone: a missing note does not stop a load
         ds = harness.build_dataset(tiny_config(), "T3", "test", 3, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path)
         (tmp_path / "data.bin.json").unlink()
-        with pytest.raises(FileNotFoundError):
-            harness.load_dataset(path)
-        harness.save_dataset(ds, path)
+        assert np.array_equal(harness.load_dataset(path).labels, ds.labels)
         path.unlink()
         with pytest.raises(FileNotFoundError):
             harness.load_dataset(path)
 
     def test_sidecar_contents(self, tmp_path):
+        # the note holds what the file cannot say: the seed and config it came from
         cfg = tiny_config()
         ds = harness.build_dataset(cfg, "T3", "test", 5, 10.0)
         path = tmp_path / "data.bin"
         harness.save_dataset(ds, path, seed=11, config_sha256="ab" * 32)
-        sidecar = json.loads((tmp_path / "data.bin.json").read_text())
-        assert sidecar["count"] == 5
-        assert sidecar["feature_shape"] == [8, 8, 2]
-        assert sidecar["label_bits_per_sample"] == 8
-        assert sidecar["seed"] == 11
-        assert sidecar["config_sha256"] == "ab" * 32
+        note = json.loads((tmp_path / "data.bin.json").read_text())
+        assert note == {"seed": 11, "config_sha256": "ab" * 32}
 
 
 class TestPrediction:
