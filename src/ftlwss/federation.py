@@ -39,10 +39,17 @@ Both transports answer a broadcast through one SU object, ``LocalSu``.
 Local training takes the lean forward path (``tensornet.forward`` with
 ``scope="ds_only"``). The frozen conv1 and an SU's fixed samples give the
 same conv1 activations in every round, so each ``LocalSu`` computes them
-once. The mask's kept entries travel with the model (``ModelWeights.kept``),
-and the receiver of the broadcasts reuses the last model's while the bitset
-and shape are unchanged. Both are checked against every broadcast's bytes,
-so a model with other conv1 weights or another mask is handled as fresh.
+once, and each forward block gathers its batch's rows of them. The lean
+``backward`` of a masked model gives the hidden-FC gradient as its kept
+vector, which the local step and the upload take as it is, so an SU never
+builds a dense gradient; it holds a dense ``fc1_w`` only for the model it
+trains, and frees the decoded broadcast once its upload is built. The
+server starts from the initial model itself and, like every step, never
+writes a model in place. The mask's kept entries travel with the model
+(``ModelWeights.kept``), and the receiver of the broadcasts reuses the last
+model's while the bitset and shape are unchanged. Both are checked against
+every broadcast's bytes, so a model with other conv1 weights or another
+mask is handled as fresh.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ from .tensornet import (
     conv1_activations,
     forward,
     kept_update,
-    kept_values,
     model_bytes,
     read_model,
     sgd_step,
@@ -220,15 +226,16 @@ def local_training(
     the then-current local weights, so the accumulated value reflects the
     drift of the local model over the round. The convolutional layers never
     change; the prune mask is enforced on every step, and the hidden-FC
-    gradient is accumulated at the kept entries only, those the model
-    carries (``global_weights.kept``), which every local step passes on.
-    Dropout is active (train mode) with this SU's per-round generator.
-    Every forward takes the lean path, which keeps no convolution
-    intermediates.
+    gradient is computed and accumulated at the kept entries only, those
+    the model carries (``global_weights.kept``), which every local step
+    passes on. Dropout is active (train mode) with this SU's per-round
+    generator. Every forward takes the lean path, which keeps no
+    convolution intermediates.
 
     ``conv1_out`` is ``tensornet.conv1_activations`` of ``features`` under
     the broadcast's conv1 weights, which an SU computes once for all
-    rounds; it is computed per batch when omitted.
+    rounds; each forward block gathers its batch's rows of it. It is
+    computed per block when omitted.
     """
     n = features.shape[0]
     if n == 0:
@@ -249,12 +256,12 @@ def local_training(
                 local = sgd_step(local, grads, cfg.lr)
             idx = order[start:start + cfg.batch_size]
             _, cache = forward(spec, local, features[idx], train=True, rng=rng, scope="ds_only",
-                               conv1_out=None if conv1_out is None else conv1_out[idx])
+                               conv1_out=conv1_out, conv1_rows=None if conv1_out is None else idx)
             grads = backward(spec, local, cache, labels[idx])
             del cache  # else this batch's activations stay alive through the next forward
             for name in DOMAIN_SPECIFIC_PARAMS:
-                grad = grads[name].astype(dtype, copy=False)
-                acc[name] += kept_values(grad, kept) if name == "fc1_w" else grad
+                # fc1_w: the kept vector of a masked model, else the whole matrix
+                acc[name] += grads[name].reshape(acc[name].shape)
     return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)
 
 
@@ -392,7 +399,11 @@ class LocalSu:
                     if not isinstance(msg, ModelBroadcast):
                         raise ProtocolError(f"SU {self.su_id} expected a broadcast, got {type(msg).__name__}")
                     kept = msg.weights.kept
-                    send_frame(sock, self.answer(msg, cfg, seed))
+                    upload = self.answer(msg, cfg, seed)
+                    # free the broadcast (its dense fc1_w and its frame) before
+                    # this SU waits for, and decodes, the next one
+                    del frame, msg
+                    send_frame(sock, upload)
             except (ConnectionResetError, BrokenPipeError):
                 return
 
@@ -679,10 +690,11 @@ def run_ftl(
     """Drive the full adaptation: ``rounds`` iterations of broadcast, local
     training on every SU, upload, and size-weighted aggregation.
 
-    Returns the final global model; its convolutional layers are bit-identical
-    to ``init``'s.
+    Returns the final global model; its convolutional layers are ``init``'s
+    arrays. Models are never written in place, so the rounds start from
+    ``init`` itself, kept entries included.
     """
-    weights = init.copy()
+    weights = init
     for round_idx in range(cfg.rounds):
         broadcast = ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights)
         uploads = transport.run_round(encode_message(broadcast))

@@ -74,6 +74,27 @@ def _misfit(hint, value) -> bool:
     return False
 
 
+@functools.cache
+def _float_hints(cls) -> dict:
+    """The fields of ``cls`` declared a float, a tuple of floats or an
+    optional float, with their type hints."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if float in (hints[f.name], *typing.get_args(hints[f.name]))}
+
+
+class _Config:
+    """Base of the config dataclasses: every float field holds finite real
+    numbers, so a Python caller meets the rule that ``_from_dict`` applies
+    to JSON."""
+
+    def __post_init__(self):
+        for name, hint in _float_hints(type(self)).items():
+            value = getattr(self, name)
+            if _misfit(hint, value):
+                raise ValueError(f"{name} must be finite and not a boolean, got {value!r}")
+
+
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ValueError(f"{context}: expected an object, got {type(data).__name__}")
@@ -93,7 +114,7 @@ def _from_dict(cls, data: dict, context: str):
 
 
 @dataclass(frozen=True)
-class SensingConfig:
+class SensingConfig(_Config):
     bandwidth_hz: float = 320e6
     n_subbands: int = 16
     n_cosets: int = 6
@@ -102,6 +123,7 @@ class SensingConfig:
     pu_energy: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if self.n_cosets >= self.n_subbands:
@@ -136,11 +158,12 @@ class SensingConfig:
 
 
 @dataclass(frozen=True)
-class DomainsConfig:
+class DomainsConfig(_Config):
     source: int = 7
     targets: dict[str, int] = field(default_factory=lambda: {"T1": 2, "T2": 4, "T3": 6, "T4": 9})
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.targets or "S" in self.targets:
             raise ValueError("targets must name one or more target domains, none of them "
                              f"'S' (the source), got {sorted(self.targets)}")
@@ -166,7 +189,7 @@ class DomainsConfig:
 
 
 @dataclass(frozen=True)
-class NetConfig:
+class NetConfig(_Config):
     conv1_filters: int = 16
     conv2_filters: int = 8
     hidden_units: int = 64
@@ -175,7 +198,7 @@ class NetConfig:
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(_Config):
     """Offline-training stage. ``restart_*`` implement a deterministic
     escape from the predict-the-prior saddle: when the validation loss has
     not dropped below ``restart_margin`` times its initial value within
@@ -198,6 +221,7 @@ class TrainingConfig:
     restart_margin: float = 0.93
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("n_train", "n_val", "n_test", "batch_size", "lr_decay_stall", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -210,13 +234,14 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class PruneStageConfig:
+class PruneStageConfig(_Config):
     ratio: float = 0.8
     finetune_epochs: int = 5
     finetune_lr: float = 0.05
     finetune_batch_size: int = 64
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         if self.finetune_epochs < 0:
@@ -228,7 +253,7 @@ class PruneStageConfig:
 
 
 @dataclass(frozen=True)
-class FtlStageConfig:
+class FtlStageConfig(_Config):
     rounds: int = 30
     local_epochs: int = 2
     batch_size: int = 25
@@ -239,6 +264,7 @@ class FtlStageConfig:
     max_retries: int = 2
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("rounds", "local_epochs", "batch_size", "samples_per_su"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -251,13 +277,14 @@ class FtlStageConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(_Config):
     threshold: float = 0.5
     snr_grid: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_test: int = 500
     table_snr_db: float = 10.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("decision threshold must lie in (0, 1)")
         if self.n_test < 1:
@@ -270,7 +297,7 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     seed: int = 20260801
     sensing: SensingConfig = field(default_factory=SensingConfig)
     domains: DomainsConfig = field(default_factory=DomainsConfig)
@@ -282,6 +309,7 @@ class ExperimentConfig:
     stages: tuple[str, ...] = ALL_STAGES
 
     def __post_init__(self):
+        super().__post_init__()
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         unknown = set(self.stages) - set(ALL_STAGES)

@@ -38,8 +38,9 @@ def pruning_threshold(weights: np.ndarray, ratio: float) -> float:
         raise ValueError("cannot prune an empty weight vector")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"pruning ratio must lie in (0, 1), got {ratio}")
-    magnitudes = np.sort(np.abs(flat))
+    magnitudes = np.abs(flat)
     k = math.ceil(ratio * flat.size)
+    magnitudes.partition(k - 1)  # in place: what a sort would put at k - 1
     return float(magnitudes[k - 1])
 
 
@@ -60,9 +61,8 @@ def prune_model(model: ModelWeights, ratio: float) -> tuple[ModelWeights, PruneR
     """Prune the hidden FC weight matrix of a model and attach the keep-mask."""
     threshold = pruning_threshold(model.fc1_w, ratio)
     pruned_fc1, mask = apply_pruning(model.fc1_w, threshold)
-    out = model.copy()
-    out.fc1_w = pruned_fc1
-    out.prune_mask = mask
+    # models are never written in place, so the other arrays are shared
+    out = ModelWeights(**{**model.arrays(), "fc1_w": pruned_fc1}, prune_mask=mask)
     report = PruneReport(
         ratio=ratio,
         threshold=threshold,

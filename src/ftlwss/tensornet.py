@@ -13,7 +13,9 @@ cache of a ``scope="all"`` forward, only the four domain-specific ones from
 that of a ``scope="ds_only"`` forward, and `sgd_step` steps exactly the
 parameters its gradient dict holds. Under an optional prune mask over the
 hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
-+0.0 at the pruned ones, so pruned weights stay exactly zero. A model
++0.0 at the pruned ones, so pruned weights stay exactly zero; the
+``"ds_only"`` backward of a masked model gives that gradient as the vector
+of its kept values, and never builds the dense matrix. A model
 carries those entries (`ModelWeights.kept`: the mask's flat indices and
 bitset, derived once per mask object by `KeptEntries.of`), and hands them
 on to every model `sgd_step` or `read_model` makes from it.
@@ -168,7 +170,12 @@ def init_weights(spec: DetectorSpec, rng: np.random.Generator, dtype=np.float32)
             continue
         fan_in = int(np.prod(shape[:-1]))
         bound = np.sqrt(6.0 / fan_in)
-        fields[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        # the float64 draws in bounded chunks: one stream, as one whole draw
+        flat = np.empty(math.prod(shape), dtype=dtype)
+        for start in range(0, flat.size, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, flat.size)
+            flat[start:stop] = rng.uniform(-bound, bound, size=stop - start)
+        fields[name] = flat.reshape(shape)
     return ModelWeights(**fields)
 
 
@@ -207,9 +214,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout mask: kept units are scaled by 1/(1-rate)."""
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / np.dtype(dtype).type(1.0 - rate)
+    """Inverted-dropout mask: kept units are scaled by 1/(1-rate). The
+    float64 uniforms are drawn in bounded chunks, one stream as one whole
+    draw, into the mask."""
+    mask = np.empty(shape, dtype=dtype)
+    flat = mask.reshape(-1)
+    draws = np.empty(min(_DRAW_CHUNK, flat.size))
+    scale = np.dtype(dtype).type(1.0 - rate)
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        part = draws[:min(_DRAW_CHUNK, flat.size - start)]
+        rng.random(out=part)
+        out = flat[start:start + part.size]
+        np.greater_equal(part, rate, out=out)
+        out /= scale
+    return mask
 
 
 @dataclass
@@ -234,8 +252,11 @@ class ForwardCache:
 
 # Bytes of conv2 patches per block of the lean forward: about what an L2
 # cache holds, so a block's im2col is read back by its GEMM from cache.
-# One full-scale sample (2.5 MB of patches) is a block of its own.
+# One full-scale sample (2.5 MB of patches) is a block of its own. The
+# blocks of the kept fc1_w gradient and of the float64 draws of
+# `init_weights` and `_dropout_mask` are about this size too.
 _CONV_BLOCK_BYTES = 2 << 20
+_DRAW_CHUNK = _CONV_BLOCK_BYTES // 8
 
 
 def _conv_block(spec: DetectorSpec, dtype) -> int:
@@ -281,6 +302,7 @@ def forward(
     *,
     scope: str = "all",
     conv1_out: np.ndarray | None = None,
+    conv1_rows: np.ndarray | None = None,
 ):
     """Run the network. Returns (probabilities, cache).
 
@@ -300,9 +322,11 @@ def forward(
     bytes: each sample's convolutions are GEMMs of their own, fc1 and the
     output layer run on the whole batch (their row count sets the
     rounding), and the dropout masks are drawn for the whole batch in the
-    same order. Under ``"ds_only"``, ``conv1_out`` may hold the batch's
-    `conv1_activations`, computed once for samples that recur while conv1
-    is frozen; ``x`` then only sets the batch.
+    same order. Under ``"ds_only"``, ``conv1_out`` may hold the
+    `conv1_activations` of samples that recur while conv1 is frozen,
+    computed once; ``x`` then only sets the batch. ``conv1_rows`` names the
+    batch's rows of ``conv1_out`` (all of them in order when None), which
+    each block gathers for itself.
     """
     if scope not in ("all", "ds_only"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -314,9 +338,12 @@ def forward(
     if conv1_out is not None:
         if scope != "ds_only":
             raise ValueError('conv1_out needs scope="ds_only": conv1\'s gradient reads its input')
-        if conv1_out.shape != (batch, *spec.conv1_shape):
-            raise ValueError(f"conv1_out has shape {conv1_out.shape}, "
-                             f"expected {(batch, *spec.conv1_shape)}")
+        n_picked = len(conv1_out) if conv1_rows is None else len(conv1_rows)
+        if n_picked != batch or conv1_out.shape[1:] != spec.conv1_shape:
+            raise ValueError(f"conv1_out has shape {conv1_out.shape} and {n_picked} rows picked, "
+                             f"expected {batch} rows of shape {spec.conv1_shape}")
+    elif conv1_rows is not None:
+        raise ValueError("conv1_rows needs conv1_out")
 
     r1, c1, f1 = spec.conv1_shape
     r2, c2, f2 = spec.conv2_shape
@@ -335,7 +362,8 @@ def forward(
             z1 = cols1 @ weights.conv1_w.reshape(-1, f1) + weights.conv1_b
             a1 = np.maximum(z1, 0)
         else:
-            a1 = conv1_out[rows].reshape(-1, r1 * c1, f1)
+            picked = rows if conv1_rows is None else conv1_rows[rows]
+            a1 = conv1_out[picked].reshape(-1, r1 * c1, f1)
         if train:
             a1 = a1 * mask1[rows]
         cols2 = _im2col(a1.reshape(-1, r1, c1, f1))
@@ -388,7 +416,10 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
     The forward's scope sets the result: a ``scope="all"`` cache gives all
     eight gradients, and a ``scope="ds_only"`` cache only the four
     domain-specific ones, stopping after the fully connected layers so the
-    general-feature gradients are never computed. ``labels`` is (B, L).
+    general-feature gradients are never computed. On a ``"ds_only"`` cache
+    of a masked model the fc1_w gradient is the vector of its values at the
+    kept entries (``weights.kept.indices``), computed block by block, so no
+    dense gradient matrix is built. ``labels`` is (B, L).
     """
     labels = np.asarray(labels)
     probs = cache.probs
@@ -407,9 +438,11 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
     if cache.mask3 is not None:
         dh3 = dh3 * cache.mask3
     dz3 = dh3 * (cache.z3 > 0)
-    grads = {"fc1_w": cache.flat.T @ dz3, "fc1_b": dz3.sum(axis=0),
+    lean = cache.cols1 is None  # the cache of a scope="ds_only" forward
+    kept = weights.kept.indices if lean else None
+    grads = {"fc1_w": _fc1_grad(cache.flat, dz3, kept), "fc1_b": dz3.sum(axis=0),
              "out_w": g_out_w, "out_b": g_out_b}
-    if cache.cols1 is None:  # the cache of a scope="ds_only" forward
+    if lean:
         return grads
 
     dflat = dz3 @ weights.fc1_w.T
@@ -431,6 +464,30 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
             "conv2_w": g_conv2_w, "conv2_b": g_conv2_b, **grads}
 
 
+def _fc1_grad(flat: np.ndarray, dz3: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+    """The fc1_w gradient ``flat.T @ dz3``; with the sorted flat indices
+    ``kept``, only its values there, as a vector. That GEMM then runs on
+    blocks of rows of about ``_CONV_BLOCK_BYTES``, skips the blocks without
+    a kept entry and gathers each block at its kept indices. Each row's
+    values come from their own dot products, so they are those of the
+    whole product.
+    """
+    if kept is None:
+        return flat.T @ dz3
+    n_rows, width = flat.shape[1], dz3.shape[1]
+    step = max(1, _CONV_BLOCK_BYTES // (width * dz3.itemsize))
+    starts = range(0, n_rows, step)
+    ends = np.searchsorted(kept, [min(start + step, n_rows) * width for start in starts])
+    out = np.empty(kept.size, dtype=dz3.dtype)
+    lo = 0
+    for start, hi in zip(starts, ends):
+        if hi > lo:
+            block = flat[:, start:start + step].T @ dz3
+            out[lo:hi] = block.reshape(-1)[kept[lo:hi] - start * width]
+        lo = hi
+    return out
+
+
 def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> ModelWeights:
     """Plain gradient step theta <- theta - lr * g on exactly the parameters
     ``grads`` holds, in ``PARAM_NAMES`` order.
@@ -439,9 +496,11 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
     object, so a step on `backward`'s ``scope="ds_only"`` gradients leaves
     the convolutional (general-feature) layers untouched. With a prune mask
     the hidden-FC step is computed at the kept positions only and every
-    pruned weight is +0.0. The result shares the untouched arrays, the mask
-    and its kept entries with ``weights`` and never writes into it, so many
-    steps under one mask derive the kept indices once.
+    pruned weight is +0.0; its gradient is either the dense matrix or, as a
+    lean `backward` gives it, the vector of its kept values. The result
+    shares the untouched arrays, the mask and its kept entries with
+    ``weights`` and never writes into it, so many steps under one mask
+    derive the kept indices once.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
@@ -454,12 +513,15 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
             continue
         value = fields[name]
         grad = grads[name]
-        if value.shape != grad.shape:
-            raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
-        rate = value.dtype.type(lr)
         kept = weights.kept.indices if name == "fc1_w" else None
+        if kept is None or grad.shape != kept.shape:  # not a lean backward's kept vector
+            if value.shape != grad.shape:
+                raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
+            if kept is not None:
+                grad = grad.reshape(-1)[kept]
+        rate = value.dtype.type(lr)
         if kept is not None:
-            fields[name] = kept_update(value, kept, rate * grad.reshape(-1)[kept])
+            fields[name] = kept_update(value, kept, rate * grad)
         else:
             step = rate * grad
             fields[name] = np.subtract(value, step, out=step)

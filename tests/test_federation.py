@@ -554,10 +554,11 @@ class TestRunFtl:
     def test_server_reads_the_mask_once_per_run(self, monkeypatch):
         # encode_message and aggregate work from run_ftl's kept indices and
         # bitset: no per-round scan or packing of the mask on the server
-        weights = toy_weights(masked=True)
         cfg = fed.FtlConfig(n_sus=3, rounds=5, local_epochs=1, batch_size=5, lr=0.05)
-        broadcast = fed.encode_message(fed.ModelBroadcast(round_idx=0, spec=SPEC, weights=weights))
+        broadcast = fed.encode_message(
+            fed.ModelBroadcast(round_idx=0, spec=SPEC, weights=toy_weights(masked=True)))
         uploads = fed.InProcessTransport(self.make_sus(), cfg, seed=8).run_round(broadcast)
+        weights = toy_weights(masked=True)  # a model that has not derived its kept entries
 
         class CannedTransport(fed.Transport):
             rounds = 0
@@ -578,6 +579,11 @@ class TestRunFtl:
         out = fed.run_ftl(SPEC, weights, cfg, CannedTransport())
         assert calls == ["flatnonzero", "packbits"]
         assert np.all(out.fc1_w[~weights.prune_mask] == 0)
+        # run_ftl starts from its init, so a model that carries its kept
+        # entries has them read by no run at all
+        calls.clear()
+        fed.run_ftl(SPEC, weights, cfg, CannedTransport())
+        assert calls == []
 
     def test_close_before_first_round_ends_clients_cleanly(self, monkeypatch):
         errors = []
@@ -1212,6 +1218,40 @@ class TestLocalTrainingOracle:
         want = old_local_training(SPEC, weights, features, labels, 2, 3, cfg, seed=17)
         assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask), tn.DOMAIN_SPECIFIC_PARAMS)
 
+    # block rows 5 (3) split the toy model's 16 fc1 rows into three (five)
+    # blocks and a partial one, with rows 5 to 9 pruned, so one block has no
+    # kept entry; 1000 split the desk model's 2688 rows into two blocks and
+    # a partial one
+    @pytest.mark.parametrize("desk, block_rows", [(False, 5), (False, 3), (True, 1000)],
+                             ids=["toy-5-rows", "toy-3-rows", "desk-1000-rows"])
+    def test_upload_equals_every_step_training_over_gradient_blocks(self, monkeypatch, desk,
+                                                                    block_rows):
+        from ftlwss import harness, pruning
+
+        if desk:
+            spec = harness.scaled_default().detector_spec()
+            rng = np.random.default_rng(2)
+            weights, _ = pruning.prune_model(tn.init_weights(spec, rng), 0.9)
+            features = rng.normal(size=(30, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+            labels = (rng.random((30, spec.in_rows)) < 0.4).astype(np.int8)
+        else:
+            spec, toy = SPEC, toy_weights(masked=True)
+            mask = toy.prune_mask.copy()
+            mask[5:10] = False
+            weights = tn.ModelWeights(
+                **{**toy.arrays(), "fc1_w": np.where(mask, toy.fc1_w, np.float32(0))},
+                prune_mask=mask)
+            features, labels = toy_dataset(seed=4, count=15)
+        monkeypatch.setattr(tn, "_CONV_BLOCK_BYTES", block_rows * spec.hidden_units * 4)
+        assert spec.flat_dim > 2 * block_rows and spec.flat_dim % block_rows
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=2, batch_size=12, lr=0.05)
+        want = old_local_training(spec, weights, features, labels, 2, 3, cfg, seed=17)
+        for conv1_out in (None, tn.conv1_activations(spec, weights, features)):
+            got = fed.local_training(spec, weights, features, labels, 2, 3, cfg, seed=17,
+                                     conv1_out=conv1_out)
+            assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask),
+                                 tn.DOMAIN_SPECIFIC_PARAMS)
+
     def test_desk_shape_peak_memory(self):
         # one batch's forward cache (conv2's im2col alone is about 4.8 MB
         # here) must be gone before the next forward: 19.4 MB when it was not
@@ -1230,6 +1270,29 @@ class TestLocalTrainingOracle:
         finally:
             tracemalloc.stop()
         assert peak < 14e6
+
+    def test_full_scale_peak_memory(self):
+        # an SU's full-scale round as it runs after the first (conv1 rows
+        # cached, kept entries carried): 27.5 MB with the dense fc1_w
+        # gradient, the batch's copy of the conv1 rows and whole-mask
+        # float64 dropout draws
+        from ftlwss import harness, pruning
+
+        spec = harness.full_scale().detector_spec()
+        rng = np.random.default_rng(0)
+        weights, _ = pruning.prune_model(tn.init_weights(spec, rng), 0.9)
+        assert weights.kept.indices is not None  # derived before tracing, as a carried model has them
+        features = rng.normal(size=(25, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((25, spec.in_rows)) < 0.4).astype(np.int8)
+        conv1 = tn.conv1_activations(spec, weights, features)
+        cfg = fed.FtlConfig(n_sus=1, rounds=1, local_epochs=1, batch_size=25)
+        tracemalloc.start()
+        try:
+            fed.local_training(spec, weights, features, labels, 1, 0, cfg, seed=3, conv1_out=conv1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22e6
 
     def test_trains_on_read_only_broadcast(self):
         weights = toy_weights(masked=True)

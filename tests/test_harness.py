@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestConfig:
         cfg = harness.ExperimentConfig.from_dict({"training": {"snr_db": 10, "lr": 1},
                                                   "evaluation": {"snr_grid": [0, 10]}})
         assert cfg.training.snr_db == 10 and cfg.evaluation.snr_grid == (0, 10)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make", [
+        lambda bad: harness.TrainingConfig(lr=bad),
+        lambda bad: harness.TrainingConfig(snr_db=bad),
+        lambda bad: harness.EvalConfig(snr_grid=(bad, 10.0)),
+        lambda bad: harness.EvalConfig(table_snr_db=bad, snr_grid=(bad, 10.0)),
+        lambda bad: harness.SensingConfig(pu_energy=bad),
+        lambda bad: harness.NetConfig(dropout_fc=bad),
+        lambda bad: harness.PruneStageConfig(finetune_lr=bad),
+        lambda bad: harness.FtlStageConfig(timeout_s=bad),
+        lambda bad: replace(harness.full_scale().training, restart_margin=bad),
+    ], ids=["training-lr", "training-snr_db", "eval-snr_grid", "eval-table_snr_db",
+            "sensing-pu_energy", "net-dropout_fc", "prune-finetune_lr", "ftl-timeout_s",
+            "replace-restart_margin"])
+    def test_python_callers_meet_the_finite_number_rule(self, make, bad):
+        # the rule JSON configs meet holds for configs built in Python too
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad)
 
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):

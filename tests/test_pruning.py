@@ -33,6 +33,26 @@ class TestPruningThreshold:
         with pytest.raises(ValueError):
             pruning.pruning_threshold(np.array([]), 0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partition_equals_sorted_order_statistic(self, dtype):
+        # the selection gives the sorted magnitudes' entry, ties included
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(1, 500))
+            weights = rng.normal(size=n).astype(dtype)
+            if trial % 2:  # few distinct magnitudes, of both signs
+                weights = (np.round(weights * 2) / 2 * rng.choice([-1, 1], size=n)).astype(dtype)
+            for ratio in (0.01, 0.3, 0.5, 0.9, 0.99):
+                want = np.sort(np.abs(weights))[math.ceil(ratio * n) - 1]
+                got = pruning.pruning_threshold(weights, ratio)
+                assert got == float(want) and type(got) is float
+
+    def test_input_is_not_reordered(self):
+        weights = np.random.default_rng(6).normal(size=(30, 4)).astype(np.float32)
+        before = weights.tobytes()
+        pruning.pruning_threshold(weights, 0.5)
+        assert weights.tobytes() == before
+
 
 class TestApplyPruning:
     def test_hand_example_continuation(self):

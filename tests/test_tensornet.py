@@ -259,6 +259,59 @@ class TestConvBackpropOracle:
                               _unrolled_conv_input_grad(dz, w, shape))
 
 
+class TestKeptFc1Gradient:
+    """On the lean cache of a masked model `backward` gives the fc1_w
+    gradient as its values at the kept entries, one block of rows at a
+    time; they are the bytes of the whole product ``flat.T @ dz3``, which
+    the same cache gives for the model without its mask."""
+
+    # block rows None keeps the module's blocks: one at desk scale, eight
+    # and a partial one at full scale; 300 splits the desk rows into eight
+    # blocks and a partial one
+    @pytest.mark.parametrize("spec, block_rows", [(DESK, None), (DESK, 300), (FULL, None)],
+                             ids=["desk", "desk-300-rows", "full"])
+    def test_equals_whole_product_at_kept_entries(self, monkeypatch, spec, block_rows):
+        rng = np.random.default_rng(8)
+        w = tn.init_weights(spec, rng)
+        mask = rng.random(w.fc1_w.shape) < 0.1
+        if block_rows is not None:
+            monkeypatch.setattr(tn, "_CONV_BLOCK_BYTES", block_rows * spec.hidden_units * 4)
+        step = tn._CONV_BLOCK_BYTES // (spec.hidden_units * 4)
+        if spec.flat_dim > step:
+            assert spec.flat_dim % step  # a partial last block
+            mask[step:2 * step] = False  # a block without a kept entry
+        masked = tn.ModelWeights(**{**w.arrays(), "fc1_w": np.where(mask, w.fc1_w, np.float32(0))},
+                                 prune_mask=mask)
+        x = rng.normal(size=(25, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((25, spec.in_rows)) < 0.4).astype(np.int8)
+        _, cache = tn.forward(spec, masked, x, train=True, rng=np.random.default_rng(3),
+                              scope="ds_only")
+        got = tn.backward(spec, masked, cache, labels)
+        dense = tn.backward(spec, tn.ModelWeights(**masked.arrays()), cache, labels)
+        want = tn.kept_values(dense["fc1_w"], masked.kept.indices)
+        assert got["fc1_w"].dtype == want.dtype and got["fc1_w"].tobytes() == want.tobytes()
+        # a step reads the kept vector as it reads the dense gradient
+        for name in tn.PARAM_NAMES:
+            a = getattr(tn.sgd_step(masked, got, 0.05), name)
+            b = getattr(tn.sgd_step(masked, dense, 0.05), name)
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_full_cache_keeps_the_dense_gradient(self):
+        w = tiny_weights()
+        mask = np.random.default_rng(2).random(w.fc1_w.shape) > 0.5
+        masked = tn.ModelWeights(**w.arrays(), prune_mask=mask)
+        x, labels = tiny_batch()
+        _, cache = tn.forward(TINY, masked, x)
+        assert tn.backward(TINY, masked, cache, labels)["fc1_w"].shape == w.fc1_w.shape
+
+    def test_step_rejects_a_vector_of_another_length(self):
+        w = tiny_weights()
+        mask = np.random.default_rng(2).random(w.fc1_w.shape) > 0.5
+        masked = tn.ModelWeights(**w.arrays(), prune_mask=mask)
+        with pytest.raises(ValueError, match="shape mismatch on fc1_w"):
+            tn.sgd_step(masked, {"fc1_w": np.zeros(int(mask.sum()) - 1)}, 0.1)
+
+
 class TestBackwardScope:
     def test_ds_only_fc_gradients_bitwise_equal_to_all(self):
         rng = np.random.default_rng(4)
@@ -336,10 +389,13 @@ class TestLeanForward:
         idx = rng.permutation(12)[:7]
         _, full = tn.forward(spec, w, x[idx])
         assert cached[idx].tobytes() == np.maximum(full.z1, 0).tobytes()
-        for train in (False, True):
+        # the batch's rows taken up front, or gathered by each block
+        for train, rows in ((False, {"conv1_out": cached[idx]}), (True, {"conv1_out": cached[idx]}),
+                            (False, {"conv1_out": cached, "conv1_rows": idx}),
+                            (True, {"conv1_out": cached, "conv1_rows": idx})):
             want, full = tn.forward(spec, w, x[idx], train=train, rng=np.random.default_rng(2))
             got, lean = tn.forward(spec, w, x[idx], train=train, rng=np.random.default_rng(2),
-                                   scope="ds_only", conv1_out=cached[idx])
+                                   scope="ds_only", **rows)
             assert got.tobytes() == want.tobytes()
             assert_caches_agree(lean, full)
 
@@ -372,6 +428,10 @@ class TestLeanForward:
             tn.forward(TINY, w, x, conv1_out=conv1)
         with pytest.raises(ValueError, match="conv1_out has shape"):
             tn.forward(TINY, w, x, scope="ds_only", conv1_out=conv1[:2])
+        with pytest.raises(ValueError, match="conv1_out has shape"):
+            tn.forward(TINY, w, x, scope="ds_only", conv1_out=conv1, conv1_rows=np.arange(2))
+        with pytest.raises(ValueError, match="conv1_rows needs conv1_out"):
+            tn.forward(TINY, w, x, scope="ds_only", conv1_rows=np.arange(3))
 
 
 class TestSgdStep:
@@ -489,6 +549,67 @@ class TestTrainOffline:
         finally:
             tracemalloc.stop()
         assert peak < 17e6
+
+
+def old_init_weights(spec, rng, dtype):
+    """init_weights with one whole float64 draw per weight tensor."""
+    fields = {}
+    for name, shape in spec.param_shapes().items():
+        if name.endswith("_b"):
+            fields[name] = np.zeros(shape, dtype=dtype)
+            continue
+        bound = np.sqrt(6.0 / int(np.prod(shape[:-1])))
+        fields[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return tn.ModelWeights(**fields)
+
+
+class TestBoundedDraws:
+    """`init_weights` and the dropout masks draw their float64 uniforms in
+    chunks of ``_DRAW_CHUNK``; values and generator state are those of one
+    whole draw."""
+
+    # chunk None keeps the module's chunk (fc1_w at full scale takes 17 of
+    # them); 7 splits even the tiny tensors, with a partial last chunk
+    @pytest.mark.parametrize("spec, chunk, dtype", [
+        (TINY, 7, np.float32), (TINY, 7, np.float64), (DESK, None, np.float32),
+        (FULL, None, np.float32)], ids=["tiny-7-f32", "tiny-7-f64", "desk", "full"])
+    def test_init_weights_equals_whole_draw(self, monkeypatch, spec, chunk, dtype):
+        if chunk is not None:
+            monkeypatch.setattr(tn, "_DRAW_CHUNK", chunk)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = tn.init_weights(spec, got_rng, dtype=dtype)
+        want = old_init_weights(spec, want_rng, dtype)
+        for name in tn.PARAM_NAMES:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape, chunk", [
+        ((3, 5, 7), 8), ((2, 4), 8), ((25, 2356, 32), None), ((3, 128), None)],
+        ids=["tiny-8", "one-chunk-8", "full-conv1", "one-chunk"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+    def test_dropout_mask_equals_whole_draw(self, monkeypatch, shape, chunk, dtype, rate):
+        if chunk is not None:
+            monkeypatch.setattr(tn, "_DRAW_CHUNK", chunk)
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = tn._dropout_mask(shape, rate, got_rng, dtype)
+        want = (want_rng.random(shape) >= rate).astype(dtype) / np.dtype(dtype).type(1.0 - rate)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_full_scale_init_peak_memory(self):
+        # fc1_w's float64 draws are bounded: 53.1 MB when it was drawn whole
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            tn.init_weights(FULL, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestMaskPropagation:
