@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import re
 import struct
 import types
@@ -56,8 +57,9 @@ SCHEME_FTL_ZERO_SHOT = "ftl_zero_shot"
 def _misfit(hint, value) -> bool:
     """Whether ``value`` breaks the number rule of a field declared ``hint``:
     an int field takes an int and a float field a finite real number, neither
-    a bool; the items of dict values, tuples and optional fields follow the
-    rule of their declared type."""
+    a bool; a dict field takes a dict and a tuple field a list or tuple, whose
+    items (the values of a dict) follow the rule of their declared type, as
+    does the value of an optional field."""
     if isinstance(value, bool):
         return hint in (int, float)
     if hint is int:
@@ -65,73 +67,82 @@ def _misfit(hint, value) -> bool:
     if hint is float:
         return not (isinstance(value, numbers.Real) and math.isfinite(value))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is dict and isinstance(value, dict):
-        return any(_misfit(args[1], item) for item in value.values())
-    if origin is tuple and isinstance(value, (list, tuple)):
-        return any(_misfit(args[0], item) for item in value)
+    if origin is dict:
+        return not isinstance(value, dict) or any(_misfit(args[1], item) for item in value.values())
+    if origin is tuple:
+        return not isinstance(value, (list, tuple)) or any(_misfit(args[0], item) for item in value)
     if origin is types.UnionType and value is not None:
         return all(_misfit(arm, value) for arm in args if arm is not type(None))
     return False
 
 
+_COMPARE = {"ge": operator.ge, "gt": operator.gt, "lt": operator.lt}
+
+
+def _bounded(default, **bound):
+    """A config field with ``default`` and one declared bound: ``ge=lo``
+    (>= lo), ``gt=lo`` (> lo) or ``gt=lo, lt=hi`` (the open interval)."""
+    return field(default=default, metadata=bound)
+
+
+def _bound_text(bound) -> str:
+    """A field's declared bound as the error messages and the README put it."""
+    if "lt" in bound:
+        return f"in ({bound['gt']}, {bound['lt']})"
+    return f">= {bound['ge']}" if "ge" in bound else f"> {bound['gt']}"
+
+
 @functools.cache
-def _float_hints(cls) -> dict:
-    """The fields of ``cls`` declared a float, a tuple of floats or an
-    optional float, with their type hints."""
+def _field_rules(cls) -> tuple:
+    """Each field of ``cls`` as (name, declared type, resolved type hint,
+    declared bound), resolved once per class."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)
-            if float in (hints[f.name], *typing.get_args(hints[f.name]))}
+    return tuple((f.name, f.type, hints[f.name], f.metadata) for f in fields(cls))
 
 
 class _Config:
-    """Base of the config dataclasses: every float field holds finite real
-    numbers, so a Python caller meets the rule that ``_from_dict`` applies
-    to JSON."""
+    """Base of the config dataclasses. Every field meets the number rule of
+    its type and the bound its metadata declares, whether the config comes
+    from JSON or from Python; subclasses add the rules that span fields."""
 
     def __post_init__(self):
-        for name, hint in _float_hints(type(self)).items():
+        for name, declared, hint, bound in _field_rules(type(self)):
             value = getattr(self, name)
             if _misfit(hint, value):
-                raise ValueError(f"{name} must be finite and not a boolean, got {value!r}")
+                raise ValueError(
+                    f"{name} must be {declared} (no bool, nan or infinity), got {value!r}")
+            if bound and not all(_COMPARE[op](value, limit) for op, limit in bound.items()):
+                raise ValueError(f"{name} must be {_bound_text(bound)}, got {value!r}")
 
 
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ValueError(f"{context}: expected an object, got {type(data).__name__}")
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(declared)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
-    values = {}
-    for key, value in data.items():
-        if is_dataclass(hints[key]):
-            value = _from_dict(hints[key], value, key)
-        elif _misfit(hints[key], value):
-            raise ValueError(f"{context}: {key} must be {declared[key]}, got {value!r}")
-        values[key] = value
-    return cls(**values)
+    values = {key: _from_dict(hints[key], value, key) if is_dataclass(hints[key]) else value
+              for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class SensingConfig(_Config):
-    bandwidth_hz: float = 320e6
+    bandwidth_hz: float = _bounded(320e6, gt=0)
     n_subbands: int = 16
-    n_cosets: int = 6
-    n_snapshots: int = 32
+    n_cosets: int = _bounded(6, ge=1)
+    n_snapshots: int = _bounded(32, ge=1)
     coset_offsets: tuple[int, ...] | None = None
-    pu_energy: float = 1.0
+    pu_energy: float = _bounded(1.0, gt=0)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if self.n_cosets >= self.n_subbands:
             raise ValueError("sub-Nyquist operation needs n_cosets < n_subbands")
-        if self.n_snapshots < 1:
-            raise ValueError("n_snapshots must be >= 1")
-        if self.pu_energy <= 0:
-            raise ValueError(f"pu_energy must be positive, got {self.pu_energy}")
         if self.coset_offsets is not None:
             object.__setattr__(self, "coset_offsets", tuple(self.coset_offsets))
             if len(self.coset_offsets) != self.n_cosets:
@@ -139,7 +150,7 @@ class SensingConfig(_Config):
                                  f"n_cosets is {self.n_cosets}")
             try:
                 self.pattern()
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"coset_offsets: {exc}") from exc
 
     @property
@@ -206,89 +217,51 @@ class TrainingConfig(_Config):
     initialization (up to ``restarts`` attempts) before continuing.
     """
 
-    n_train: int = 2000
-    n_val: int = 500
-    n_test: int = 500
+    n_train: int = _bounded(2000, ge=1)
+    n_val: int = _bounded(500, ge=1)
+    n_test: int = _bounded(500, ge=1)
     snr_db: float = 10.0
-    lr: float = 0.15
-    batch_size: int = 32
-    max_epochs: int = 150
-    patience: int = 24
-    lr_decay_factor: float = 0.5
-    lr_decay_stall: int = 10
-    restarts: int = 3
-    restart_epochs: int = 12
+    lr: float = _bounded(0.15, ge=0)
+    batch_size: int = _bounded(32, ge=1)
+    max_epochs: int = _bounded(150, ge=0)
+    patience: int = _bounded(24, ge=0)
+    lr_decay_factor: float = _bounded(0.5, gt=0)
+    lr_decay_stall: int = _bounded(10, ge=1)
+    restarts: int = _bounded(3, ge=1)
+    # a probe needs a validation loss
+    restart_epochs: int = _bounded(12, ge=1)
     restart_margin: float = 0.93
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("n_train", "n_val", "n_test", "batch_size", "lr_decay_stall", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr_decay_factor <= 0:
-            raise ValueError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
-        if self.restart_epochs < 1:
-            raise ValueError("restart_epochs must be >= 1: a probe needs a validation loss")
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
 
 
 @dataclass(frozen=True)
 class PruneStageConfig(_Config):
-    ratio: float = 0.8
-    finetune_epochs: int = 5
-    finetune_lr: float = 0.05
-    finetune_batch_size: int = 64
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if self.finetune_epochs < 0:
-            raise ValueError(f"finetune_epochs must be >= 0, got {self.finetune_epochs}")
-        if self.finetune_lr < 0:
-            raise ValueError(f"finetune_lr must be non-negative, got {self.finetune_lr}")
-        if self.finetune_batch_size < 1:
-            raise ValueError(f"finetune_batch_size must be >= 1, got {self.finetune_batch_size}")
+    ratio: float = _bounded(0.8, gt=0, lt=1)
+    finetune_epochs: int = _bounded(5, ge=0)
+    finetune_lr: float = _bounded(0.05, ge=0)
+    finetune_batch_size: int = _bounded(64, ge=1)
 
 
 @dataclass(frozen=True)
 class FtlStageConfig(_Config):
-    rounds: int = 30
-    local_epochs: int = 2
-    batch_size: int = 25
-    lr: float = 0.04
-    samples_per_su: int = 100
+    rounds: int = _bounded(30, ge=1)
+    local_epochs: int = _bounded(2, ge=1)
+    batch_size: int = _bounded(25, ge=1)
+    lr: float = _bounded(0.04, ge=0)
+    samples_per_su: int = _bounded(100, ge=1)
     zero_shot_domain: str | None = "T2"
-    timeout_s: float = 60.0
-    max_retries: int = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("rounds", "local_epochs", "batch_size", "samples_per_su"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
-        if self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+    timeout_s: float = _bounded(60.0, gt=0)
+    max_retries: int = _bounded(2, ge=0)
 
 
 @dataclass(frozen=True)
 class EvalConfig(_Config):
-    threshold: float = 0.5
+    threshold: float = _bounded(0.5, gt=0, lt=1)
     snr_grid: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-    n_test: int = 500
+    n_test: int = _bounded(500, ge=1)
     table_snr_db: float = 10.0
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("decision threshold must lie in (0, 1)")
-        if self.n_test < 1:
-            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
         if len(set(self.snr_grid)) != len(self.snr_grid):
             raise ValueError(f"snr_grid repeats a point: {self.snr_grid}")
@@ -298,7 +271,7 @@ class EvalConfig(_Config):
 
 @dataclass(frozen=True)
 class ExperimentConfig(_Config):
-    seed: int = 20260801
+    seed: int = _bounded(20260801, ge=0)
     sensing: SensingConfig = field(default_factory=SensingConfig)
     domains: DomainsConfig = field(default_factory=DomainsConfig)
     net: NetConfig = field(default_factory=NetConfig)
@@ -310,8 +283,6 @@ class ExperimentConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ValueError(f"unknown stages {sorted(unknown)}; valid: {ALL_STAGES}")

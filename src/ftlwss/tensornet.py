@@ -604,13 +604,15 @@ def train_offline(
     (patience 0 stops at the first non-improving epoch). The optional
     plateau decay multiplies the rate by ``lr_decay_factor`` whenever the
     validation loss has stalled for another ``lr_decay_stall`` epochs; the
-    default factor 1.0 keeps the rate constant.
+    default factor 1.0 keeps the rate constant. ``init`` is never written,
+    and while no epoch beats it the result holds it.
     """
     if train_features.shape[0] == 0 or val_features.shape[0] == 0:
         raise ValueError("training and validation splits must be non-empty")
-    weights = init.copy() if init is not None else init_weights(spec, rng)
+    # `sgd_step` never writes into a model, so snapshots are references
+    weights = init if init is not None else init_weights(spec, rng)
     n = train_features.shape[0]
-    result = TrainResult(weights=weights.copy(), best_epoch=-1)
+    result = TrainResult(weights=weights, best_epoch=-1)
     # the starting point is a candidate too, so tuning never returns weights
     # worse (on validation) than it was given
     best_val = evaluate_loss(spec, weights, val_features, val_labels)
@@ -630,7 +632,7 @@ def train_offline(
         result.val_losses.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            result.weights = weights.copy()
+            result.weights = weights
             result.best_epoch = epoch
             stall = 0
         else:

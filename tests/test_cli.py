@@ -256,8 +256,14 @@ def test_eval_writes_nothing_to_out(tiny_config_file, tmp_path, capsys):
     ("domains", "targets", {"T,1": 1, "T2": 2, "T3": 4, "T4": 5}),
     ("domains", "targets", {"T/1": 1, "T2": 2, "T3": 4, "T4": 5}),
     ("domains", "targets", {"": 1, "T2": 2, "T3": 4, "T4": 5}),
+    # each loaded silently, and a coset count below 1 failed the train stage
+    ("sensing", "n_cosets", 0),
+    ("sensing", "n_cosets", -1),
+    ("training", "max_epochs", -1),
+    ("training", "patience", -1),
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
+    # every bad setting of the table, not only a zero restart_epochs, is
     # rejected when the config loads, before the train stage writes anything
     data = json.loads(tiny_config_file.read_text())
     data[section][key] = value

@@ -1,6 +1,9 @@
 import json
+import math
+import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,14 +70,29 @@ BAD_STAGE_SETTINGS = [
     ("prune", "finetune_epochs", -2),
     ("training", "restarts", 0),
     ("evaluation", "snr_grid", [10.0, 10.0]),
+    ("sensing", "n_cosets", 0),
+    ("sensing", "n_cosets", -1),
+    ("training", "max_epochs", -1),
+    ("training", "patience", -1),
+    # a list or object setting of another kind raised TypeError, naming neither
+    ("evaluation", "snr_grid", 5),
+    ("domains", "targets", 5),
 ]
+
+_DEFAULT = harness.ExperimentConfig()
+# each config class by its section; the top-level fields sit in "config"
+SECTIONS = {"config": harness.ExperimentConfig} | {
+    f.name: type(getattr(_DEFAULT, f.name))
+    for f in fields(_DEFAULT) if is_dataclass(getattr(_DEFAULT, f.name))}
+BOUNDED_FIELDS = [(section, cls, f) for section, cls in SECTIONS.items()
+                  for f in fields(cls) if f.metadata]
 
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = harness.scaled_default()
-        again = harness.ExperimentConfig.from_dict(json.loads(cfg.to_json()))
-        assert again == cfg
+        for cfg in (harness.scaled_default(), harness.full_scale()):
+            again = harness.ExperimentConfig.from_dict(json.loads(cfg.to_json()))
+            assert again == cfg
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -88,12 +106,36 @@ class TestConfig:
         with pytest.raises(ValueError, match="expected an object"):
             harness.ExperimentConfig.from_dict({"training": 3})
 
-    # a zero-epoch probe has no validation loss to compare a restart with; each
-    # other value would otherwise fail its stage after the earlier stages trained
+    # every bad setting of the table, not only a zero restart_epochs (a probe
+    # with no validation loss), is rejected at load; each would otherwise fail
+    # its stage after the earlier stages trained, or load silently
     @pytest.mark.parametrize("section, key, value", BAD_STAGE_SETTINGS)
     def test_rejects_zero_restart_epochs(self, section, key, value):
         with pytest.raises(ValueError, match=key):
             harness.ExperimentConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("section, cls, f", BOUNDED_FIELDS,
+                             ids=[f"{section}.{f.name}" for section, _, f in BOUNDED_FIELDS])
+    def test_every_declared_bound_holds_from_json(self, section, cls, f):
+        bound = f.metadata
+        if "ge" in bound:
+            # the closed bound itself loads, in its own section
+            lo = bound["ge"]
+            harness._from_dict(cls, {f.name: lo}, section)
+            outside = [lo - 1 if f.type == "int" else math.nextafter(lo, -math.inf)]
+        else:
+            outside = [bound["gt"]] + ([bound["lt"]] if "lt" in bound else [])
+        message = re.escape(f"{section}: {f.name} must be {harness._bound_text(bound)}, got ")
+        for value in outside:
+            data = {f.name: value} if section == "config" else {section: {f.name: value}}
+            with pytest.raises(ValueError, match=message):
+                harness.ExperimentConfig.from_dict(data)
+
+    def test_readme_tables_every_declared_bound(self):
+        rows = [f"| `{f.name if section == 'config' else f'{section}.{f.name}'}` | "
+                f"`{harness._bound_text(f.metadata)}` |" for section, _, f in BOUNDED_FIELDS]
+        table = "\n".join(["| setting | bound |", "|---|---|", *rows])
+        assert table in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("seed", [1.5, True, "7"])
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
@@ -121,8 +163,17 @@ class TestConfig:
             "replace-restart_margin"])
     def test_python_callers_meet_the_finite_number_rule(self, make, bad):
         # the rule JSON configs meet holds for configs built in Python too
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="no bool, nan or infinity"):
             make(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: harness.TrainingConfig(n_train=2000.0),
+        lambda: harness.FtlStageConfig(rounds=True),
+        lambda: harness.ExperimentConfig(seed=7.0),
+    ], ids=["training-n_train", "ftl-rounds", "seed"])
+    def test_python_callers_meet_the_integer_rule(self, make):
+        with pytest.raises(ValueError, match=r"must be int \(no bool, nan or infinity\)"):
+            make()
 
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):

@@ -550,6 +550,55 @@ class TestTrainOffline:
             tracemalloc.stop()
         assert peak < 17e6
 
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "pruned"])
+    def test_never_writes_its_init(self, pruned):
+        from ftlwss import pruning
+
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(16, 6, 8, 2)).astype(np.float32)
+        labels = (rng.random((16, 6)) < 0.5).astype(np.int8)
+        init = tn.init_weights(TINY, rng)
+        if pruned:
+            init, _ = pruning.prune_model(init, 0.5)
+        arrays = [*init.arrays().values()] + ([init.prune_mask] if pruned else [])
+        before = [a.tobytes() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        result = tn.train_offline(TINY, x, labels, x[:6], labels[:6], np.random.default_rng(3),
+                                  lr=0.05, batch_size=8, max_epochs=3, patience=3, init=init)
+        assert result.best_epoch >= 0
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_zero_epochs_return_the_init(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(8, 6, 8, 2)).astype(np.float32)
+        labels = (rng.random((8, 6)) < 0.5).astype(np.int8)
+        init = tiny_weights(dtype=np.float32)
+        result = tn.train_offline(TINY, x, labels, x, labels, np.random.default_rng(0),
+                                  lr=0.05, batch_size=8, max_epochs=0, patience=0, init=init)
+        assert result.weights is init
+        assert result.best_epoch == -1 and result.val_losses == []
+
+    def test_full_scale_fine_tune_peak_memory(self):
+        # the start, the first best snapshot and each improving epoch's are
+        # references, not copies: 103.0 MB when they were copies
+        import tracemalloc
+
+        from ftlwss import pruning
+
+        rng = np.random.default_rng(0)
+        weights, _ = pruning.prune_model(tn.init_weights(FULL, rng), 0.9)
+        features = rng.normal(size=(4, FULL.in_rows, FULL.in_cols, 2)).astype(np.float32)
+        labels = (rng.random((4, FULL.in_rows)) < 0.4).astype(np.int8)
+        tracemalloc.start()
+        try:
+            pruning.fine_tune(FULL, weights, features, labels, features, labels,
+                              np.random.default_rng(1), lr=0.05, batch_size=4, epochs=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90e6
+
 
 def old_init_weights(spec, rng, dtype):
     """init_weights with one whole float64 draw per weight tensor."""
