@@ -39,17 +39,18 @@ Both transports answer a broadcast through one SU object, ``LocalSu``.
 Local training takes the lean forward path (``tensornet.forward`` with
 ``scope="ds_only"``). The frozen conv1 and an SU's fixed samples give the
 same conv1 activations in every round, so each ``LocalSu`` computes them
-once, and each forward block gathers its batch's rows of them. The lean
+once, and each forward block gathers its batch's rows of them. Every
 ``backward`` of a masked model gives the hidden-FC gradient as its kept
 vector, which the local step and the upload take as it is, so an SU never
 builds a dense gradient; it holds a dense ``fc1_w`` only for the model it
 trains, and frees the decoded broadcast once its upload is built. The
-server starts from the initial model itself and, like every step, never
-writes a model in place. The mask's kept entries travel with the model
-(``ModelWeights.kept``), and the receiver of the broadcasts reuses the last
-model's while the bitset and shape are unchanged. Both are checked against
-every broadcast's bytes, so a model with other conv1 weights or another
-mask is handled as fresh.
+server sums the uploads into that same form and steps with the same
+``sgd_step``; it starts from the initial model itself and, like every
+step, never writes a model in place. The mask's kept entries travel with
+the model (``ModelWeights.kept``), and the receiver of the broadcasts
+reuses the last model's while the bitset and shape are unchanged. Both
+are checked against every broadcast's bytes, so a model with other conv1
+weights or another mask is handled as fresh.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .tensornet import (
     backward,
     conv1_activations,
     forward,
-    kept_update,
     model_bytes,
     read_model,
     sgd_step,
@@ -226,7 +226,8 @@ def local_training(
     the then-current local weights, so the accumulated value reflects the
     drift of the local model over the round. The convolutional layers never
     change; the prune mask is enforced on every step, and the hidden-FC
-    gradient is computed and accumulated at the kept entries only, those
+    gradient, which `backward` gives as the kept vector of a masked model,
+    is computed, stepped and accumulated at the kept entries only, those
     the model carries (``global_weights.kept``), which every local step
     passes on. Dropout is active (train mode) with this SU's per-round
     generator. Every forward takes the lean path, which keeps no
@@ -271,11 +272,12 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     Uploads are reduced in ascending SU-id order regardless of arrival order,
     in the model dtype, so aggregation is deterministic. Each upload's
     ``fc1_w`` holds the gradient at the kept entries in flat order, so the
-    hidden-FC sum and step touch the kept entries only and every pruned
-    weight of the result is +0.0. The general-feature arrays, the prune
-    mask and its kept entries (``weights.kept``) of the result are the same
-    objects as the input's (models are treated as immutable), so many
-    rounds under one mask derive the kept indices once.
+    hidden-FC sum is the kept vector `tensornet.sgd_step` takes for a
+    masked model, and the step is that ``sgd_step``: it touches the kept
+    entries only, every pruned weight of the result is +0.0, and the
+    general-feature arrays, the prune mask and its kept entries
+    (``weights.kept``) of the result are the same objects as the input's,
+    so many rounds under one mask derive the kept indices once.
     """
     if not uploads:
         raise ValueError("aggregate needs at least one upload")
@@ -289,9 +291,12 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     total = sum(u.n_samples for u in ordered)
     if total <= 0:
         raise ValueError("total sample count must be positive")
+    # the gradient shapes sgd_step takes: fc1_w as the kept vector under a mask
+    shapes = {name: getattr(weights, name).shape for name in DOMAIN_SPECIFIC_PARAMS}
     kept = weights.kept.indices
-    fields = weights.arrays()
-    n_kept = fields["fc1_w"].size if kept is None else kept.size
+    if kept is not None:
+        shapes["fc1_w"] = kept.shape
+    n_kept = weights.fc1_w.size if kept is None else kept.size
     for upload in ordered:
         for name in DOMAIN_SPECIFIC_PARAMS:
             got = getattr(upload, name)
@@ -300,27 +305,22 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
                     f"upload from SU {upload.su_id} has {got.size} fc1_w values, "
                     f"expected one per kept entry ({n_kept})"
                 )
-            if name != "fc1_w" and got.shape != fields[name].shape:
+            if name != "fc1_w" and got.shape != shapes[name]:
                 raise ProtocolError(
                     f"upload from SU {upload.su_id} has {name} shape {got.shape}, "
-                    f"expected {fields[name].shape}"
+                    f"expected {shapes[name]}"
                 )
     dtype = weights.dtype
-    rate = dtype.type(lr)
-    for name in DOMAIN_SPECIFIC_PARAMS:
-        value = fields[name]
-        acc = np.zeros(value.size if name != "fc1_w" else n_kept, dtype=dtype)
+    grads = {}
+    for name, shape in shapes.items():
+        acc = np.zeros(shape, dtype=dtype)
         term = np.empty_like(acc)
         for upload in ordered:
             coeff = dtype.type(upload.n_samples / total)
-            grad = getattr(upload, name).reshape(-1)
+            grad = getattr(upload, name).reshape(shape)
             acc += np.multiply(grad.astype(dtype, copy=False), coeff, out=term)
-        acc *= rate
-        if name == "fc1_w" and kept is not None:
-            fields[name] = kept_update(value, kept, acc)
-        else:
-            fields[name] = np.subtract(value.reshape(-1), acc, out=acc).reshape(value.shape)
-    return weights.with_arrays(fields)
+        grads[name] = acc
+    return sgd_step(weights, grads, lr)
 
 
 class Transport(ABC):

@@ -81,14 +81,16 @@ _COMPARE = {"ge": operator.ge, "gt": operator.gt, "lt": operator.lt}
 
 def _bounded(default, **bound):
     """A config field with ``default`` and one declared bound: ``ge=lo``
-    (>= lo), ``gt=lo`` (> lo) or ``gt=lo, lt=hi`` (the open interval)."""
+    (>= lo), ``gt=lo`` (> lo), ``gt=lo, lt=hi`` (the open interval) or
+    ``ge=lo, lt=hi`` (the half-open one)."""
     return field(default=default, metadata=bound)
 
 
 def _bound_text(bound) -> str:
     """A field's declared bound as the error messages and the README put it."""
     if "lt" in bound:
-        return f"in ({bound['gt']}, {bound['lt']})"
+        lo = f"[{bound['ge']}" if "ge" in bound else f"({bound['gt']}"
+        return f"in {lo}, {bound['lt']})"
     return f">= {bound['ge']}" if "ge" in bound else f"> {bound['gt']}"
 
 
@@ -133,9 +135,11 @@ def _from_dict(cls, data: dict, context: str):
 @dataclass(frozen=True)
 class SensingConfig(_Config):
     bandwidth_hz: float = _bounded(320e6, gt=0)
-    n_subbands: int = 16
+    # the detector's input is n_subbands x n_snapshots, and two valid 3x3
+    # convolutions leave nothing of a side below 5
+    n_subbands: int = _bounded(16, ge=5)
     n_cosets: int = _bounded(6, ge=1)
-    n_snapshots: int = _bounded(32, ge=1)
+    n_snapshots: int = _bounded(32, ge=5)
     coset_offsets: tuple[int, ...] | None = None
     pu_energy: float = _bounded(1.0, gt=0)
 
@@ -194,18 +198,17 @@ class DomainsConfig(_Config):
         return sorted(self.targets)
 
     def domain_tag(self, domain: str) -> int:
-        if domain == "S":
-            return 0
-        return 1 + self.target_names().index(domain)
+        self.n_active(domain)  # names an unknown domain
+        return 0 if domain == "S" else 1 + self.target_names().index(domain)
 
 
 @dataclass(frozen=True)
 class NetConfig(_Config):
-    conv1_filters: int = 16
-    conv2_filters: int = 8
-    hidden_units: int = 64
-    dropout_conv: float = 0.2
-    dropout_fc: float = 0.5
+    conv1_filters: int = _bounded(16, ge=1)
+    conv2_filters: int = _bounded(8, ge=1)
+    hidden_units: int = _bounded(64, ge=1)
+    dropout_conv: float = _bounded(0.2, ge=0, lt=1)
+    dropout_fc: float = _bounded(0.5, ge=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,6 @@ class ExperimentConfig(_Config):
         if zs is not None and (zs not in self.domains.targets or len(self.domains.targets) < 2):
             raise ValueError(f"zero_shot_domain {zs!r} must be one of two or more targets, "
                              f"got {self.domains.target_names()}")
-        self.detector_spec()  # the net section's widths and rates
 
     def detector_spec(self) -> tensornet.DetectorSpec:
         return tensornet.DetectorSpec(
@@ -383,6 +385,8 @@ def _snr_key(snr_db: float | None) -> int:
 
 
 def dataset_rng(config: ExperimentConfig, domain: str, purpose: str, snr_db: float | None) -> np.random.Generator:
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite (None for noiseless), got {snr_db}")
     seq = np.random.SeedSequence((
         config.seed, _STAGE_DATA, config.domains.domain_tag(domain),
         _PURPOSE_TAGS[purpose], _snr_key(snr_db),

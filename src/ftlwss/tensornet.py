@@ -12,10 +12,10 @@ dicts from parameter name to array: `backward` returns all eight from the
 cache of a ``scope="all"`` forward, only the four domain-specific ones from
 that of a ``scope="ds_only"`` forward, and `sgd_step` steps exactly the
 parameters its gradient dict holds. Under an optional prune mask over the
-hidden FC weight matrix, `sgd_step` updates only the kept entries and writes
-+0.0 at the pruned ones, so pruned weights stay exactly zero; the
-``"ds_only"`` backward of a masked model gives that gradient as the vector
-of its kept values, and never builds the dense matrix. A model
+hidden FC weight matrix, every backward gives that matrix's gradient as the
+vector of its values at the kept entries, and never builds the dense
+matrix; `sgd_step` takes it in that form only, updates the kept entries and
+writes +0.0 at the pruned ones, so pruned weights stay exactly zero. A model
 carries those entries (`ModelWeights.kept`: the mask's flat indices and
 bitset, derived once per mask object by `KeptEntries.of`), and hands them
 on to every model `sgd_step` or `read_model` makes from it.
@@ -416,9 +416,9 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
     The forward's scope sets the result: a ``scope="all"`` cache gives all
     eight gradients, and a ``scope="ds_only"`` cache only the four
     domain-specific ones, stopping after the fully connected layers so the
-    general-feature gradients are never computed. On a ``"ds_only"`` cache
-    of a masked model the fc1_w gradient is the vector of its values at the
-    kept entries (``weights.kept.indices``), computed block by block, so no
+    general-feature gradients are never computed. Under either scope a
+    masked model's fc1_w gradient is the vector of its values at the kept
+    entries (``weights.kept.indices``), computed block by block, so no
     dense gradient matrix is built. ``labels`` is (B, L).
     """
     labels = np.asarray(labels)
@@ -438,11 +438,9 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
     if cache.mask3 is not None:
         dh3 = dh3 * cache.mask3
     dz3 = dh3 * (cache.z3 > 0)
-    lean = cache.cols1 is None  # the cache of a scope="ds_only" forward
-    kept = weights.kept.indices if lean else None
-    grads = {"fc1_w": _fc1_grad(cache.flat, dz3, kept), "fc1_b": dz3.sum(axis=0),
+    grads = {"fc1_w": _fc1_grad(cache.flat, dz3, weights.kept.indices), "fc1_b": dz3.sum(axis=0),
              "out_w": g_out_w, "out_b": g_out_b}
-    if lean:
+    if cache.cols1 is None:  # the cache of a scope="ds_only" forward
         return grads
 
     dflat = dz3 @ weights.fc1_w.T
@@ -466,7 +464,8 @@ def backward(spec: DetectorSpec, weights: ModelWeights, cache: ForwardCache,
 
 def _fc1_grad(flat: np.ndarray, dz3: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     """The fc1_w gradient ``flat.T @ dz3``; with the sorted flat indices
-    ``kept``, only its values there, as a vector. That GEMM then runs on
+    ``kept`` of a masked model, whatever the forward's scope, only its
+    values there, as a vector. That GEMM then runs on
     blocks of rows of about ``_CONV_BLOCK_BYTES``, skips the blocks without
     a kept entry and gathers each block at its kept indices. Each row's
     values come from their own dot products, so they are those of the
@@ -494,11 +493,11 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
 
     Every parameter absent from ``grads`` is returned as the same array
     object, so a step on `backward`'s ``scope="ds_only"`` gradients leaves
-    the convolutional (general-feature) layers untouched. With a prune mask
-    the hidden-FC step is computed at the kept positions only and every
-    pruned weight is +0.0; its gradient is either the dense matrix or, as a
-    lean `backward` gives it, the vector of its kept values. The result
-    shares the untouched arrays, the mask and its kept entries with
+    the convolutional (general-feature) layers untouched. Each gradient has
+    its parameter's shape, but with a prune mask the hidden-FC gradient is
+    the vector of its values at the kept entries, as `backward` gives it:
+    the step is computed there only and every pruned weight is +0.0. The
+    result shares the untouched arrays, the mask and its kept entries with
     ``weights`` and never writes into it, so many steps under one mask
     derive the kept indices once.
     """
@@ -514,17 +513,15 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
         value = fields[name]
         grad = grads[name]
         kept = weights.kept.indices if name == "fc1_w" else None
-        if kept is None or grad.shape != kept.shape:  # not a lean backward's kept vector
-            if value.shape != grad.shape:
-                raise ValueError(f"gradient shape mismatch on {name}: {value.shape} vs {grad.shape}")
-            if kept is not None:
-                grad = grad.reshape(-1)[kept]
-        rate = value.dtype.type(lr)
-        if kept is not None:
-            fields[name] = kept_update(value, kept, rate * grad)
-        else:
-            step = rate * grad
+        shape = value.shape if kept is None else kept.shape
+        if grad.shape != shape:
+            raise ValueError(f"gradient shape mismatch on {name}: {shape} vs {grad.shape}")
+        step = value.dtype.type(lr) * grad
+        if kept is None:
             fields[name] = np.subtract(value, step, out=step)
+        else:
+            fields[name] = np.zeros(value.shape, dtype=step.dtype)
+            fields[name].reshape(-1)[kept] = np.subtract(value.reshape(-1)[kept], step, out=step)
     return weights.with_arrays(fields)
 
 
@@ -534,16 +531,6 @@ def kept_values(array: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
     """
     flat = array.reshape(-1)
     return flat if indices is None else flat[indices]
-
-
-def kept_update(value: np.ndarray, kept: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """``value - step`` at the flat indices ``kept``, +0.0 everywhere else.
-    ``step`` holds one entry per kept index and is overwritten.
-    """
-    np.subtract(value.reshape(-1)[kept], step, out=step)
-    out = np.zeros(value.shape, dtype=step.dtype)
-    out.reshape(-1)[kept] = step
-    return out
 
 
 def mask_gradients(grads: dict[str, np.ndarray],
@@ -652,7 +639,9 @@ def finite_difference_check(
     dropout_seed: int | None = None,
 ) -> float:
     """Worst relative error between the analytic gradient and central finite
-    differences over every entry of every parameter (tiny nets only).
+    differences over every entry of every parameter (tiny nets only); a
+    masked model's fc1_w is compared at its kept entries, where `backward`
+    gives its gradient.
 
     The step for entry theta_i is 1e-5 * max(1, |theta_i|). The error
     denominator is floored at 1e-5 so near-zero gradient pairs that agree to
@@ -672,7 +661,8 @@ def finite_difference_check(
     for name in PARAM_NAMES:
         grad = analytic[name].reshape(-1)
         flat = getattr(weights, name).reshape(-1)
-        for i in range(flat.size):
+        kept = weights.kept.indices if name == "fc1_w" else None
+        for ga, i in zip(grad.tolist(), range(flat.size) if kept is None else kept):
             orig = flat[i]
             step = 1e-5 * max(1.0, abs(float(orig)))
             flat[i] = orig + step
@@ -681,7 +671,6 @@ def finite_difference_check(
             loss_minus = bce_loss(run()[0], labels)
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * step)
-            ga = float(grad[i])
             worst = max(worst, abs(fd - ga) / max(abs(fd), abs(ga), 1e-5))
     return worst
 

@@ -217,6 +217,19 @@ def test_eval_writes_nothing_to_out(tiny_config_file, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# the detector's sizes, widths and rates, set in the tiny config: each failed
+# to build the detector, with a message prefixed "config:" that named neither
+# the section nor, for the sizes, the key
+DETECTOR_SETTINGS = [
+    ("sensing", "n_subbands", 4),
+    ("sensing", "n_snapshots", 3),
+    ("net", "conv2_filters", 0),
+    ("net", "hidden_units", 0),
+    ("net", "dropout_conv", 1.0),
+    ("net", "dropout_fc", -0.1),
+]
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("training", "restart_epochs", 0),
     ("training", "n_train", 0),
@@ -261,6 +274,7 @@ def test_eval_writes_nothing_to_out(tiny_config_file, tmp_path, capsys):
     ("sensing", "n_cosets", -1),
     ("training", "max_epochs", -1),
     ("training", "patience", -1),
+    *DETECTOR_SETTINGS,
 ])
 def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys, section, key, value):
     # every bad setting of the table, not only a zero restart_epochs, is
@@ -272,6 +286,49 @@ def test_zero_restart_epochs_is_config_error(tiny_config_file, tmp_path, capsys,
     assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def one_config_error_line(capsys) -> str:
+    """The one line a configuration error writes to stderr, which holds no
+    traceback."""
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("section, key, value", DETECTOR_SETTINGS)
+def test_detector_setting_error_names_section_and_key(tiny_config_file, tmp_path, capsys, section,
+                                                      key, value):
+    data = json.loads(tiny_config_file.read_text())
+    data[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert one_config_error_line(capsys).startswith(f"config error: {section}: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+@pytest.mark.parametrize("option, value, named", [
+    ("--snr-db", "inf", "snr_db"),
+    ("--snr-db", "-inf", "snr_db"),
+    ("--snr-db", "nan", "snr_db"),
+    ("--domain", "X", "unknown domain 'X'"),
+])
+def test_bad_snr_or_domain_is_one_config_error_line(tiny_config_file, tmp_path, capsys, command,
+                                                    option, value, named):
+    # an infinite SNR overflowed the stream key with a traceback, a NaN one
+    # and an unknown domain were reported in words that named neither
+    args = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        config = harness.ExperimentConfig.from_json_file(tiny_config_file)
+        model = tmp_path / "model.bin"
+        tn.save_checkpoint(model, config.detector_spec(),
+                           tn.init_weights(config.detector_spec(), np.random.default_rng(0)))
+        args += ["--model", str(model)] + (["--domain", "T2"] if option != "--domain" else [])
+    assert cli.main([*args, f"{option}={value}"]) == cli.EXIT_CONFIG
+    assert named in one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("command", [["prune"], ["ftl"], ["eval", "--domain", "T1", "--model", "m.bin"],

@@ -1104,7 +1104,9 @@ def old_aggregate(weights, uploads, lr):
 
 
 def old_local_training(spec, global_weights, features, labels, su_id, round_idx, cfg, seed):
-    """local_training with an SGD step after every batch, the last included."""
+    """local_training with an SGD step after every batch, the last included,
+    on full-cache gradients; it accumulates the dense fc1_w gradient, pruned
+    entries and all."""
     n = features.shape[0]
     rng = fed.su_round_rng(seed, su_id, round_idx)
     local = global_weights.copy()
@@ -1115,8 +1117,12 @@ def old_local_training(spec, global_weights, features, labels, su_id, round_idx,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             _, cache = tn.forward(spec, local, features[idx], train=True, rng=rng)
-            grads = ds_gradients(spec, local, cache, labels[idx])
-            local = tn.sgd_step(local, grads, cfg.lr)
+            # the model without its mask gives the dense fc1_w gradient
+            grads = ds_gradients(spec, tn.ModelWeights(**local.arrays()), cache, labels[idx])
+            step = dict(grads)
+            if local.prune_mask is not None:  # sgd_step takes a masked model's kept values
+                step["fc1_w"] = kept_part("fc1_w", grads["fc1_w"], local.prune_mask)
+            local = tn.sgd_step(local, step, cfg.lr)
             for name in tn.DOMAIN_SPECIFIC_PARAMS:
                 acc[name] += grads[name].astype(dtype, copy=False)
     return fed.GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n, **acc)

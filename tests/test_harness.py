@@ -29,6 +29,18 @@ def tiny_config(**overrides):
     return replace(base, **overrides) if overrides else base
 
 
+# the detector's sizes, widths and rates: each failed to build the detector,
+# with a message prefixed "config:" that named neither the section nor, for
+# the sizes, the key
+DETECTOR_SETTINGS = [
+    ("sensing", "n_subbands", 4),
+    ("sensing", "n_snapshots", 3),
+    ("net", "conv2_filters", 0),
+    ("net", "hidden_units", 0),
+    ("net", "dropout_conv", 1.0),
+    ("net", "dropout_fc", -0.1),
+]
+
 BAD_STAGE_SETTINGS = [
     ("training", "restart_epochs", 0),
     ("training", "n_train", 0),
@@ -77,6 +89,7 @@ BAD_STAGE_SETTINGS = [
     # a list or object setting of another kind raised TypeError, naming neither
     ("evaluation", "snr_grid", 5),
     ("domains", "targets", 5),
+    *DETECTOR_SETTINGS,
 ]
 
 _DEFAULT = harness.ExperimentConfig()
@@ -86,6 +99,8 @@ SECTIONS = {"config": harness.ExperimentConfig} | {
     for f in fields(_DEFAULT) if is_dataclass(getattr(_DEFAULT, f.name))}
 BOUNDED_FIELDS = [(section, cls, f) for section, cls in SECTIONS.items()
                   for f in fields(cls) if f.metadata]
+# what a field's closed bound needs beside it to meet the rules spanning fields
+LOADS_WITH = {("sensing", "n_subbands"): {"n_cosets": 4}}  # n_cosets < n_subbands
 
 
 class TestConfig:
@@ -114,6 +129,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             harness.ExperimentConfig.from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize("section, key, value", DETECTOR_SETTINGS)
+    def test_detector_settings_name_their_section_and_key(self, section, key, value):
+        with pytest.raises(ValueError, match=f"^{section}: {key} must be "):
+            harness.ExperimentConfig.from_dict({section: {key: value}})
+
     @pytest.mark.parametrize("section, cls, f", BOUNDED_FIELDS,
                              ids=[f"{section}.{f.name}" for section, _, f in BOUNDED_FIELDS])
     def test_every_declared_bound_holds_from_json(self, section, cls, f):
@@ -121,10 +141,11 @@ class TestConfig:
         if "ge" in bound:
             # the closed bound itself loads, in its own section
             lo = bound["ge"]
-            harness._from_dict(cls, {f.name: lo}, section)
+            harness._from_dict(cls, {f.name: lo, **LOADS_WITH.get((section, f.name), {})}, section)
             outside = [lo - 1 if f.type == "int" else math.nextafter(lo, -math.inf)]
         else:
-            outside = [bound["gt"]] + ([bound["lt"]] if "lt" in bound else [])
+            outside = [bound["gt"]]
+        outside += [bound["lt"]] if "lt" in bound else []
         message = re.escape(f"{section}: {f.name} must be {harness._bound_text(bound)}, got ")
         for value in outside:
             data = {f.name: value} if section == "config" else {section: {f.name: value}}

@@ -177,6 +177,21 @@ class TestBackward:
         x, labels = tiny_batch(batch=2)
         assert tn.finite_difference_check(TINY, w, x, labels, dropout_seed=9) < 1e-6
 
+    @pytest.mark.parametrize("dropout_seed", [None, 9], ids=["eval", "train"])
+    def test_finite_difference_pruned_model(self, dropout_seed):
+        # the full backward of a masked model gives fc1_w's values at the
+        # kept entries, which the check compares there
+        w = tiny_weights(2)
+        mask = np.random.default_rng(3).random(w.fc1_w.shape) < 0.4
+        w = tn.ModelWeights(**{**w.arrays(), "fc1_w": np.where(mask, w.fc1_w, 0.0)},
+                            prune_mask=mask)
+        x, labels = tiny_batch(batch=2)
+        train = dropout_seed is not None
+        _, cache = tn.forward(TINY, w, x, train=train,
+                              rng=np.random.default_rng(dropout_seed) if train else None)
+        assert tn.backward(TINY, w, cache, labels)["fc1_w"].shape == (int(mask.sum()),)
+        assert tn.finite_difference_check(TINY, w, x, labels, dropout_seed=dropout_seed) < 1e-6
+
     def test_finite_difference_flags_a_dropped_mask(self, monkeypatch):
         # a backward that forgets the hidden layer's dropout mask is wrong
         # only in train mode: the seeded check sees it, eval mode cannot
@@ -260,17 +275,15 @@ class TestConvBackpropOracle:
 
 
 class TestKeptFc1Gradient:
-    """On the lean cache of a masked model `backward` gives the fc1_w
-    gradient as its values at the kept entries, one block of rows at a
-    time; they are the bytes of the whole product ``flat.T @ dz3``, which
-    the same cache gives for the model without its mask."""
+    """Under either scope, `backward` gives a masked model's fc1_w gradient
+    as its values at the kept entries, one block of rows at a time; they
+    are the bytes of the whole product ``flat.T @ dz3``, which the same
+    cache gives for the model without its mask."""
 
-    # block rows None keeps the module's blocks: one at desk scale, eight
-    # and a partial one at full scale; 300 splits the desk rows into eight
-    # blocks and a partial one
-    @pytest.mark.parametrize("spec, block_rows", [(DESK, None), (DESK, 300), (FULL, None)],
-                             ids=["desk", "desk-300-rows", "full"])
-    def test_equals_whole_product_at_kept_entries(self, monkeypatch, spec, block_rows):
+    @staticmethod
+    def gradients(monkeypatch, spec, block_rows, scope):
+        """(masked model, its gradients, those of the model without its
+        mask) from one train-mode forward of ``scope``."""
         rng = np.random.default_rng(8)
         w = tn.init_weights(spec, rng)
         mask = rng.random(w.fc1_w.shape) < 0.1
@@ -285,24 +298,45 @@ class TestKeptFc1Gradient:
         x = rng.normal(size=(25, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
         labels = (rng.random((25, spec.in_rows)) < 0.4).astype(np.int8)
         _, cache = tn.forward(spec, masked, x, train=True, rng=np.random.default_rng(3),
-                              scope="ds_only")
+                              scope=scope)
         got = tn.backward(spec, masked, cache, labels)
         dense = tn.backward(spec, tn.ModelWeights(**masked.arrays()), cache, labels)
         want = tn.kept_values(dense["fc1_w"], masked.kept.indices)
         assert got["fc1_w"].dtype == want.dtype and got["fc1_w"].tobytes() == want.tobytes()
-        # a step reads the kept vector as it reads the dense gradient
+        return masked, got, dense
+
+    # block rows None keeps the module's blocks: one at desk scale, eight
+    # and a partial one at full scale; 300 splits the desk rows into eight
+    # blocks and a partial one
+    SPECS = pytest.mark.parametrize("spec, block_rows", [(DESK, None), (DESK, 300), (FULL, None)],
+                                    ids=["desk", "desk-300-rows", "full"])
+
+    @SPECS
+    def test_equals_whole_product_at_kept_entries(self, monkeypatch, spec, block_rows):
+        masked, got, dense = self.gradients(monkeypatch, spec, block_rows, "ds_only")
+        # a step on the kept vector is the dense step followed by np.where
+        want = old_sgd_step(masked, dense, 0.05, scope="ds_only")
         for name in tn.PARAM_NAMES:
-            a = getattr(tn.sgd_step(masked, got, 0.05), name)
-            b = getattr(tn.sgd_step(masked, dense, 0.05), name)
+            a, b = getattr(tn.sgd_step(masked, got, 0.05), name), getattr(want, name)
             assert a.tobytes() == b.tobytes(), name
 
-    def test_full_cache_keeps_the_dense_gradient(self):
+    @SPECS
+    def test_full_cache_gives_the_kept_values(self, monkeypatch, spec, block_rows):
+        # the full backward of a masked model builds no dense fc1_w gradient
+        # either, and its other seven gradients are those of the model
+        # without its mask
+        masked, got, dense = self.gradients(monkeypatch, spec, block_rows, "all")
+        assert list(got) == list(tn.PARAM_NAMES)
+        for name in tn.PARAM_NAMES:
+            if name != "fc1_w":
+                assert got[name].tobytes() == dense[name].tobytes(), name
+
+    def test_step_rejects_the_dense_gradient_of_a_masked_model(self):
         w = tiny_weights()
         mask = np.random.default_rng(2).random(w.fc1_w.shape) > 0.5
         masked = tn.ModelWeights(**w.arrays(), prune_mask=mask)
-        x, labels = tiny_batch()
-        _, cache = tn.forward(TINY, masked, x)
-        assert tn.backward(TINY, masked, cache, labels)["fc1_w"].shape == w.fc1_w.shape
+        with pytest.raises(ValueError, match="shape mismatch on fc1_w"):
+            tn.sgd_step(masked, {"fc1_w": np.zeros(w.fc1_w.shape)}, 0.1)
 
     def test_step_rejects_a_vector_of_another_length(self):
         w = tiny_weights()
@@ -468,7 +502,7 @@ class TestSgdStep:
         w, g = hostile_masked_weights(np.float32)
         if not masked:
             w.prune_mask = None
-        out = tn.sgd_step(w, {n: g[n] for n in stepped}, 0.1)
+        out = tn.sgd_step(w, kept_grads(w, {n: g[n] for n in stepped}), 0.1)
         for name in tn.PARAM_NAMES:
             assert (getattr(out, name) is getattr(w, name)) == (name not in stepped), name
         assert out.prune_mask is w.prune_mask
@@ -480,7 +514,7 @@ class TestSgdStep:
         w.fc1_w[~mask] = 0.0
         w.prune_mask = mask
         g = {n: np.ones_like(getattr(w, n)) for n in tn.PARAM_NAMES}
-        out = tn.sgd_step(w, g, 0.1)
+        out = tn.sgd_step(w, kept_grads(w, g), 0.1)
         assert np.all(out.fc1_w[0, :] == 0)
 
     def test_rejects_unknown_gradient_name(self):
@@ -581,7 +615,9 @@ class TestTrainOffline:
 
     def test_full_scale_fine_tune_peak_memory(self):
         # the start, the first best snapshot and each improving epoch's are
-        # references, not copies: 103.0 MB when they were copies
+        # references, not copies (103.0 MB when they were copies), and the
+        # fc1_w gradient is the kept vector: 76.4 MB with the dense gradient
+        # and its gathered copy
         import tracemalloc
 
         from ftlwss import pruning
@@ -597,7 +633,7 @@ class TestTrainOffline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 90e6
+        assert peak < 60e6
 
 
 def old_init_weights(spec, rng, dtype):
@@ -671,8 +707,8 @@ class TestMaskPropagation:
         rng = np.random.default_rng(2)
         for _ in range(5):
             probs, cache = tn.forward(TINY, w, x.astype(np.float32), train=True, rng=rng)
-            grads = tn.mask_gradients(tn.backward(TINY, w, cache, labels), mask)
-            assert np.all(grads["fc1_w"][~mask] == 0)
+            grads = tn.backward(TINY, w, cache, labels)
+            assert grads["fc1_w"].shape == (int(mask.sum()),)  # no gradient at pruned entries
             w = tn.sgd_step(w, grads, 0.05)
             assert np.all(w.fc1_w[~mask] == 0)
 
@@ -703,6 +739,7 @@ class TestKeptEntries:
         if not masked:
             w.prune_mask = None
         kept = w.kept
+        g = kept_grads(w, g)
         once = tn.sgd_step(w, g, 0.1)
         twice = tn.sgd_step(once, {n: g[n] for n in tn.DOMAIN_SPECIFIC_PARAMS}, 0.1)
         assert once.kept is kept and twice.kept is kept
@@ -846,6 +883,14 @@ def hostile_masked_weights(dtype, seed=0):
     return w, g
 
 
+def kept_grads(weights, grads):
+    """Dense ``grads`` in the form `backward` gives them for ``weights``: a
+    masked model's fc1_w as its values at the kept entries."""
+    if "fc1_w" not in grads or weights.prune_mask is None:
+        return grads
+    return {**grads, "fc1_w": tn.kept_values(grads["fc1_w"], weights.kept.indices)}
+
+
 class TestSgdStepOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("scope", ["all", "ds_only"])
@@ -857,7 +902,7 @@ class TestSgdStepOracle:
         before = {n: getattr(w, n).tobytes() for n in tn.PARAM_NAMES}
         # the 8-key dict of backward(scope="all") or the 4-key one of "ds_only"
         names = tn.PARAM_NAMES if scope == "all" else tn.DOMAIN_SPECIFIC_PARAMS
-        out = tn.sgd_step(w, {n: g[n] for n in names}, 0.05)
+        out = tn.sgd_step(w, kept_grads(w, {n: g[n] for n in names}), 0.05)
         expected = old_sgd_step(w, g, 0.05, scope=scope)
         for name in tn.PARAM_NAMES:
             got, want = getattr(out, name), getattr(expected, name)
@@ -871,5 +916,5 @@ class TestSgdStepOracle:
         w, g = hostile_masked_weights(np.float32)
         for name in tn.PARAM_NAMES:
             getattr(w, name).flags.writeable = False
-        out = tn.sgd_step(w, g, 0.1)
+        out = tn.sgd_step(w, kept_grads(w, g), 0.1)
         assert out.fc1_w.flags.writeable
