@@ -14,6 +14,7 @@ Library layout:
 - ``baselines``: sparsity-aware SOMP support recovery
 - ``harness``: configuration, datasets, metrics, one function per pipeline
   stage and the end-to-end pipeline
+- ``rules``: the number rule and field bounds of the checked dataclasses
 - ``cli``: the ``ftlwss`` command
 """
 

@@ -35,6 +35,9 @@ def _load_config(args) -> harness.ExperimentConfig:
         config = harness.scaled_default()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    # gen-data's count, like the config, is checked before --out is created
+    if getattr(args, "count", None) is not None and args.count < 1:
+        raise ValueError("count must be >= 1")
     return config
 
 

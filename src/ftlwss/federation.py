@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ByteReader, DecodeError, tensor_nbytes, write_tensor
+from .rules import _bounded, _Config
 from .tensornet import (
     DOMAIN_SPECIFIC_PARAMS,
     DetectorSpec,
@@ -94,20 +95,14 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FtlConfig:
-    n_sus: int
-    rounds: int
-    local_epochs: int = 1
-    batch_size: int = 25
-    lr: float = 0.02
-    timeout_s: float = 60.0
-    max_retries: int = 2
-
-    def __post_init__(self):
-        if min(self.n_sus, self.rounds, self.local_epochs, self.batch_size) < 1:
-            raise ValueError("n_sus, rounds, local_epochs and batch_size must all be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+class FtlConfig(_Config):
+    n_sus: int = _bounded(ge=1)
+    rounds: int = _bounded(ge=1)
+    local_epochs: int = _bounded(1, ge=1)
+    batch_size: int = _bounded(25, ge=1)
+    lr: float = _bounded(0.02, ge=0)
+    timeout_s: float = _bounded(60.0, gt=0)
+    max_retries: int = _bounded(2, ge=0)
 
 
 @dataclass

@@ -19,11 +19,8 @@ import functools
 import hashlib
 import json
 import math
-import numbers
-import operator
 import re
 import struct
-import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -32,6 +29,7 @@ import numpy as np
 
 from . import baselines, federation, multicoset, pruning, signal_model, tensornet
 from .codec import ByteReader, DecodeError, encode_tensor, read_file
+from .rules import _bounded, _Config
 
 ALL_STAGES = ("train", "prune", "ftl", "rt", "eval")
 
@@ -53,69 +51,6 @@ SCHEME_FTL_ZERO_SHOT = "ftl_zero_shot"
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-def _misfit(hint, value) -> bool:
-    """Whether ``value`` breaks the number rule of a field declared ``hint``:
-    an int field takes an int and a float field a finite real number, neither
-    a bool; a dict field takes a dict and a tuple field a list or tuple, whose
-    items (the values of a dict) follow the rule of their declared type, as
-    does the value of an optional field."""
-    if isinstance(value, bool):
-        return hint in (int, float)
-    if hint is int:
-        return not isinstance(value, int)
-    if hint is float:
-        return not (isinstance(value, numbers.Real) and math.isfinite(value))
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is dict:
-        return not isinstance(value, dict) or any(_misfit(args[1], item) for item in value.values())
-    if origin is tuple:
-        return not isinstance(value, (list, tuple)) or any(_misfit(args[0], item) for item in value)
-    if origin is types.UnionType and value is not None:
-        return all(_misfit(arm, value) for arm in args if arm is not type(None))
-    return False
-
-
-_COMPARE = {"ge": operator.ge, "gt": operator.gt, "lt": operator.lt}
-
-
-def _bounded(default, **bound):
-    """A config field with ``default`` and one declared bound: ``ge=lo``
-    (>= lo), ``gt=lo`` (> lo), ``gt=lo, lt=hi`` (the open interval) or
-    ``ge=lo, lt=hi`` (the half-open one)."""
-    return field(default=default, metadata=bound)
-
-
-def _bound_text(bound) -> str:
-    """A field's declared bound as the error messages and the README put it."""
-    if "lt" in bound:
-        lo = f"[{bound['ge']}" if "ge" in bound else f"({bound['gt']}"
-        return f"in {lo}, {bound['lt']})"
-    return f">= {bound['ge']}" if "ge" in bound else f"> {bound['gt']}"
-
-
-@functools.cache
-def _field_rules(cls) -> tuple:
-    """Each field of ``cls`` as (name, declared type, resolved type hint,
-    declared bound), resolved once per class."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.type, hints[f.name], f.metadata) for f in fields(cls))
-
-
-class _Config:
-    """Base of the config dataclasses. Every field meets the number rule of
-    its type and the bound its metadata declares, whether the config comes
-    from JSON or from Python; subclasses add the rules that span fields."""
-
-    def __post_init__(self):
-        for name, declared, hint, bound in _field_rules(type(self)):
-            value = getattr(self, name)
-            if _misfit(hint, value):
-                raise ValueError(
-                    f"{name} must be {declared} (no bool, nan or infinity), got {value!r}")
-            if bound and not all(_COMPARE[op](value, limit) for op, limit in bound.items()):
-                raise ValueError(f"{name} must be {_bound_text(bound)}, got {value!r}")
-
 
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
@@ -174,7 +109,7 @@ class SensingConfig(_Config):
 
 @dataclass(frozen=True)
 class DomainsConfig(_Config):
-    source: int = 7
+    source: int = _bounded(7, ge=1)
     targets: dict[str, int] = field(default_factory=lambda: {"T1": 2, "T2": 4, "T3": 6, "T4": 9})
 
     def __post_init__(self):
@@ -293,7 +228,7 @@ class ExperimentConfig(_Config):
         for domain, k in self.domains.targets.items():
             if not 0 <= k <= self.sensing.n_subbands:
                 raise ValueError(f"domain {domain}: occupancy count {k} out of range")
-        if not 0 < self.domains.source <= self.sensing.n_subbands:
+        if self.domains.source > self.sensing.n_subbands:
             raise ValueError("source occupancy count out of range")
         zs = self.ftl.zero_shot_domain
         if zs is not None and (zs not in self.domains.targets or len(self.domains.targets) < 2):
@@ -387,6 +322,8 @@ def _snr_key(snr_db: float | None) -> int:
 def dataset_rng(config: ExperimentConfig, domain: str, purpose: str, snr_db: float | None) -> np.random.Generator:
     if snr_db is not None and not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite (None for noiseless), got {snr_db}")
+    if purpose not in _PURPOSE_TAGS:
+        raise ValueError(f"unknown purpose {purpose!r}; expected one of {sorted(_PURPOSE_TAGS)}")
     seq = np.random.SeedSequence((
         config.seed, _STAGE_DATA, config.domains.domain_tag(domain),
         _PURPOSE_TAGS[purpose], _snr_key(snr_db),
@@ -564,16 +501,12 @@ def prediction_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Config):
     domain: str
     scheme: str
     snr_db: float
-    p_acc: float
+    p_acc: float = _bounded(ge=0, le=1)
     n_test: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_acc <= 1.0:
-            raise ValueError("p_acc must lie in [0, 1]")
 
 
 def emit_results(rows: list[SweepRow], csv_path, json_path=None, table_snr_db: float = 10.0) -> None:

@@ -31,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import _bounded, _Config
+
 NORMALIZE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class CosetPattern:
+class CosetPattern(_Config):
     """Strictly increasing coset offsets in [0, n_subbands - 1].
 
     ``nyquist_period_s`` is the full-band Nyquist period T; each coset samples
@@ -44,20 +46,17 @@ class CosetPattern:
 
     offsets: tuple[int, ...]
     n_subbands: int
-    nyquist_period_s: float
+    nyquist_period_s: float = _bounded(gt=0)
 
     def __post_init__(self):
+        super().__post_init__()
         c = self.offsets
         if len(c) == 0:
             raise ValueError("pattern needs at least one coset")
-        if any(int(v) != v for v in c):
-            raise ValueError("coset offsets must be integers")
         if c[0] < 0 or c[-1] > self.n_subbands - 1:
             raise ValueError(f"coset offsets must lie in [0, {self.n_subbands - 1}]")
         if any(a >= b for a, b in zip(c, c[1:])):
             raise ValueError("coset offsets must be strictly increasing (no duplicates)")
-        if self.nyquist_period_s <= 0:
-            raise ValueError("nyquist_period_s must be positive")
 
     @property
     def n_cosets(self) -> int:

@@ -26,32 +26,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import _bounded, _Config
+
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Config):
     """Static description of one sensing scenario.
 
     The sub-band width is derived as ``bandwidth_hz / n_subbands`` so the
     partition is exact by construction.
     """
 
-    n_subbands: int
-    bandwidth_hz: float
-    n_active_pus: int
-    duration_s: float
-    pu_energy: float = 1.0
+    n_subbands: int = _bounded(ge=1)
+    bandwidth_hz: float = _bounded(gt=0)
+    n_active_pus: int = _bounded(ge=0)
+    duration_s: float = _bounded(gt=0)
+    pu_energy: float = _bounded(1.0, gt=0)
 
     def __post_init__(self):
-        if self.n_subbands < 1:
-            raise ValueError("n_subbands must be >= 1")
-        if not 0 <= self.n_active_pus <= self.n_subbands:
-            raise ValueError(
-                f"n_active_pus must lie in [0, {self.n_subbands}], got {self.n_active_pus}"
-            )
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        super().__post_init__()
+        if self.n_active_pus > self.n_subbands:
+            raise ValueError(f"n_active_pus must lie in [0, {self.n_subbands}], got {self.n_active_pus}")
 
     @property
     def subband_hz(self) -> float:

@@ -49,6 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import ByteReader, DecodeError, read_file, tensor_nbytes, write_tensor
+from .rules import _bounded, _Config
 
 CHECKPOINT_MAGIC = b"WSSN"
 CHECKPOINT_VERSION = 1
@@ -64,28 +65,19 @@ BCE_CLIP = 1e-7
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_Config):
     """Architecture hyperparameters; the output width equals ``in_rows``
     (one probability per sub-band).
     """
 
-    in_rows: int
-    in_cols: int
-    conv1_filters: int = 32
-    conv2_filters: int = 16
-    hidden_units: int = 128
-    dropout_conv: float = 0.2
-    dropout_fc: float = 0.5
-
-    def __post_init__(self):
-        if self.in_rows < 5 or self.in_cols < 5:
-            raise ValueError("input must be at least 5x5 to survive two valid 3x3 convolutions")
-        for name in ("conv1_filters", "conv2_filters", "hidden_units"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("dropout_conv", "dropout_fc"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+    # two valid 3x3 convolutions leave nothing of a side below 5
+    in_rows: int = _bounded(ge=5)
+    in_cols: int = _bounded(ge=5)
+    conv1_filters: int = _bounded(32, ge=1)
+    conv2_filters: int = _bounded(16, ge=1)
+    hidden_units: int = _bounded(128, ge=1)
+    dropout_conv: float = _bounded(0.2, ge=0, lt=1)
+    dropout_fc: float = _bounded(0.5, ge=0, lt=1)
 
     @property
     def conv1_shape(self) -> tuple[int, int, int]:
@@ -501,8 +493,8 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
     ``weights`` and never writes into it, so many steps under one mask
     derive the kept indices once.
     """
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
+    if not 0 <= lr < math.inf:  # also false for nan
+        raise ValueError(f"learning rate must be finite and non-negative, got {lr!r}")
     unknown = set(grads) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"gradients for unknown parameters {sorted(unknown)}")

@@ -353,6 +353,16 @@ def test_every_subcommand_rejects_a_bad_net_or_grid(tiny_config_file, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bad_count_is_a_config_error_before_out_is_created(tiny_config_file, tmp_path, capsys,
+                                                           count):
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", str(tiny_config_file), "--out", str(out),
+                     "--count", count]) == cli.EXIT_CONFIG
+    assert one_config_error_line(capsys) == "config error: count must be >= 1"
+    assert not out.exists()
+
+
 def test_seed_override_changes_artifacts(tiny_config_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["gen-data", "--config", str(tiny_config_file), "--out", str(out_a),

@@ -133,6 +133,7 @@ class TestDecodeErrors:
         ("in_rows", 8, struct.pack("<I", 2)),
         ("hidden_units", 24, struct.pack("<I", 0)),
         ("dropout_fc", 32, struct.pack("<f", 1.5)),
+        ("dropout_conv", 28, struct.pack("<f", float("nan"))),
     ])
     def test_invalid_spec_header(self, field, offset, value):
         spec, weights = model("desk", True, np.float32)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftlwss import harness, multicoset, signal_model
+from ftlwss import harness, multicoset, rules, signal_model
 from ftlwss import tensornet as tn
 from ftlwss.codec import DecodeError, encode_tensor
 
@@ -146,7 +146,7 @@ class TestConfig:
         else:
             outside = [bound["gt"]]
         outside += [bound["lt"]] if "lt" in bound else []
-        message = re.escape(f"{section}: {f.name} must be {harness._bound_text(bound)}, got ")
+        message = re.escape(f"{section}: {f.name} must be {rules._bound_text(bound)}, got ")
         for value in outside:
             data = {f.name: value} if section == "config" else {section: {f.name: value}}
             with pytest.raises(ValueError, match=message):
@@ -154,7 +154,7 @@ class TestConfig:
 
     def test_readme_tables_every_declared_bound(self):
         rows = [f"| `{f.name if section == 'config' else f'{section}.{f.name}'}` | "
-                f"`{harness._bound_text(f.metadata)}` |" for section, _, f in BOUNDED_FIELDS]
+                f"`{rules._bound_text(f.metadata)}` |" for section, _, f in BOUNDED_FIELDS]
         table = "\n".join(["| setting | bound |", "|---|---|", *rows])
         assert table in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -293,6 +293,12 @@ class TestBuildDataset:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             harness.build_dataset(tiny_config(), "T1", "test", 0, 10.0)
+
+    def test_unknown_purpose_names_the_valid_ones(self):
+        # it raised a bare KeyError
+        with pytest.raises(ValueError, match=r"unknown purpose 'bogus'; expected one of "
+                                             r"\['adapt', 'test', 'train', 'val'\]"):
+            harness.build_dataset(tiny_config(), "S", "bogus", 2, 10.0)
 
 
 def _two_pass_dataset(config, domain, count, rng, snr_db, noiseless):

@@ -524,6 +524,14 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="fc1_W"):
             tn.sgd_step(w, g, 0.1)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_rejects_a_rate_that_is_not_finite_and_non_negative(self, lr):
+        # a NaN rate stepped every weight to NaN
+        w = tiny_weights()
+        g = {n: np.zeros_like(getattr(w, n)) for n in tn.PARAM_NAMES}
+        with pytest.raises(ValueError, match="learning rate"):
+            tn.sgd_step(w, g, lr)
+
 
 class TestTrainOffline:
     def test_loss_decreases_on_repeated_sample(self):
