@@ -6,8 +6,8 @@ functions, which read their input checkpoints from --out (or --model) and
 write their outputs there. Each takes --config (JSON; the built-in
 desk-scale preset when omitted), --seed (overrides the config seed) and
 --out (artifact directory). Exit codes: 0 success, 1 configuration error,
-2 stage failure, a missing, malformed or other-spec input checkpoint and an
---out that cannot be created included.
+2 stage failure, a missing, malformed or other-spec input checkpoint (for
+eval, of another input shape) and an --out that cannot be created included.
 """
 
 from __future__ import annotations
@@ -35,10 +35,17 @@ def _load_config(args) -> harness.ExperimentConfig:
         config = harness.scaled_default()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    # gen-data's count, like the config, is checked before --out is created
-    if getattr(args, "count", None) is not None and args.count < 1:
-        raise ValueError("count must be >= 1")
     return config
+
+
+def _create_out(out: Path) -> bool:
+    """Create --out; when it cannot be, print one error line and say so."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create --out {out}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
@@ -94,6 +101,9 @@ def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
     snr_db = config.training.snr_db if args.snr_db is None else args.snr_db
     dataset = harness.build_dataset(config, args.domain, args.purpose, count,
                                     None if args.noiseless else snr_db)
+    # created only now, so a bad count, SNR or domain leaves no --out behind
+    if not _create_out(args.out):
+        return EXIT_STAGE
     path = args.out / f"dataset_{args.domain}_{args.purpose}.bin"
     harness.save_dataset(dataset, path, seed=config.seed,
                          config_sha256=harness.config_hash(config))
@@ -118,15 +128,19 @@ def _cmd_ftl(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_eval(args, config: harness.ExperimentConfig) -> int:
-    # scored under the checkpoint's own spec, whatever the config builds
+    # scored under the checkpoint's own spec, which must take the input the
+    # config senses; its other sizes may differ from what the config builds
     try:
         spec, weights = tensornet.load_checkpoint(args.model)
     except (OSError, DecodeError) as exc:
         raise harness.StageError("eval", exc) from exc
+    sensed = (config.sensing.n_subbands, config.sensing.n_snapshots)
+    if (spec.in_rows, spec.in_cols) != sensed:
+        raise harness.StageError("eval", ValueError(
+            f"{args.model} takes inputs of shape ({spec.in_rows}, {spec.in_cols}), the config senses {sensed}"))
     snr_db = args.snr_db if args.snr_db is not None else config.evaluation.table_snr_db
     test = harness.build_dataset(config, args.domain, "test", config.evaluation.n_test, snr_db)
-    preds = harness.predict_occupancy(spec, weights, test.features, config.evaluation.threshold)
-    p_acc = harness.prediction_accuracy(preds, test.labels)
+    p_acc = harness.detector_accuracy(spec, weights, test, config.evaluation.threshold)
     print(f"domain={args.domain} snr_db={snr_db:g} p_acc={p_acc:.6f} n_test={len(test)}")
     return EXIT_OK
 
@@ -160,12 +174,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command != "eval":  # every other subcommand writes to --out
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: cannot create --out {args.out}: {exc}", file=sys.stderr)
-            return EXIT_STAGE
+    # eval writes nothing to --out, and gen-data creates it once its data is drawn
+    if args.command not in ("eval", "gen-data") and not _create_out(args.out):
+        return EXIT_STAGE
     try:
         return _COMMANDS[args.command](args, config)
     except harness.StageError as exc:

@@ -22,6 +22,10 @@ import struct
 import numpy as np
 
 
+# the magic and the u32 version that open a checkpoint or a dataset file
+FILE_HEADER = struct.Struct("<4sI")
+
+
 class DecodeError(ValueError):
     """Malformed or truncated binary payload."""
 
@@ -85,6 +89,17 @@ class ByteReader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
+
+    def expect_header(self, kind: str, magic: bytes, version: int) -> None:
+        """Read the 4-byte magic and the u32 version that open a ``kind``
+        payload; another magic raises ``DecodeError`` at byte 0, another
+        version at byte 4."""
+        found = bytes(self.take(4))
+        if found != magic:
+            raise DecodeError(f"bad {kind} magic {found!r}", 0)
+        found = self.u32()
+        if found != version:
+            raise DecodeError(f"unsupported {kind} version {found}", 4)
 
     def tensor(self) -> np.ndarray:
         rank = self.u32()

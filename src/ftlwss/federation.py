@@ -173,12 +173,7 @@ def decode_message(data, *, kept: KeptEntries | None = None):
     the bitset and the shape are unchanged.
     """
     reader = ByteReader(data)
-    magic = bytes(reader.take(4))
-    if magic != MESSAGE_MAGIC:
-        raise DecodeError(f"bad message magic {magic!r}", 0)
-    version = reader.u32()
-    if version != MESSAGE_VERSION:
-        raise DecodeError(f"unsupported message version {version}", 4)
+    reader.expect_header("message", MESSAGE_MAGIC, MESSAGE_VERSION)
     msg_type = reader.u32()
     round_idx = reader.u32()
     attempt = reader.u32()

@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import re
-import struct
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, federation, multicoset, pruning, signal_model, tensornet
-from .codec import ByteReader, DecodeError, encode_tensor, read_file
+from .codec import FILE_HEADER, ByteReader, DecodeError, encode_tensor, read_file
 from .rules import _bounded, _Config
 
 ALL_STAGES = ("train", "prune", "ftl", "rt", "eval")
@@ -39,7 +38,6 @@ _STAGE_DATA, _STAGE_TRAIN, _STAGE_FINETUNE = 1, 2, 3
 
 DATASET_MAGIC = b"WSSD"
 DATASET_VERSION = 1
-_DATASET_HEADER = struct.Struct("<4sI")
 
 SCHEME_FTL = "ftl"
 SCHEME_TL = "tl"
@@ -415,7 +413,7 @@ def save_dataset(dataset: LabeledDataset, path, seed: int | None = None,
     reads it.
     """
     with open(path, "wb") as fh:
-        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION))
+        fh.write(FILE_HEADER.pack(DATASET_MAGIC, DATASET_VERSION))
         fh.write(encode_tensor(dataset.features))
         fh.write(encode_tensor(dataset.labels))
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
@@ -431,12 +429,7 @@ def load_dataset(path) -> LabeledDataset:
     the file's buffer.
     """
     reader = ByteReader(read_file(path))
-    magic = bytes(reader.take(4))
-    if magic != DATASET_MAGIC:
-        raise DecodeError(f"bad dataset magic {magic!r}", 0)
-    version = reader.u32()
-    if version != DATASET_VERSION:
-        raise DecodeError(f"unsupported dataset version {version}", 4)
+    reader.expect_header("dataset", DATASET_MAGIC, DATASET_VERSION)
     features = reader.tensor()
     labels_at = reader.offset
     labels = reader.tensor()
@@ -478,22 +471,22 @@ def predict_probs(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
     return out
 
 
-def predict_occupancy(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
-                      features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard occupancy decision: probability >= threshold (inclusive)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    probs = predict_probs(spec, weights, features)
-    return (probs >= threshold).astype(np.int8)
-
-
-def prediction_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Mean fraction of correctly classified sub-bands over the test set."""
-    predictions = np.asarray(predictions)
+def prediction_accuracy(decisions: np.ndarray, labels: np.ndarray) -> float:
+    """P_acc: the fraction of (B, L) sub-band ``decisions`` that match the
+    (B, L) ``labels``. Every scheme's ``p_acc`` is this mean."""
+    decisions = np.asarray(decisions)
     labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
-    return float((predictions == labels).mean())
+    if decisions.shape != labels.shape:
+        raise ValueError(f"shape mismatch: {decisions.shape} vs {labels.shape}")
+    return float((decisions == labels).mean())
+
+
+def detector_accuracy(spec: tensornet.DetectorSpec, weights: tensornet.ModelWeights,
+                      dataset: LabeledDataset, threshold: float) -> float:
+    """P_acc of the detector on ``dataset``: a sub-band is occupied where its
+    probability is >= ``threshold`` (inclusive)."""
+    return prediction_accuracy(predict_probs(spec, weights, dataset.features) >= threshold,
+                               dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +648,6 @@ def _source_test_set(config: ExperimentConfig) -> LabeledDataset:
     return build_dataset(config, "S", "test", config.training.n_test, config.training.snr_db)
 
 
-def _source_test_accuracy(config: ExperimentConfig, weights: tensornet.ModelWeights,
-                          test: LabeledDataset) -> float:
-    preds = predict_occupancy(config.detector_spec(), weights, test.features, config.evaluation.threshold)
-    return prediction_accuracy(preds, test.labels)
-
-
 @_stage("train")
 def train_stage(config: ExperimentConfig, outdir, log=lambda msg: None):
     """The train stage: offline training on the source domain, written to
@@ -671,7 +658,7 @@ def train_stage(config: ExperimentConfig, outdir, log=lambda msg: None):
     trained = _train_domain_model(config, "S", tr, va, log)
     tensornet.save_checkpoint(Path(outdir) / "model_source.bin", config.detector_spec(), trained.weights)
     test = _source_test_set(config)
-    p_acc = _source_test_accuracy(config, trained.weights, test)
+    p_acc = detector_accuracy(config.detector_spec(), trained.weights, test, config.evaluation.threshold)
     log(f"stage train: source test accuracy {p_acc:.4f} (best epoch {trained.best_epoch})")
     return p_acc, (tr, va, test)
 
@@ -693,18 +680,18 @@ def prune_stage(config: ExperimentConfig, outdir, source,
     if sets is None:
         sets = (*_domain_datasets(config, "S"), _source_test_set(config))
     tr, va, test = sets
+    spec, threshold = config.detector_spec(), config.evaluation.threshold
     if p_acc_unpruned is None:
-        p_acc_unpruned = _source_test_accuracy(config, source, test)
+        p_acc_unpruned = detector_accuracy(spec, source, test, threshold)
     log(f"stage prune: magnitude pruning at ratio {config.prune.ratio}")
     pruned, report = pruning.prune_model(source, config.prune.ratio)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STAGE_FINETUNE)))
-    spec = config.detector_spec()
     p = config.prune
     tuned = pruning.fine_tune(spec, pruned, tr.features, tr.labels, va.features, va.labels, rng,
                               lr=p.finetune_lr, batch_size=p.finetune_batch_size,
                               epochs=p.finetune_epochs)
     tensornet.save_checkpoint(outdir / "model_pruned.bin", spec, tuned.weights)
-    p_acc_pruned = _source_test_accuracy(config, tuned.weights, test)
+    p_acc_pruned = detector_accuracy(spec, tuned.weights, test, threshold)
     payload = {
         **asdict(report),
         "p_acc_source_unpruned": p_acc_unpruned,
@@ -806,7 +793,7 @@ def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: 
     results = baselines.somp_detect(dataset.coset_spectra, matrix, n_active)
     # measurement column -> physical band (band_order is its own inverse)
     bits = np.stack([r.occupancy(n_subbands) for r in results])[:, multicoset.band_order(n_subbands)]
-    return int((bits == dataset.labels).sum()) / (len(dataset) * n_subbands)
+    return prediction_accuracy(bits, dataset.labels)
 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:
@@ -857,11 +844,8 @@ def evaluate_schemes(config: ExperimentConfig, result: PipelineResult, log=lambd
                   (SCHEME_FTL_ZERO_SHOT, zero_shot), (SCHEME_RT, result.rt_models.get(domain))]
         for snr_db in config.evaluation.snr_grid:
             test = build_dataset(config, domain, "test", n_test, snr_db, keep_spectra=True)
-            scored = [
-                (scheme, prediction_accuracy(predict_occupancy(spec, model, test.features, threshold),
-                                             test.labels))
-                for scheme, model in models if model is not None
-            ]
+            scored = [(scheme, detector_accuracy(spec, model, test, threshold))
+                      for scheme, model in models if model is not None]
             scored.append((SCHEME_SOMP, _somp_accuracy(config, test, n_active)))
             for scheme, p_acc in scored:
                 rows.append(SweepRow(domain=domain, scheme=scheme, snr_db=snr_db,

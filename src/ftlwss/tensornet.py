@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import ByteReader, DecodeError, read_file, tensor_nbytes, write_tensor
+from .codec import FILE_HEADER, ByteReader, DecodeError, read_file, tensor_nbytes, write_tensor
 from .rules import _bounded, _Config
 
 CHECKPOINT_MAGIC = b"WSSN"
@@ -674,7 +674,6 @@ def finite_difference_check(
 # header before it and carries fc1_w as the 1-D vector of its kept values.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_HEADER = struct.Struct("<4sI")
 _SPEC_HEADER = struct.Struct("<5I2f")
 _MASK_HEADER = struct.Struct("<BQ")  # tag 1, bit count
 
@@ -794,19 +793,14 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
 
 def checkpoint_bytes(spec: DetectorSpec, weights: ModelWeights) -> bytearray:
     """The checkpoint of ``weights``, written in one pass."""
-    buf = model_bytes(spec, weights, _CHECKPOINT_HEADER.size, sparse=False)
-    _CHECKPOINT_HEADER.pack_into(buf, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    buf = model_bytes(spec, weights, FILE_HEADER.size, sparse=False)
+    FILE_HEADER.pack_into(buf, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     return buf
 
 
 def parse_checkpoint(data) -> tuple[DetectorSpec, ModelWeights]:
     reader = ByteReader(data)
-    magic = bytes(reader.take(4))
-    if magic != CHECKPOINT_MAGIC:
-        raise DecodeError(f"bad checkpoint magic {magic!r}", 0)
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise DecodeError(f"unsupported checkpoint version {version}", 4)
+    reader.expect_header("checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     return read_model(reader, sparse=False)
 
 

@@ -141,6 +141,12 @@ def _other_spec_checkpoint(config_file, path):
     tn.save_checkpoint(path, spec, tn.init_weights(spec, np.random.default_rng(0)))
 
 
+def _other_input_checkpoint(config_file, path):
+    # the tiny config senses 8 snapshots
+    spec = replace(harness.ExperimentConfig.from_json_file(config_file).detector_spec(), in_cols=16)
+    tn.save_checkpoint(path, spec, tn.init_weights(spec, np.random.default_rng(0)))
+
+
 def _assert_one_line_stage_error(capsys, stage):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: stage {stage!r} failed"), lines
@@ -152,6 +158,8 @@ def _assert_one_line_stage_error(capsys, stage):
     # `ftlwss eval` scores a checkpoint under its own spec; the stages need the config's
     ("other-spec", "prune", "prune"),
     ("other-spec", "ftl", "ftl"),
+    # ... but that spec must take the input the config senses
+    ("other-input", "eval", "eval"),
 ])
 def test_bad_input_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys, command, stage, broken):
     model = tmp_path / "model.bin"
@@ -159,6 +167,8 @@ def test_bad_input_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsy
         _truncated_checkpoint(tiny_config_file, model)
     elif broken == "other-spec":
         _other_spec_checkpoint(tiny_config_file, model)
+    elif broken == "other-input":
+        _other_input_checkpoint(tiny_config_file, model)
     argv = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "out"),
             "--model", str(model)]
     if command == "eval":
@@ -167,6 +177,8 @@ def test_bad_input_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsy
     line = _assert_one_line_stage_error(capsys, stage)
     if broken == "other-spec":
         assert str(model) in line and "hidden_units=7" in line and "hidden_units=6" in line
+    if broken == "other-input":
+        assert str(model) in line and "(8, 16)" in line and "(8, 8)" in line
 
 
 def test_sweep_with_truncated_checkpoint_is_stage_failure(tiny_config_file, tmp_path, capsys):
@@ -319,7 +331,8 @@ def test_detector_setting_error_names_section_and_key(tiny_config_file, tmp_path
 def test_bad_snr_or_domain_is_one_config_error_line(tiny_config_file, tmp_path, capsys, command,
                                                     option, value, named):
     # an infinite SNR overflowed the stream key with a traceback, a NaN one
-    # and an unknown domain were reported in words that named neither
+    # and an unknown domain were reported in words that named neither; and
+    # gen-data created --out before it found them
     args = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "out")]
     if command == "eval":
         config = harness.ExperimentConfig.from_json_file(tiny_config_file)
@@ -329,6 +342,7 @@ def test_bad_snr_or_domain_is_one_config_error_line(tiny_config_file, tmp_path, 
         args += ["--model", str(model)] + (["--domain", "T2"] if option != "--domain" else [])
     assert cli.main([*args, f"{option}={value}"]) == cli.EXIT_CONFIG
     assert named in one_config_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["prune"], ["ftl"], ["eval", "--domain", "T1", "--model", "m.bin"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftlwss import harness, multicoset, rules, signal_model
+from ftlwss import baselines, harness, multicoset, rules, signal_model
 from ftlwss import tensornet as tn
 from ftlwss.codec import DecodeError, encode_tensor
 
@@ -538,26 +538,24 @@ class TestPrediction:
         weights = tn.init_weights(spec, np.random.default_rng(0))
         for name in tn.PARAM_NAMES:
             getattr(weights, name)[:] = 0
-        # zero weights produce 0.5 everywhere; inclusive threshold keeps ones
-        feature = np.zeros((1, spec.in_rows, spec.in_cols, 2), dtype=np.float32)
-        assert harness.predict_occupancy(spec, weights, feature, 0.5).tolist() == [[1] * 8]
-        assert harness.predict_occupancy(spec, weights, feature, 0.51).tolist() == [[0] * 8]
+        # zero weights produce 0.5 everywhere; the inclusive threshold counts
+        # every band occupied at 0.5 and none at 0.51
+        occupied = harness.LabeledDataset(
+            features=np.zeros((1, spec.in_rows, spec.in_cols, 2), dtype=np.float32),
+            labels=np.ones((1, 8), dtype=np.int8))
+        assert harness.detector_accuracy(spec, weights, occupied, 0.5) == 1.0
+        assert harness.detector_accuracy(spec, weights, occupied, 0.51) == 0.0
 
     def test_monotone_in_threshold(self):
+        # against all-occupied labels the score counts the bands decided
+        # occupied, which a higher threshold can only lower
         cfg = tiny_config()
         spec = cfg.detector_spec()
         weights = tn.init_weights(spec, np.random.default_rng(1))
         ds = harness.build_dataset(cfg, "T3", "test", 6, 10.0)
-        low = harness.predict_occupancy(spec, weights, ds.features, 0.3)
-        high = harness.predict_occupancy(spec, weights, ds.features, 0.7)
-        assert np.all(high <= low)
-
-    def test_rejects_bad_threshold(self):
-        cfg = tiny_config()
-        spec = cfg.detector_spec()
-        weights = tn.init_weights(spec, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            harness.predict_occupancy(spec, weights, np.zeros((8, 8, 2)), 0.0)
+        occupied = harness.LabeledDataset(features=ds.features, labels=np.ones_like(ds.labels))
+        scores = [harness.detector_accuracy(spec, weights, occupied, t) for t in (0.3, 0.5, 0.7)]
+        assert scores == sorted(scores, reverse=True)
 
 
 def _traced_peak(fn) -> int:
@@ -682,6 +680,20 @@ class TestPredictionAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             harness.prediction_accuracy(np.zeros((2, 4)), np.zeros((2, 5)))
+
+    def test_somp_score_equals_its_count_over_the_grid(self):
+        # SOMP's p_acc, once the correct-bit count over B * L, is the shared
+        # mean, equal to that count's float bit for bit on a desk grid point
+        cfg = harness.scaled_default()
+        ds = harness.build_dataset(cfg, "T2", "test", cfg.evaluation.n_test,
+                                   cfg.evaluation.table_snr_db, keep_spectra=True)
+        matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
+        n_subbands = cfg.sensing.n_subbands
+        results = baselines.somp_detect(ds.coset_spectra, matrix, cfg.domains.n_active("T2"))
+        bits = np.stack([r.occupancy(n_subbands) for r in results])[:, multicoset.band_order(n_subbands)]
+        counted = int((bits == ds.labels).sum()) / (len(ds) * n_subbands)
+        assert 0 < counted < 1
+        assert harness._somp_accuracy(cfg, ds, cfg.domains.n_active("T2")) == counted
 
 
 class TestEmitResults:
