@@ -8,7 +8,9 @@ true occupancy count is assumed known (sparsity-aware operation).
 
 ``somp_detect`` takes a batch of spectra (B x P x N) sharing A and the
 sparsity and runs the greedy steps for all samples at once, with stacked
-SVD, QR, solves and matrix products. Each sample's support and residual are
+SVD, QR, solves and matrix products. It returns two arrays: the (B, k)
+support, 0-based column indices of the matrix in selection order, and the
+(B, P, N) residual of the final fit. Each sample's support and residual are
 bit-identical to those of its batch of one (``y[None]``): every stacked
 product keeps the per-sample operand shapes and layouts.
 
@@ -21,14 +23,12 @@ noiseless support (sparsity below the coset count, full-spark matrix)
 exactly, and the subspace truncation keeps it the stronger rule under noise
 as well.
 
-Support indices are 1-based column indices of the matrix that was passed in;
-converting them to physical band indices is the caller's concern (see
+Support indices are columns of the matrix that was passed in; converting
+them to physical band indices is the caller's concern (see
 ``multicoset.band_order``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,20 +42,6 @@ _LS_RIDGE = 1e-12
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SompResult:
-    support: tuple[int, ...]          # 1-based column indices, in selection order
-    residual_norm: float
-    iterations: int
-    infeasible_sparsity: bool = False # sparsity exceeded the coset count
-
-    def occupancy(self, n_subbands: int) -> np.ndarray:
-        bits = np.zeros(n_subbands, dtype=np.int8)
-        for idx in self.support:
-            bits[idx - 1] = 1
-        return bits
-
-
 def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ridge-guarded normal-equation solve, stacked over the leading axis."""
     sub_h = sub.conj().swapaxes(-1, -2)
@@ -65,20 +51,21 @@ def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, sub_h @ y)
 
 
-def somp_detect(coset_spectra: np.ndarray, matrix: np.ndarray, sparsity: int) -> list[SompResult]:
+def somp_detect(coset_spectra: np.ndarray, matrix: np.ndarray,
+                sparsity: int) -> tuple[np.ndarray, np.ndarray]:
     """Recover the ``sparsity`` strongest columns jointly explaining Y, for
-    each sample of the batch ``coset_spectra`` (B x P x N): a list of B
-    results, each equal to the result of that sample's batch of one.
+    each sample of the batch ``coset_spectra`` (B x P x N): the (B, sparsity)
+    column indices in selection order and the (B, P, N) residual, each row
+    equal to that sample's batch of one.
 
     With sparsity above the number of cosets the least-squares subproblem is
-    underdetermined; the result is still produced (best effort) and flagged
-    ``infeasible_sparsity``.
+    underdetermined; the support is still produced (best effort).
     """
     a = np.asarray(matrix)
     y = np.asarray(coset_spectra)
     if a.ndim != 2 or y.ndim != 3 or a.shape[0] != y.shape[1]:
         raise ValueError(f"incompatible shapes: matrix {a.shape}, spectra {np.shape(coset_spectra)}")
-    n_cosets, n_cols = a.shape
+    n_cols = a.shape[1]
     if sparsity < 0 or sparsity > n_cols:
         raise ValueError(f"sparsity must lie in [0, {n_cols}], got {sparsity}")
 
@@ -92,16 +79,7 @@ def somp_detect(coset_spectra: np.ndarray, matrix: np.ndarray, sparsity: int) ->
         selected[:, step] = np.argmax(scores, axis=1)  # argmax takes the lowest index on ties
         sub = _columns(a, selected[:, :step + 1])
         residual = y - sub @ _least_squares(sub, y)
-
-    return [
-        SompResult(
-            support=tuple(int(i) + 1 for i in cols),
-            residual_norm=float(np.linalg.norm(res)),
-            iterations=sparsity,
-            infeasible_sparsity=sparsity > n_cosets,
-        )
-        for cols, res in zip(selected, residual)
-    ]
+    return selected, residual if sparsity else y.copy()
 
 
 def _columns(a: np.ndarray, selected: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Subcommands mirror the pipeline stages: gen-data, train, prune, ftl, eval,
 sweep, and all; train, prune, ftl and sweep call the harness stage
 functions, which read their input checkpoints from --out (or --model) and
 write their outputs there. Each takes --config (JSON; the built-in
-desk-scale preset when omitted), --seed (overrides the config seed) and
---out (artifact directory). Exit codes: 0 success, 1 configuration error,
-2 stage failure, a missing, malformed or other-spec input checkpoint (for
-eval, of another input shape) and an --out that cannot be created included.
+desk-scale preset when omitted) or --full-scale (the full-size preset),
+--seed (overrides the config seed) and --out (artifact directory). Exit
+codes: 0 success, 1 configuration error, 2 stage failure, a missing,
+malformed or other-spec input checkpoint (for eval, of another input shape)
+and an --out that cannot be created included.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ EXIT_STAGE = 2
 
 
 def _load_config(args) -> harness.ExperimentConfig:
+    if args.config is not None and args.full_scale:
+        raise ValueError("--config and --full-scale each select the config; give one")
     if args.config is not None:
         config = harness.ExperimentConfig.from_json_file(args.config)
     elif args.full_scale:
@@ -56,7 +59,7 @@ def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
     parser.add_argument("--full-scale", action="store_true",
-                        help="use the full-size preset when no --config is given")
+                        help="use the full-size preset in place of --config")
     return parser
 
 
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=None, help="SNR override in dB")
     p.add_argument("--purpose", default="train", choices=sorted(harness._PURPOSE_TAGS),
                    help="which seeded stream to draw from")
-    p.add_argument("--noiseless", action="store_true")
+    p.add_argument("--noiseless", action="store_true", help="draw no noise (takes no --snr-db)")
 
     _add_command(sub, "train", "offline training on the source domain")
     p = _add_command(sub, "prune", "magnitude-prune and fine-tune the source model")
@@ -97,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args, config: harness.ExperimentConfig) -> int:
+    if args.noiseless and args.snr_db is not None:
+        raise ValueError("--noiseless draws no noise, so it takes no --snr-db")
     count = args.count if args.count is not None else config.training.n_train
     snr_db = config.training.snr_db if args.snr_db is None else args.snr_db
     dataset = harness.build_dataset(config, args.domain, args.purpose, count,

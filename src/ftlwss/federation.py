@@ -300,6 +300,9 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
                     f"upload from SU {upload.su_id} has {name} shape {got.shape}, "
                     f"expected {shapes[name]}"
                 )
+            # one NaN or infinity would poison every kept weight it touches
+            if not np.isfinite(got).all():
+                raise ProtocolError(f"upload from SU {upload.su_id} has non-finite {name} values")
     dtype = weights.dtype
     grads = {}
     for name, shape in shapes.items():

@@ -151,6 +151,7 @@ class TrainingConfig(_Config):
     not dropped below ``restart_margin`` times its initial value within
     ``restart_epochs`` epochs, training restarts from a reseeded
     initialization (up to ``restarts`` attempts) before continuing.
+    ``max_epochs`` counts every epoch of the surviving run, probe included.
     """
 
     n_train: int = _bounded(2000, ge=1)
@@ -159,7 +160,9 @@ class TrainingConfig(_Config):
     snr_db: float = 10.0
     lr: float = _bounded(0.15, ge=0)
     batch_size: int = _bounded(32, ge=1)
-    max_epochs: int = _bounded(150, ge=0)
+    # the probe runs min(restart_epochs, max_epochs) epochs and needs a
+    # validation loss
+    max_epochs: int = _bounded(150, ge=1)
     patience: int = _bounded(24, ge=0)
     lr_decay_factor: float = _bounded(0.5, gt=0)
     lr_decay_stall: int = _bounded(10, ge=1)
@@ -617,12 +620,13 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
     """
     spec = config.detector_spec()
     t = config.training
+    probe_epochs = min(t.restart_epochs, t.max_epochs)
     probe = None
     for attempt in range(t.restarts):
         rng = _train_rng(config, domain, attempt)
         candidate = tensornet.train_offline(
             spec, tr.features, tr.labels, va.features, va.labels, rng,
-            lr=t.lr, batch_size=t.batch_size, max_epochs=t.restart_epochs, patience=t.restart_epochs)
+            lr=t.lr, batch_size=t.batch_size, max_epochs=probe_epochs, patience=probe_epochs)
         initial, achieved = candidate.val_losses[0], min(candidate.val_losses)
         probe = candidate if probe is None or achieved < min(probe.val_losses) else probe
         if achieved < t.restart_margin * initial:
@@ -632,7 +636,7 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
             f"(val {achieved:.3f} vs start {initial:.3f}), reseeding")
     result = tensornet.train_offline(
         spec, tr.features, tr.labels, va.features, va.labels, rng,
-        lr=t.lr, batch_size=t.batch_size, max_epochs=max(0, t.max_epochs - t.restart_epochs),
+        lr=t.lr, batch_size=t.batch_size, max_epochs=t.max_epochs - probe_epochs,
         patience=t.patience, lr_decay_factor=t.lr_decay_factor, lr_decay_stall=t.lr_decay_stall,
         init=probe.weights)
     result.train_losses = probe.train_losses + result.train_losses
@@ -787,13 +791,12 @@ def eval_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> Pipeli
 
 
 def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: int) -> float:
-    pattern = config.sensing.pattern()
-    matrix = multicoset.build_measurement_matrix(pattern).values
-    n_subbands = config.sensing.n_subbands
-    results = baselines.somp_detect(dataset.coset_spectra, matrix, n_active)
+    matrix = multicoset.build_measurement_matrix(config.sensing.pattern()).values
+    support, _ = baselines.somp_detect(dataset.coset_spectra, matrix, n_active)
+    bits = np.zeros(dataset.labels.shape, dtype=np.int8)
+    np.put_along_axis(bits, support, 1, axis=1)
     # measurement column -> physical band (band_order is its own inverse)
-    bits = np.stack([r.occupancy(n_subbands) for r in results])[:, multicoset.band_order(n_subbands)]
-    return prediction_accuracy(bits, dataset.labels)
+    return prediction_accuracy(bits[:, multicoset.band_order(config.sensing.n_subbands)], dataset.labels)
 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:

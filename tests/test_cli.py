@@ -73,6 +73,27 @@ def test_gen_data_at_explicit_snr_uses_that_snr_stream(tiny_config_file, tmp_pat
     assert np.array_equal(loaded.labels, expected.labels)
 
 
+def test_gen_data_full_scale_draws_full_size_features(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--full-scale", "--count", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert harness.load_dataset(out / "dataset_S_train.bin").features.shape == (1, 40, 64, 2)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("gen-data", ["--full-scale"]),
+    ("train", ["--full-scale"]),
+    ("gen-data", ["--noiseless", "--snr-db", "5"]),
+], ids=["gen-data-full-scale", "train-full-scale", "gen-data-noiseless-snr"])
+def test_conflicting_options_are_one_config_error_line(tiny_config_file, tmp_path, capsys, command,
+                                                       options):
+    # the config file silently won over --full-scale, and --noiseless over the SNR
+    out = tmp_path / "out"
+    args = [command, "--config", str(tiny_config_file), "--out", str(out), *options]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert options[0] in one_config_error_line(capsys)
+    assert not out.exists()
+
+
 def test_train_prune_ftl_eval_chain(tiny_config_file, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == cli.EXIT_OK
@@ -285,6 +306,7 @@ DETECTOR_SETTINGS = [
     ("sensing", "n_cosets", 0),
     ("sensing", "n_cosets", -1),
     ("training", "max_epochs", -1),
+    ("training", "max_epochs", 0),
     ("training", "patience", -1),
     *DETECTOR_SETTINGS,
 ])

@@ -400,6 +400,25 @@ class TestRunFtl:
         assert len(transport.workers) == 3
         assert not any(worker.is_alive() for worker in transport.workers)
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_non_finite_upload_fails_the_run_naming_su_and_tensor(self, monkeypatch, transport):
+        original = fed.local_training
+
+        def poisoned(*args, **kwargs):
+            upload = original(*args, **kwargs)
+            if upload.su_id == 2:
+                upload.out_b = np.full_like(upload.out_b, np.nan)
+            return upload
+
+        monkeypatch.setattr(fed, "local_training", poisoned)
+        sus = self.make_sus()
+        cfg = fed.FtlConfig(n_sus=3, rounds=2, local_epochs=1, batch_size=5, lr=0.05)
+        make = fed.InProcessTransport if transport == "inproc" else fed.LoopbackSocketTransport
+        with pytest.raises(fed.ProtocolError, match="SU 2 has non-finite out_b"):
+            with make(sus, cfg, seed=13) as server:
+                fed.run_ftl(SPEC, toy_weights(masked=True), cfg, server)
+        assert not any(worker.is_alive() for worker in getattr(server, "workers", ()))
+
     def test_loopback_transport_joins_its_threads_on_error(self):
         sus = self.make_sus()
         cfg = fed.FtlConfig(n_sus=3, rounds=1)
@@ -1143,8 +1162,10 @@ def assert_bitwise_equal(got, want, names):
 
 
 class TestAggregateOracle:
-    def hostile(self, weights_dtype, upload_dtype):
-        # garbage (NaN, nonzero) at pruned positions, -0.0 at kept positions
+    def hostile(self, weights_dtype, upload_dtype, masked):
+        # garbage (NaN, nonzero) at pruned positions, -0.0 at kept positions;
+        # without a mask an upload carries every entry, and a non-finite one
+        # is rejected, so the uploads' garbage there is finite
         toy = toy_weights(masked=True)
         mask = toy.prune_mask
         weights = tn.ModelWeights(**{n: a.astype(weights_dtype) for n, a in toy.arrays().items()},
@@ -1155,7 +1176,7 @@ class TestAggregateOracle:
         weights.fc1_w.reshape(-1)[kept[:4]] = -0.0
         uploads = [toy_upload(seed=s, su_id=s, n_samples=10 * s) for s in (3, 1, 2)]
         for upload in uploads:
-            upload.fc1_w.reshape(-1)[pruned[::3]] = np.nan
+            upload.fc1_w.reshape(-1)[pruned[::3]] = np.nan if masked else 5.0
             upload.fc1_w.reshape(-1)[kept[:2]] = 0.0
             upload.fc1_w.reshape(-1)[kept[2:4]] = -0.0
             for name in tn.DOMAIN_SPECIFIC_PARAMS:
@@ -1168,7 +1189,7 @@ class TestAggregateOracle:
     def test_bitwise_equal_to_dense_where(self, weights_dtype, upload_dtype, masked):
         # the oracle sums the dense uploads, garbage at pruned entries and
         # all; aggregate gets what the wire carries, the kept entries
-        weights, uploads = self.hostile(weights_dtype, upload_dtype)
+        weights, uploads = self.hostile(weights_dtype, upload_dtype, masked)
         if not masked:
             weights.prune_mask = None
         before = {n: getattr(weights, n).tobytes() for n in tn.PARAM_NAMES}
@@ -1191,6 +1212,18 @@ class TestAggregateOracle:
         upload.fc1_w = upload.fc1_w.reshape(-1)[:-1]
         with pytest.raises(fed.ProtocolError, match="fc1_w"):
             fed.aggregate(weights, [upload], lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_upload_rejected(self, monkeypatch, bad):
+        # a NaN out_b survived the codec and aggregate into a NaN model
+        weights = toy_weights(masked=True)
+        upload = toy_upload(su_id=2, mask=weights.prune_mask)
+        upload.out_b[1] = bad
+        uploads = [toy_upload(seed=1, su_id=1, mask=weights.prune_mask),
+                   fed.decode_message(fed.encode_message(upload))]
+        monkeypatch.setattr(fed, "sgd_step", None)  # rejected before any arithmetic
+        with pytest.raises(fed.ProtocolError, match="SU 2 has non-finite out_b"):
+            fed.aggregate(weights, uploads, lr=0.1)
 
 
 class TestLocalTrainingOracle:

@@ -85,6 +85,8 @@ BAD_STAGE_SETTINGS = [
     ("sensing", "n_cosets", 0),
     ("sensing", "n_cosets", -1),
     ("training", "max_epochs", -1),
+    # a 0-epoch probe has no validation loss
+    ("training", "max_epochs", 0),
     ("training", "patience", -1),
     # a list or object setting of another kind raised TypeError, naming neither
     ("evaluation", "snr_grid", 5),
@@ -645,10 +647,11 @@ def test_training_and_lean_prediction_independent_of_blas_threads():
     assert len(digests) == 1, digests
 
 
-@pytest.mark.parametrize("max_epochs", [10, 3])
+@pytest.mark.parametrize("max_epochs", [10, 3, 2, 1])
 def test_best_epoch_indexes_the_joined_loss_history(max_epochs):
     # the probe's 3 epochs open the history; at max_epochs 3 no continuation
-    # epoch runs, and the probe's best snapshot is the result
+    # epoch runs, and the probe's best snapshot is the result; below 3 the
+    # probe itself stops at max_epochs, which bounds the whole history
     from dataclasses import replace
     base = tiny_config()
     cfg = replace(base, training=replace(base.training, n_train=200, n_val=66, restart_epochs=3,
@@ -683,14 +686,17 @@ class TestPredictionAccuracy:
 
     def test_somp_score_equals_its_count_over_the_grid(self):
         # SOMP's p_acc, once the correct-bit count over B * L, is the shared
-        # mean, equal to that count's float bit for bit on a desk grid point
+        # mean, equal to that count's float bit for bit on a desk grid point;
+        # the reference sets each sample's band bits in a loop
         cfg = harness.scaled_default()
         ds = harness.build_dataset(cfg, "T2", "test", cfg.evaluation.n_test,
                                    cfg.evaluation.table_snr_db, keep_spectra=True)
         matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
         n_subbands = cfg.sensing.n_subbands
-        results = baselines.somp_detect(ds.coset_spectra, matrix, cfg.domains.n_active("T2"))
-        bits = np.stack([r.occupancy(n_subbands) for r in results])[:, multicoset.band_order(n_subbands)]
+        support, _ = baselines.somp_detect(ds.coset_spectra, matrix, cfg.domains.n_active("T2"))
+        bits = np.zeros((len(ds), n_subbands), dtype=np.int8)
+        for row, cols in zip(bits, support):
+            row[multicoset.band_order(n_subbands)[cols]] = 1
         counted = int((bits == ds.labels).sum()) / (len(ds) * n_subbands)
         assert 0 < counted < 1
         assert harness._somp_accuracy(cfg, ds, cfg.domains.n_active("T2")) == counted
