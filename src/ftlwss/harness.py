@@ -19,7 +19,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import threading
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -333,7 +335,8 @@ def dataset_rng(config: ExperimentConfig, domain: str, purpose: str, snr_db: flo
 
 
 # samples per front-end batch: bounds the (B, P, N) and (B, L, N) work
-# arrays at full scale while keeping the per-call overhead amortised
+# arrays at full scale while keeping the per-call overhead amortised; it
+# bounds the batch of an eval sweep's SOMP group the same way
 _FRONT_END_CHUNK = 256
 
 
@@ -616,7 +619,10 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
 
     A short probe run must pull the validation loss below
     ``restart_margin`` times its starting value; stuck probes are reseeded.
-    The surviving probe's weights are then trained to completion.
+    The first probe that passes, or else the probe with the lowest
+    validation loss, is trained to completion on its own attempt's
+    generator, so the result is that attempt trained to completion
+    whatever the number of ``restarts``.
     """
     spec = config.detector_spec()
     t = config.training
@@ -628,14 +634,17 @@ def _train_domain_model(config: ExperimentConfig, domain: str, tr: LabeledDatase
             spec, tr.features, tr.labels, va.features, va.labels, rng,
             lr=t.lr, batch_size=t.batch_size, max_epochs=probe_epochs, patience=probe_epochs)
         initial, achieved = candidate.val_losses[0], min(candidate.val_losses)
-        probe = candidate if probe is None or achieved < min(probe.val_losses) else probe
-        if achieved < t.restart_margin * initial:
-            probe = candidate
+        passed = achieved < t.restart_margin * initial
+        if passed or probe is None or achieved < min(probe.val_losses):
+            probe, probe_rng, probe_attempt = candidate, rng, attempt
+        if passed:
             break
+        then = ("reseeding" if attempt + 1 < t.restarts
+                else f"continuing from the best probe, attempt {probe_attempt}")
         log(f"  training on {domain}: attempt {attempt} stuck "
-            f"(val {achieved:.3f} vs start {initial:.3f}), reseeding")
+            f"(val {achieved:.3f} vs start {initial:.3f}), {then}")
     result = tensornet.train_offline(
-        spec, tr.features, tr.labels, va.features, va.labels, rng,
+        spec, tr.features, tr.labels, va.features, va.labels, probe_rng,
         lr=t.lr, batch_size=t.batch_size, max_epochs=t.max_epochs - probe_epochs,
         patience=t.patience, lr_decay_factor=t.lr_decay_factor, lr_decay_stall=t.lr_decay_stall,
         init=probe.weights)
@@ -772,7 +781,10 @@ def rt_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> None:
 def eval_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> PipelineResult:
     """The eval stage: `evaluate_schemes` on every scheme checkpoint the run
     directory ``outdir`` holds (SOMP alone when it holds none), written to
-    ``results.csv`` and ``summary.json``. Returns the result it scored."""
+    ``results.csv`` and ``summary.json``. Returns the result it scored.
+    The target domains are scored concurrently; the first failing domain's
+    error, in domain order, fails the stage once every running domain has
+    stopped."""
     outdir = Path(outdir)
     rt = {f"model_rt_{domain}.bin": domain for domain in config.domains.target_names()}
     zero_shot = ["model_ftl_zero_shot.bin"] if config.ftl.zero_shot_domain is not None else []
@@ -788,15 +800,6 @@ def eval_stage(config: ExperimentConfig, outdir, log=lambda msg: None) -> Pipeli
     emit_results(result.rows, csv_path, outdir / "summary.json", table_snr_db=config.evaluation.table_snr_db)
     log(f"stage eval: wrote {len(result.rows)} rows to {csv_path}")
     return result
-
-
-def _somp_accuracy(config: ExperimentConfig, dataset: LabeledDataset, n_active: int) -> float:
-    matrix = multicoset.build_measurement_matrix(config.sensing.pattern()).values
-    support, _ = baselines.somp_detect(dataset.coset_spectra, matrix, n_active)
-    bits = np.zeros(dataset.labels.shape, dtype=np.int8)
-    np.put_along_axis(bits, support, 1, axis=1)
-    # measurement column -> physical band (band_order is its own inverse)
-    return prediction_accuracy(bits[:, multicoset.band_order(config.sensing.n_subbands)], dataset.labels)
 
 
 def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineResult:
@@ -834,24 +837,109 @@ def run_pipeline(config: ExperimentConfig, outdir, progress=None) -> PipelineRes
 
 def evaluate_schemes(config: ExperimentConfig, result: PipelineResult, log=lambda msg: None) -> list[SweepRow]:
     """Score every configured scheme on held-out test sets for each target
-    domain and SNR grid point.
+    domain and SNR grid point; rows come in (domain, SNR, scheme) order.
+
+    Each target domain is one job (`_score_domain`). The jobs run on
+    ``min(#domains, os.cpu_count())`` workers, the calling thread one of
+    them, so with one CPU the caller runs every job; helper threads are
+    started and joined within the call. The log says "finished domain" in
+    domain order. When a job fails, the call waits for the running ones
+    and raises the first failing domain's error, in domain order.
     """
-    spec = config.detector_spec()
+    domains = config.domains.target_names()
+    outcomes = _run_jobs([functools.partial(_score_domain, config, result, domain)
+                          for domain in domains])
     rows: list[SweepRow] = []
-    threshold = config.evaluation.threshold
-    n_test = config.evaluation.n_test
-    for domain in config.domains.target_names():
-        n_active = config.domains.n_active(domain)
-        zero_shot = result.zero_shot_model if domain == config.ftl.zero_shot_domain else None
-        models = [(SCHEME_FTL, result.ftl_model), (SCHEME_TL, result.tl_model),
-                  (SCHEME_FTL_ZERO_SHOT, zero_shot), (SCHEME_RT, result.rt_models.get(domain))]
-        for snr_db in config.evaluation.snr_grid:
-            test = build_dataset(config, domain, "test", n_test, snr_db, keep_spectra=True)
-            scored = [(scheme, detector_accuracy(spec, model, test, threshold))
-                      for scheme, model in models if model is not None]
-            scored.append((SCHEME_SOMP, _somp_accuracy(config, test, n_active)))
-            for scheme, p_acc in scored:
-                rows.append(SweepRow(domain=domain, scheme=scheme, snr_db=snr_db,
-                                     p_acc=p_acc, n_test=n_test))
+    for domain, (domain_rows, error) in zip(domains, outcomes):
+        if error is not None:
+            raise error
+        rows += domain_rows
         log(f"stage eval: finished domain {domain}")
     return rows
+
+
+def _run_jobs(jobs: list) -> list[tuple[object, BaseException | None]]:
+    """Each callable's (result, error) in ``jobs`` order, run on
+    ``min(len(jobs), os.cpu_count())`` workers, the calling thread one of
+    them. Workers take the jobs in order and take none after a job fails,
+    so every job before a failed one ran; the helper threads are joined
+    before this returns.
+    """
+    outcomes: list[tuple[object, BaseException | None]] = [(None, None)] * len(jobs)
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+    failed = False
+
+    def work():
+        nonlocal failed
+        while True:
+            with lock:
+                index = None if failed else next(pending, None)
+            if index is None:
+                return
+            try:
+                outcomes[index] = (jobs[index](), None)
+            except BaseException as exc:  # re-raised by the caller, in job order
+                outcomes[index] = (None, exc)
+                failed = True
+
+    helpers = [threading.Thread(target=work, name=f"ftlwss-job-{i}")
+               for i in range(min(len(jobs), os.cpu_count() or 1) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    return outcomes
+
+
+def _score_domain(config: ExperimentConfig, result: PipelineResult, domain: str) -> list[SweepRow]:
+    """The rows of one target domain, SNR grid point by grid point.
+
+    The CNN schemes score each point's test set on its own, so every
+    forward pass keeps the row count ``n_test`` (the probability bits
+    depend on it). SOMP scores groups of consecutive points in one batch,
+    as many points as fit in ``_FRONT_END_CHUNK`` samples and at least one:
+    `baselines.somp_detect` gives each sample the bits of its batch of one,
+    so a group's scores are the per-point scores, and of each point only
+    its coset spectra and labels wait for the group.
+    """
+    spec = config.detector_spec()
+    e = config.evaluation
+    zero_shot = result.zero_shot_model if domain == config.ftl.zero_shot_domain else None
+    models = [(scheme, model) for scheme, model in (
+        (SCHEME_FTL, result.ftl_model), (SCHEME_TL, result.tl_model),
+        (SCHEME_FTL_ZERO_SHOT, zero_shot), (SCHEME_RT, result.rt_models.get(domain)))
+        if model is not None]
+    per_group = max(1, _FRONT_END_CHUNK // e.n_test)
+    rows: list[SweepRow] = []
+    for first in range(0, len(e.snr_grid), per_group):
+        points = e.snr_grid[first:first + per_group]
+        scored, spectra, labels = [], [], []
+        for snr_db in points:
+            test = build_dataset(config, domain, "test", e.n_test, snr_db, keep_spectra=True)
+            scored.append([(scheme, detector_accuracy(spec, model, test, e.threshold))
+                           for scheme, model in models])
+            spectra.append(test.coset_spectra)
+            labels.append(test.labels)
+        somp = _somp_accuracies(config, spectra, labels, config.domains.n_active(domain))
+        for snr_db, point, p_somp in zip(points, scored, somp):
+            rows += [SweepRow(domain=domain, scheme=scheme, snr_db=snr_db, p_acc=p_acc, n_test=e.n_test)
+                     for scheme, p_acc in (*point, (SCHEME_SOMP, p_somp))]
+    return rows
+
+
+def _somp_accuracies(config: ExperimentConfig, spectra: list[np.ndarray], labels: list[np.ndarray],
+                     n_active: int) -> list[float]:
+    """SOMP's P_acc on each test set of (B, P, N) coset ``spectra`` and
+    (B, L) ``labels``, from one `baselines.somp_detect` batch over them all."""
+    matrix = multicoset.build_measurement_matrix(config.sensing.pattern()).values
+    support, _ = baselines.somp_detect(np.concatenate(spectra), matrix, n_active)
+    bits = np.zeros((support.shape[0], config.sensing.n_subbands), dtype=np.int8)
+    np.put_along_axis(bits, support, 1, axis=1)
+    # measurement column -> physical band (band_order is its own inverse)
+    bits = bits[:, multicoset.band_order(config.sensing.n_subbands)]
+    ends = np.cumsum([len(part) for part in labels])[:-1]
+    return [prediction_accuracy(part, truth) for part, truth in zip(np.split(bits, ends), labels)]

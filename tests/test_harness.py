@@ -1,14 +1,18 @@
 import json
 import math
+import os
 import re
 import struct
+import sys
+import threading
+import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ftlwss import baselines, harness, multicoset, rules, signal_model
+from ftlwss import baselines, harness, multicoset, pruning, rules, signal_model
 from ftlwss import tensornet as tn
 from ftlwss.codec import DecodeError, encode_tensor
 
@@ -609,11 +613,13 @@ class TestPredictionMemory:
 
 
 # Trains a desk-shape model, then predicts with it and with a full-scale
-# model; prints the sha256 of the checkpoint and both probability arrays.
+# model, and runs a pooled eval sweep at the benchmark's size; prints the
+# sha256 of the checkpoint, both probability arrays and the sweep's rows.
 _BLAS_PROBE = """
 import hashlib
+from dataclasses import replace
 import numpy as np
-from ftlwss import harness, tensornet as tn
+from ftlwss import harness, pruning, tensornet as tn
 spec = harness.scaled_default().detector_spec()
 rng = np.random.default_rng(0)
 x = rng.standard_normal((64, spec.in_rows, spec.in_cols, 2)).astype(np.float32)
@@ -626,6 +632,14 @@ xf = rng.standard_normal((5, full.in_rows, full.in_cols, 2)).astype(np.float32)
 h = hashlib.sha256(tn.checkpoint_bytes(spec, trained))
 h.update(harness.predict_probs(spec, trained, x).tobytes())
 h.update(harness.predict_probs(full, big, xf).tobytes())
+base = harness.scaled_default()
+cfg = replace(base, evaluation=replace(base.evaluation, n_test=16))
+def pruned(tag):
+    return pruning.prune_model(tn.init_weights(spec, np.random.default_rng(tag)), 0.8)[0]
+models = harness.PipelineResult(
+    config=cfg, spec=spec, ftl_model=pruned(1), tl_model=pruned(2), zero_shot_model=pruned(3),
+    rt_models={d: pruned(4 + i) for i, d in enumerate(cfg.domains.target_names())})
+h.update(repr(harness.evaluate_schemes(cfg, models)).encode())
 print(h.hexdigest())
 """
 
@@ -662,6 +676,48 @@ def test_best_epoch_indexes_the_joined_loss_history(max_epochs):
     assert trained.val_losses[trained.best_epoch] == min(trained.val_losses)
 
 
+def _stuck_restarts(seed: int, restarts: int = 3):
+    # a 0.0 margin fails every probe, so every attempt runs; the
+    # continuation trains 5 epochs after the 1-epoch probe
+    base = tiny_config(seed=seed)
+    return replace(base, training=replace(base.training, restarts=restarts, restart_margin=0.0,
+                                          max_epochs=6, patience=6))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restart_log_reseeds_only_before_another_attempt(seed):
+    cfg = _stuck_restarts(seed)
+    logged = []
+    harness._train_domain_model(cfg, "S", *harness._domain_datasets(cfg, "S"), logged.append)
+    assert len(logged) == 3
+    assert all(re.fullmatch(rf"  training on S: attempt {a} stuck \(.*\), reseeding", line)
+               for a, line in enumerate(logged[:2])), logged
+    assert re.fullmatch(r"  training on S: attempt 2 stuck \(.*\), "
+                        r"continuing from the best probe, attempt [012]", logged[2]), logged
+
+
+# seeds whose best probe is not the last attempt's and whose continuation
+# beats the probe, so the continuation's generator shows in the weights
+@pytest.mark.parametrize("seed", [3, 5])
+def test_continuation_is_the_best_attempt_trained_to_completion(seed):
+    # with every probe stuck, restarts=k continues the best of attempts
+    # 0..k-1, whose validation losses open the history; the best attempt j
+    # of restarts=3 is the first k - 1 whose opening matches, and the model
+    # must be attempt j trained to completion, on attempt j's own generator
+    sets = harness._domain_datasets(tiny_config(seed=seed), "S")
+    spec = tiny_config().detector_spec()
+    probe_epochs = tiny_config().training.restart_epochs
+    logged = []
+    runs = [harness._train_domain_model(_stuck_restarts(seed, k), "S", *sets,
+                                        logged.append if k == 3 else (lambda msg: None))
+            for k in (1, 2, 3)]
+    best = next(j for j, run in enumerate(runs)
+                if run.val_losses[:probe_epochs] == runs[2].val_losses[:probe_epochs])
+    assert best < 2 and runs[2].best_epoch >= probe_epochs
+    assert tn.checkpoint_bytes(spec, runs[best].weights) == tn.checkpoint_bytes(spec, runs[2].weights)
+    assert logged[-1].endswith(f"continuing from the best probe, attempt {best}")
+
+
 class TestPredictionAccuracy:
     def test_perfect(self):
         labels = np.array([[1, 0, 1], [0, 0, 1]])
@@ -686,20 +742,144 @@ class TestPredictionAccuracy:
 
     def test_somp_score_equals_its_count_over_the_grid(self):
         # SOMP's p_acc, once the correct-bit count over B * L, is the shared
-        # mean, equal to that count's float bit for bit on a desk grid point;
-        # the reference sets each sample's band bits in a loop
+        # mean, equal to that count's float bit for bit at every desk grid
+        # point of one grouped batch; the reference runs SOMP per point and
+        # sets each sample's band bits in a loop
         cfg = harness.scaled_default()
-        ds = harness.build_dataset(cfg, "T2", "test", cfg.evaluation.n_test,
-                                   cfg.evaluation.table_snr_db, keep_spectra=True)
+        grid = cfg.evaluation.snr_grid
+        n_test = harness._FRONT_END_CHUNK // len(grid)
+        n_active = cfg.domains.n_active("T2")
         matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
         n_subbands = cfg.sensing.n_subbands
-        support, _ = baselines.somp_detect(ds.coset_spectra, matrix, cfg.domains.n_active("T2"))
-        bits = np.zeros((len(ds), n_subbands), dtype=np.int8)
-        for row, cols in zip(bits, support):
-            row[multicoset.band_order(n_subbands)[cols]] = 1
-        counted = int((bits == ds.labels).sum()) / (len(ds) * n_subbands)
-        assert 0 < counted < 1
-        assert harness._somp_accuracy(cfg, ds, cfg.domains.n_active("T2")) == counted
+        spectra, labels, counted = [], [], []
+        for snr_db in grid:
+            ds = harness.build_dataset(cfg, "T2", "test", n_test, snr_db, keep_spectra=True)
+            support, _ = baselines.somp_detect(ds.coset_spectra, matrix, n_active)
+            bits = np.zeros((len(ds), n_subbands), dtype=np.int8)
+            for row, cols in zip(bits, support):
+                row[multicoset.band_order(n_subbands)[cols]] = 1
+            counted.append(int((bits == ds.labels).sum()) / (len(ds) * n_subbands))
+            spectra.append(ds.coset_spectra)
+            labels.append(ds.labels)
+        assert 0 < min(counted) < 1 and len(set(counted)) > 1
+        assert harness._somp_accuracies(cfg, spectra, labels, n_active) == counted
+
+
+def _pruned_models(cfg) -> harness.PipelineResult:
+    """Seeded pruned detectors for every CNN scheme of ``cfg``."""
+    spec = cfg.detector_spec()
+
+    def pruned(tag):
+        return pruning.prune_model(tn.init_weights(spec, np.random.default_rng(tag)), cfg.prune.ratio)[0]
+
+    return harness.PipelineResult(
+        config=cfg, spec=spec, ftl_model=pruned(1), tl_model=pruned(2), zero_shot_model=pruned(3),
+        rt_models={d: pruned(4 + i) for i, d in enumerate(cfg.domains.target_names())})
+
+
+def _serial_rows(cfg, result) -> list:
+    """`evaluate_schemes` one grid point at a time on one thread: each
+    point's test set scored by every detector and by SOMP on its own."""
+    spec = cfg.detector_spec()
+    e = cfg.evaluation
+    matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
+    order = multicoset.band_order(cfg.sensing.n_subbands)
+    rows = []
+    for domain in cfg.domains.target_names():
+        models = [("ftl", result.ftl_model), ("tl", result.tl_model)]
+        if domain == cfg.ftl.zero_shot_domain:
+            models.append(("ftl_zero_shot", result.zero_shot_model))
+        models.append(("rt", result.rt_models[domain]))
+        for snr_db in e.snr_grid:
+            test = harness.build_dataset(cfg, domain, "test", e.n_test, snr_db, keep_spectra=True)
+            scored = [(scheme, harness.detector_accuracy(spec, model, test, e.threshold))
+                      for scheme, model in models]
+            support, _ = baselines.somp_detect(test.coset_spectra, matrix, cfg.domains.n_active(domain))
+            bits = np.zeros_like(test.labels)
+            for row, cols in zip(bits, support):
+                row[order[cols]] = 1
+            scored.append(("somp", harness.prediction_accuracy(bits, test.labels)))
+            rows += [harness.SweepRow(domain, scheme, snr_db, p_acc, e.n_test) for scheme, p_acc in scored]
+    return rows
+
+
+class TestEvaluateSchemes:
+    """Domain jobs on a pool with the caller as a worker, and SOMP over
+    groups of grid points, give the rows of a serial per-point sweep."""
+
+    @staticmethod
+    def config(n_test: int):
+        base = tiny_config()
+        return replace(base, evaluation=replace(
+            base.evaluation, n_test=n_test, snr_grid=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)))
+
+    # 16: the whole grid is one SOMP group; 100: groups of 2, 2, 2 and 1
+    # points; 300: above _FRONT_END_CHUNK, one point per group
+    @pytest.mark.parametrize("n_test, groups", [(16, 1), (100, 4), (300, 7)])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_rows_equal_a_serial_per_point_sweep(self, n_test, groups, cpus, monkeypatch):
+        cfg = self.config(n_test)
+        result = _pruned_models(cfg)
+        reference = _serial_rows(cfg, result)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        batches = []
+        original = baselines.somp_detect
+        monkeypatch.setattr(baselines, "somp_detect",
+                            lambda spectra, *args: batches.append(len(spectra)) or original(spectra, *args))
+        logged = []
+        assert harness.evaluate_schemes(cfg, result, logged.append) == reference
+        assert logged == [f"stage eval: finished domain {d}" for d in ("T1", "T2", "T3", "T4")]
+        # one SOMP batch per group of points, none above one chunk or one point
+        assert len(batches) == 4 * groups
+        assert max(batches) <= max(harness._FRONT_END_CHUNK, n_test)
+
+    def test_first_failing_domain_fails_the_stage_and_no_thread_remains(self, tmp_path, monkeypatch):
+        # T2 fails late and T3 at once: the stage waits for T2 and raises
+        # its error, the first in domain order
+        original = harness.build_dataset
+        errors = {"T2": ValueError("T2 failed"), "T3": RuntimeError("T3 failed")}
+
+        def failing(config, domain, *args, **kwargs):
+            if domain == "T2":
+                time.sleep(0.2)
+            if domain in errors:
+                raise errors[domain]
+            return original(config, domain, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_dataset", failing)
+        threads = threading.active_count()
+        logged = []
+        with pytest.raises(harness.StageError) as info:
+            harness.eval_stage(self.config(16), tmp_path, logged.append)
+        assert info.value.stage == "eval" and info.value.cause is errors["T2"]
+        assert threading.active_count() == threads
+        assert logged[1:] == ["stage eval: finished domain T1"]
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_jobs_run_once_each_in_order_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a job taken
+        # twice or lost shows in the run counts or the results
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        runs = [0] * 64
+
+        def job(index):
+            def run():
+                runs[index] += 1
+                return index
+            return run
+
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            outcomes = harness._run_jobs([job(i) for i in range(64)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - started < 30
+        assert outcomes == [(i, None) for i in range(64)]
+        assert runs == [1] * 64
+        assert threading.active_count() == threads
 
 
 class TestEmitResults:
