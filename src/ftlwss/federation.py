@@ -278,9 +278,11 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     ids = [u.su_id for u in ordered]
     if len(set(ids)) != len(ids):
         raise ProtocolError(f"duplicate SU ids in uploads: {ids}")
+    # local_training rejects an SU without samples, so only a bad peer sends one
+    empty = [u.su_id for u in ordered if u.n_samples < 1]
+    if empty:
+        raise ProtocolError(f"upload from SU {empty[0]} reports no samples")
     total = sum(u.n_samples for u in ordered)
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
     # the gradient shapes sgd_step takes: fc1_w as the kept vector under a mask
     shapes = {name: getattr(weights, name).shape for name in DOMAIN_SPECIFIC_PARAMS}
     kept = weights.kept.indices

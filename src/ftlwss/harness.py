@@ -97,6 +97,10 @@ class SensingConfig(_Config):
         return 1.0 / self.bandwidth_hz
 
     @property
+    def subband_hz(self) -> float:
+        return self.bandwidth_hz / self.n_subbands
+
+    @property
     def duration_s(self) -> float:
         # the sensing window exactly covers the N coset sampling periods
         return self.n_snapshots * self.n_subbands / self.bandwidth_hz
@@ -228,11 +232,14 @@ class ExperimentConfig(_Config):
         if unknown:
             raise ValueError(f"unknown stages {sorted(unknown)}; valid: {ALL_STAGES}")
         object.__setattr__(self, "stages", tuple(self.stages))
+        ell = self.sensing.n_subbands
         for domain, k in self.domains.targets.items():
-            if not 0 <= k <= self.sensing.n_subbands:
-                raise ValueError(f"domain {domain}: occupancy count {k} out of range")
-        if self.domains.source > self.sensing.n_subbands:
-            raise ValueError("source occupancy count out of range")
+            if not 0 <= k <= ell:
+                raise ValueError(f"targets: the occupancy count of {domain} must be in "
+                                 f"[0, n_subbands] = [0, {ell}], got {k}")
+        if self.domains.source > ell:
+            raise ValueError(f"source: the occupancy count must be in [1, n_subbands] = [1, {ell}], "
+                             f"got {self.domains.source}")
         zs = self.ftl.zero_shot_domain
         if zs is not None and (zs not in self.domains.targets or len(self.domains.targets) < 2):
             raise ValueError(f"zero_shot_domain {zs!r} must be one of two or more targets, "
@@ -247,15 +254,6 @@ class ExperimentConfig(_Config):
             hidden_units=self.net.hidden_units,
             dropout_conv=self.net.dropout_conv,
             dropout_fc=self.net.dropout_fc,
-        )
-
-    def scenario(self, domain: str) -> signal_model.ScenarioConfig:
-        return signal_model.ScenarioConfig(
-            n_subbands=self.sensing.n_subbands,
-            bandwidth_hz=self.sensing.bandwidth_hz,
-            n_active_pus=self.domains.n_active(domain),
-            duration_s=self.sensing.duration_s,
-            pu_energy=self.sensing.pu_energy,
         )
 
     def to_dict(self) -> dict:
@@ -374,9 +372,8 @@ def build_dataset(
     rng = dataset_rng(config, domain, purpose, snr_db)
     sensing = config.sensing
     pattern = sensing.pattern()
-    scenario = config.scenario(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
-    n_pus = scenario.n_active_pus
+    n_pus = config.domains.n_active(domain)
     noisy = snr_db is not None and n_pus > 0
 
     ell, n = sensing.n_subbands, sensing.n_snapshots
@@ -387,18 +384,18 @@ def build_dataset(
     for start in range(0, count, _FRONT_END_CHUNK):
         rows = slice(start, min(start + _FRONT_END_CHUNK, count))
         size = rows.stop - rows.start
-        carrier_hz, offset_s, energy = (np.empty((size, n_pus)) for _ in range(3))
+        carrier_hz, offset_s = np.empty((size, n_pus)), np.empty((size, n_pus))
         std_normal = np.empty((2, size) + instants.shape) if noisy else None
         for i in range(size):
             occupancy = signal_model.draw_occupancy(ell, n_pus, rng)
-            placement = signal_model.place_pus(occupancy, scenario, rng)
+            placement = signal_model.place_pus(occupancy, sensing.subband_hz, sensing.duration_s, rng)
             labels[start + i] = occupancy
-            carrier_hz[i], offset_s[i], energy[i] = placement.carrier_hz, placement.offset_s, placement.energy
+            carrier_hz[i], offset_s[i] = placement.carrier_hz, placement.offset_s
             if noisy:
                 rng.standard_normal(out=std_normal[0, i])
                 rng.standard_normal(out=std_normal[1, i])
-        samples = signal_model.noiseless_signal(
-            signal_model.PuPlacement(carrier_hz, offset_s, energy), scenario, instants)
+        samples = signal_model.noiseless_signal(signal_model.PuPlacement(carrier_hz, offset_s),
+                                                sensing.subband_hz, sensing.pu_energy, instants)
         if noisy:
             noise_var = signal_model.noise_variance(snr_db, samples) / n_pus
             samples = signal_model.scale_noise(samples, std_normal, noise_var)
@@ -935,7 +932,7 @@ def _somp_accuracies(config: ExperimentConfig, spectra: list[np.ndarray], labels
                      n_active: int) -> list[float]:
     """SOMP's P_acc on each test set of (B, P, N) coset ``spectra`` and
     (B, L) ``labels``, from one `baselines.somp_detect` batch over them all."""
-    matrix = multicoset.build_measurement_matrix(config.sensing.pattern()).values
+    matrix = multicoset.build_measurement_matrix(config.sensing.pattern())
     support, _ = baselines.somp_detect(np.concatenate(spectra), matrix, n_active)
     bits = np.zeros((support.shape[0], config.sensing.n_subbands), dtype=np.int8)
     np.put_along_axis(bits, support, 1, axis=1)

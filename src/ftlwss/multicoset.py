@@ -11,7 +11,9 @@ X (L x N) through a roots-of-unity measurement matrix A with
 whose rows are mutually orthogonal: A @ A^H = I_P / (L*T^2). A rank-P
 approximation of X is recovered with the closed-form pseudo-inverse
 A^+ = L*T^2 * A^H, then phase-normalized element-wise into the unit-modulus
-feature fed to the detector network.
+feature fed to the detector network. Both matrices are plain arrays built
+from the ``CosetPattern`` alone: ``build_measurement_matrix`` gives A and
+``pseudo_inverse`` gives A^+.
 
 Row convention: the aliasing algebra pairs column l of A with the sub-band
 whose index is (-l) mod L, not l itself (the DFT phase correction conjugates
@@ -68,23 +70,15 @@ def default_pattern(n_cosets: int, n_subbands: int, nyquist_period_s: float) -> 
     return CosetPattern(tuple(range(n_cosets)), n_subbands, nyquist_period_s)
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """P x L complex matrix linking coset spectra to sub-band spectra,
-    together with the pattern it was built from.
+def build_measurement_matrix(pattern: CosetPattern) -> np.ndarray:
+    """The P x L complex matrix A of ``pattern``, A[p, l] =
+    exp(-2j*pi*l*c_p / L) / (L*T), linking coset spectra to sub-band spectra.
     """
-
-    values: np.ndarray
-    pattern: CosetPattern
-
-
-def build_measurement_matrix(pattern: CosetPattern) -> MeasurementMatrix:
     ell = pattern.n_subbands
     t = pattern.nyquist_period_s
     c = np.asarray(pattern.offsets, dtype=np.float64)[:, None]
     l_idx = np.arange(ell, dtype=np.float64)[None, :]
-    values = np.exp(-2j * np.pi * l_idx * c / ell) / (ell * t)
-    return MeasurementMatrix(values=values, pattern=pattern)
+    return np.exp(-2j * np.pi * l_idx * c / ell) / (ell * t)
 
 
 def coset_sampling_instants(pattern: CosetPattern, n_snapshots: int) -> np.ndarray:
@@ -119,13 +113,14 @@ def coset_dft(samples: np.ndarray, pattern: CosetPattern) -> np.ndarray:
     return phase * np.fft.fft(samples, axis=-1)
 
 
-def pseudo_inverse(measurement: MeasurementMatrix) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, via the closed form L*T^2 * A^H valid
-    because the rows of A are orthogonal with A @ A^H = I / (L*T^2).
+def pseudo_inverse(pattern: CosetPattern) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of ``pattern``'s measurement matrix, via
+    the closed form L*T^2 * A^H valid because the rows of A are orthogonal
+    with A @ A^H = I / (L*T^2).
     """
-    ell = measurement.pattern.n_subbands
-    t = measurement.pattern.nyquist_period_s
-    return ell * t * t * measurement.values.conj().T
+    ell = pattern.n_subbands
+    t = pattern.nyquist_period_s
+    return ell * t * t * build_measurement_matrix(pattern).conj().T
 
 
 def recover_feature(pinv: np.ndarray, coset_spectra: np.ndarray) -> np.ndarray:
@@ -159,9 +154,8 @@ def acquire_feature(samples: np.ndarray, pattern: CosetPattern) -> tuple[np.ndar
     row l covers the band [l*B0, (l+1)*B0), and the (..., P, N) coset
     spectra it was recovered from.
     """
-    measurement = build_measurement_matrix(pattern)
     spectra = coset_dft(samples, pattern)
-    xhat = recover_feature(pseudo_inverse(measurement), spectra)
+    xhat = recover_feature(pseudo_inverse(pattern), spectra)
     return xhat[..., band_order(pattern.n_subbands), :], spectra
 
 

@@ -5,13 +5,16 @@ slices. Each active primary user (PU) occupies one distinct sub-band and
 transmits a sinc-shaped pulse centred on that sub-band; the receiver observes
 the superposition of all pulses plus circular complex AWGN:
 
-    x(t) = sum_k sqrt(E_k * B0) * sinc(B0 * (t - t_k)) * exp(j 2 pi f_k t) + n(t)
+    x(t) = sum_k sqrt(E * B0) * sinc(B0 * (t - t_k)) * exp(j 2 pi f_k t) + n(t)
 
-with sinc(x) = sin(pi x) / (pi x) and sinc(0) = 1.
+with sinc(x) = sin(pi x) / (pi x) and sinc(0) = 1, sub-band width B0 and one
+PU energy E per scenario.
 
 All arithmetic here is double precision regardless of what the neural network
 downstream trains in. Every generator is a pure function of an explicit
-``numpy.random.Generator`` so callers control reproducibility.
+``numpy.random.Generator`` so callers control reproducibility. The generators
+take the scenario as plain numbers (sub-band width, sensing duration, PU
+energy); ``harness`` derives them from its config.
 
 The renderers also take a batch: a placement whose arrays carry a leading
 sample axis renders one signal per sample, bit-identical to rendering each
@@ -26,36 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import _bounded, _Config
-
-
-@dataclass(frozen=True)
-class ScenarioConfig(_Config):
-    """Static description of one sensing scenario.
-
-    The sub-band width is derived as ``bandwidth_hz / n_subbands`` so the
-    partition is exact by construction.
-    """
-
-    n_subbands: int = _bounded(ge=1)
-    bandwidth_hz: float = _bounded(gt=0)
-    n_active_pus: int = _bounded(ge=0)
-    duration_s: float = _bounded(gt=0)
-    pu_energy: float = _bounded(1.0, gt=0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_active_pus > self.n_subbands:
-            raise ValueError(f"n_active_pus must lie in [0, {self.n_subbands}], got {self.n_active_pus}")
-
-    @property
-    def subband_hz(self) -> float:
-        return self.bandwidth_hz / self.n_subbands
-
 
 @dataclass(frozen=True)
 class PuPlacement:
-    """Carrier frequency, time offset and energy of each active PU.
+    """Carrier frequency and time offset of each active PU.
 
     Carriers sit exactly on sub-band centres, so the occupancy labels derived
     from a placement are unambiguous: PU k occupies the sub-band whose centre
@@ -65,7 +42,6 @@ class PuPlacement:
 
     carrier_hz: np.ndarray
     offset_s: np.ndarray
-    energy: np.ndarray
 
     def __len__(self) -> int:
         """Number of PUs (per sample, for a batch)."""
@@ -85,26 +61,27 @@ def draw_occupancy(n_subbands: int, n_active: int, rng: np.random.Generator) -> 
     return bits
 
 
-def place_pus(occupancy: np.ndarray, config: ScenarioConfig, rng: np.random.Generator) -> PuPlacement:
+def place_pus(occupancy: np.ndarray, subband_hz: float, duration_s: float,
+             rng: np.random.Generator) -> PuPlacement:
     """One PU per occupied sub-band: the carrier snaps to the sub-band centre
     (band index l, 1-based, gives f = (l - 1/2) * B0) and the time offset is
     drawn uniformly from the open interval (0, duration).
     """
     occupancy = np.asarray(occupancy)
     occupied = np.flatnonzero(occupancy)
-    b0 = config.subband_hz
-    carriers = (occupied + 0.5) * b0
-    offsets = rng.uniform(0.0, config.duration_s, size=occupied.size)
+    carriers = (occupied + 0.5) * subband_hz
+    offsets = rng.uniform(0.0, duration_s, size=occupied.size)
     # uniform() can return the closed lower bound; the offset must be interior
     while np.any(offsets == 0.0):
         redo = offsets == 0.0
-        offsets[redo] = rng.uniform(0.0, config.duration_s, size=int(redo.sum()))
-    energies = np.full(occupied.size, float(config.pu_energy))
-    return PuPlacement(carrier_hz=carriers, offset_s=offsets, energy=energies)
+        offsets[redo] = rng.uniform(0.0, duration_s, size=int(redo.sum()))
+    return PuPlacement(carrier_hz=carriers, offset_s=offsets)
 
 
-def noiseless_signal(placement: PuPlacement, config: ScenarioConfig, instants: np.ndarray) -> np.ndarray:
-    """Evaluate the PU superposition (no noise) at the given instants.
+def noiseless_signal(placement: PuPlacement, subband_hz: float, pu_energy: float,
+                     instants: np.ndarray) -> np.ndarray:
+    """Evaluate the PU superposition (no noise) at the given instants, every
+    PU transmitting energy ``pu_energy`` over a sub-band ``subband_hz`` wide.
 
     Returns a complex128 array shaped like ``instants``, preceded by the
     placement's batch axis when it has one: (B,) + instants.shape.
@@ -112,12 +89,12 @@ def noiseless_signal(placement: PuPlacement, config: ScenarioConfig, instants: n
     t = np.asarray(instants, dtype=np.float64)
     batch = np.shape(placement.carrier_hz)[:-1]
     out = np.zeros(batch + t.shape, dtype=np.complex128)
-    b0 = config.subband_hz
+    amplitude = np.sqrt(pu_energy * subband_hz)
     # (..., K) fields -> K columns shaped to broadcast against the instants
     columns = [np.moveaxis(np.asarray(v), -1, 0).reshape((-1,) + batch + (1,) * t.ndim)
-               for v in (placement.carrier_hz, placement.offset_s, placement.energy)]
-    for f_k, t_k, e_k in zip(*columns):
-        pulse = np.sqrt(e_k * b0) * np.sinc(b0 * (t - t_k))
+               for v in (placement.carrier_hz, placement.offset_s)]
+    for f_k, t_k in zip(*columns):
+        pulse = amplitude * np.sinc(subband_hz * (t - t_k))
         out += pulse * np.exp(2j * np.pi * f_k * t)
     return out
 
@@ -156,7 +133,8 @@ def add_awgn(clean: np.ndarray, rng: np.random.Generator, noise_var: float) -> n
 def awgn_sigma(
     snr_db: float,
     placement: PuPlacement,
-    config: ScenarioConfig,
+    subband_hz: float,
+    pu_energy: float,
     instants: np.ndarray,
 ) -> float:
     """Noise variance that realises the requested SNR for this realization.
@@ -167,12 +145,14 @@ def awgn_sigma(
     """
     if len(placement) == 0:
         raise ValueError("SNR is undefined with no active PU; supply the noise variance directly")
-    return float(noise_variance(snr_db, noiseless_signal(placement, config, instants)[None])[0])
+    clean = noiseless_signal(placement, subband_hz, pu_energy, instants)
+    return float(noise_variance(snr_db, clean[None])[0])
 
 
 def sample_received_signal(
     placement: PuPlacement,
-    config: ScenarioConfig,
+    subband_hz: float,
+    pu_energy: float,
     instants: np.ndarray,
     rng: np.random.Generator,
     noise_var: float = 0.0,
@@ -180,4 +160,4 @@ def sample_received_signal(
     """Received signal at the given instants: PU superposition plus circular
     complex Gaussian noise of total variance ``noise_var`` (see `add_awgn`).
     """
-    return add_awgn(noiseless_signal(placement, config, instants), rng, noise_var)
+    return add_awgn(noiseless_signal(placement, subband_hz, pu_energy, instants), rng, noise_var)

@@ -7,7 +7,7 @@ from ftlwss import multicoset as mc
 
 def matrix_for(offsets, n_subbands=16):
     pattern = mc.CosetPattern(tuple(offsets), n_subbands, 1.0)
-    return mc.build_measurement_matrix(pattern).values
+    return mc.build_measurement_matrix(pattern)
 
 
 def row_sparse_spectra(matrix, support, rng, n_snapshots=32):
@@ -185,7 +185,7 @@ class TestBatchedOracle:
     def test_batch_equals_per_sample_loop(self, preset, count):
         from ftlwss import harness
         config = getattr(harness, preset)()
-        a = mc.build_measurement_matrix(config.sensing.pattern()).values
+        a = mc.build_measurement_matrix(config.sensing.pattern())
         for domain in config.domains.target_names():
             k = config.domains.n_active(domain)
             for snr_db in config.evaluation.snr_grid:

@@ -1225,6 +1225,15 @@ class TestAggregateOracle:
         with pytest.raises(fed.ProtocolError, match="SU 2 has non-finite out_b"):
             fed.aggregate(weights, uploads, lr=0.1)
 
+    @pytest.mark.parametrize("counts", [(10, 0), (0, 0)], ids=["one-empty", "all-empty"])
+    def test_zero_sample_upload_rejected(self, counts):
+        # (10, 0) gave SU 2 zero weight silently; (0, 0) raised a bare ValueError
+        weights = toy_weights(masked=True)
+        uploads = [toy_upload(seed=i, su_id=i + 1, n_samples=n, mask=weights.prune_mask)
+                   for i, n in enumerate(counts)]
+        with pytest.raises(fed.ProtocolError, match=f"SU {counts.index(0) + 1} reports no samples"):
+            fed.aggregate(weights, uploads, lr=0.1)
+
 
 class TestLocalTrainingOracle:
     @pytest.mark.parametrize("count, batch_size, epochs", [(20, 20, 1), (20, 6, 1), (15, 5, 2)])

@@ -96,6 +96,11 @@ BAD_STAGE_SETTINGS = [
     ("evaluation", "snr_grid", 5),
     ("domains", "targets", 5),
     *DETECTOR_SETTINGS,
+    # an occupancy count beyond the sensing section's sub-bands; the message
+    # named neither the key nor the bound
+    ("domains", "targets", {"T1": 2, "T2": 4, "T3": 6, "T4": 17}),
+    ("domains", "targets", {"T1": 2, "T2": 4, "T3": 6, "T4": -1}),
+    ("domains", "source", 17),
 ]
 
 _DEFAULT = harness.ExperimentConfig()
@@ -243,6 +248,11 @@ class TestConfig:
         # full-size sensing window: 64 * 40 / 320 MHz = 8 microseconds
         assert cfg.sensing.duration_s == pytest.approx(8e-6)
 
+    def test_subband_partition_is_exact(self):
+        sensing = harness.full_scale().sensing
+        assert sensing.subband_hz == 8e6
+        assert sensing.subband_hz * sensing.n_subbands == sensing.bandwidth_hz
+
     def test_config_hash_stable(self):
         a = harness.config_hash(harness.scaled_default())
         b = harness.config_hash(harness.scaled_default())
@@ -283,7 +293,7 @@ class TestBuildDataset:
         ds = harness.build_dataset(cfg, "T1", "test", 20, None, keep_spectra=True)
         from ftlwss import multicoset as mc
         pattern = cfg.sensing.pattern()
-        pinv = mc.pseudo_inverse(mc.build_measurement_matrix(pattern))
+        pinv = mc.pseudo_inverse(pattern)
         reorder = mc.band_order(cfg.sensing.n_subbands)
         for i in range(20):
             xhat = (pinv @ ds.coset_spectra[i].astype(np.complex128))[reorder]
@@ -312,19 +322,21 @@ def _two_pass_dataset(config, domain, count, rng, snr_db, noiseless):
     calibrate the noise (`awgn_sigma`), once under it (`sample_received_signal`)."""
     sensing = config.sensing
     pattern = sensing.pattern()
-    scenario = config.scenario(domain)
+    n_active = config.domains.n_active(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
-    pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
+    pinv = multicoset.pseudo_inverse(pattern)
     reorder = multicoset.band_order(sensing.n_subbands)
     features, labels, spectra = [], [], []
     for _ in range(count):
-        occupancy = signal_model.draw_occupancy(sensing.n_subbands, scenario.n_active_pus, rng)
-        placement = signal_model.place_pus(occupancy, scenario, rng)
+        occupancy = signal_model.draw_occupancy(sensing.n_subbands, n_active, rng)
+        placement = signal_model.place_pus(occupancy, sensing.subband_hz, sensing.duration_s, rng)
         if noiseless or len(placement) == 0:
             noise_var = 0.0
         else:
-            noise_var = signal_model.awgn_sigma(snr_db, placement, scenario, instants) / len(placement)
-        samples = signal_model.sample_received_signal(placement, scenario, instants, rng, noise_var)
+            noise_var = signal_model.awgn_sigma(
+                snr_db, placement, sensing.subband_hz, sensing.pu_energy, instants) / len(placement)
+        samples = signal_model.sample_received_signal(
+            placement, sensing.subband_hz, sensing.pu_energy, instants, rng, noise_var)
         coset_spectra = multicoset.coset_dft(samples, pattern)
         xbar = multicoset.normalize_feature(multicoset.recover_feature(pinv, coset_spectra)[reorder])
         features.append(multicoset.to_tensor(xbar).astype(np.float32))
@@ -339,18 +351,18 @@ def _per_sample_dataset(config, domain, count, rng, snr_db, noiseless):
     one PU at a time into the clean signal, ``rng.normal`` for the noise."""
     sensing = config.sensing
     pattern = sensing.pattern()
-    scenario = config.scenario(domain)
+    n_active = config.domains.n_active(domain)
     instants = multicoset.coset_sampling_instants(pattern, sensing.n_snapshots)
-    pinv = multicoset.pseudo_inverse(multicoset.build_measurement_matrix(pattern))
+    pinv = multicoset.pseudo_inverse(pattern)
     reorder = multicoset.band_order(sensing.n_subbands)
-    b0 = scenario.subband_hz
+    b0 = sensing.subband_hz
     features, labels, spectra = [], [], []
     for _ in range(count):
-        occupancy = signal_model.draw_occupancy(sensing.n_subbands, scenario.n_active_pus, rng)
-        placement = signal_model.place_pus(occupancy, scenario, rng)
+        occupancy = signal_model.draw_occupancy(sensing.n_subbands, n_active, rng)
+        placement = signal_model.place_pus(occupancy, sensing.subband_hz, sensing.duration_s, rng)
         samples = np.zeros(instants.shape, dtype=np.complex128)
-        for f_k, t_k, e_k in zip(placement.carrier_hz, placement.offset_s, placement.energy):
-            pulse = np.sqrt(e_k * b0) * np.sinc(b0 * (instants - t_k))
+        for f_k, t_k in zip(placement.carrier_hz, placement.offset_s):
+            pulse = np.sqrt(sensing.pu_energy * b0) * np.sinc(b0 * (instants - t_k))
             samples += pulse * np.exp(2j * np.pi * f_k * instants)
         if not noiseless and len(placement):
             p_sig = float(np.mean(np.abs(samples) ** 2))
@@ -365,19 +377,38 @@ def _per_sample_dataset(config, domain, count, rng, snr_db, noiseless):
     return np.stack(features), np.stack(labels), np.stack(spectra)
 
 
+def _assert_dataset_matches(reference, config, domain, count, snr_db, noiseless):
+    got = harness.build_dataset(config, domain, "test", count, snr_db, keep_spectra=True)
+    features, labels, spectra = reference(
+        config, domain, count, harness.dataset_rng(config, domain, "test", snr_db), snr_db, noiseless)
+    assert got.features.tobytes() == features.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
+    assert got.coset_spectra.tobytes() == spectra.tobytes()
+
+
+def _energy_config(pu_energy):
+    """`tiny_config` with every PU at ``pu_energy``: at the default 1.0,
+    dropping the energy factor from the pulse changes no byte."""
+    cfg = tiny_config()
+    return replace(cfg, sensing=replace(cfg.sensing, pu_energy=pu_energy))
+
+
+_TWO_PASS_POINTS = [(None, True), (-10.0, False), (0.0, False), (10.0, False)]
+_PER_SAMPLE_COUNTS = [1, harness._FRONT_END_CHUNK - 1, harness._FRONT_END_CHUNK,
+                      harness._FRONT_END_CHUNK + 1]
+_PER_SAMPLE_POINTS = [("T4", None, True), ("S", -10.0, False), ("T1", 10.0, False)]
+
+
 class TestBuildDatasetOracle:
-    @pytest.mark.parametrize("snr_db,noiseless", [
-        (None, True), (-10.0, False), (0.0, False), (10.0, False),
-    ])
+    @pytest.mark.parametrize("snr_db,noiseless", _TWO_PASS_POINTS)
     @pytest.mark.parametrize("domain", ["S", "T1", "T4"])
     def test_bytes_equal_two_pass_loop(self, domain, snr_db, noiseless):
-        cfg = tiny_config()
-        got = harness.build_dataset(cfg, domain, "test", 12, snr_db, keep_spectra=True)
-        features, labels, spectra = _two_pass_dataset(
-            cfg, domain, 12, harness.dataset_rng(cfg, domain, "test", snr_db), snr_db, noiseless)
-        assert got.features.tobytes() == features.tobytes()
-        assert got.labels.tobytes() == labels.tobytes()
-        assert got.coset_spectra.tobytes() == spectra.tobytes()
+        _assert_dataset_matches(_two_pass_dataset, tiny_config(), domain, 12, snr_db, noiseless)
+
+    @pytest.mark.parametrize("snr_db,noiseless", _TWO_PASS_POINTS)
+    @pytest.mark.parametrize("domain", ["S", "T1", "T4"])
+    def test_bytes_equal_two_pass_loop_at_pu_energy_2_5(self, domain, snr_db, noiseless):
+        _assert_dataset_matches(_two_pass_dataset, _energy_config(2.5), domain, 12, snr_db, noiseless)
 
     def test_one_clean_signal_pass_per_sample(self, monkeypatch):
         # the batched renderer draws every sample's signal exactly once: one
@@ -393,19 +424,16 @@ class TestBuildDatasetOracle:
         harness.build_dataset(tiny_config(), "T3", "test", chunk + 1, 0.0)
         assert batches == [chunk, 1]
 
-    @pytest.mark.parametrize("count", [1, harness._FRONT_END_CHUNK - 1, harness._FRONT_END_CHUNK,
-                                       harness._FRONT_END_CHUNK + 1])
-    @pytest.mark.parametrize("domain,snr_db,noiseless", [
-        ("T4", None, True), ("S", -10.0, False), ("T1", 10.0, False),
-    ])
+    @pytest.mark.parametrize("count", _PER_SAMPLE_COUNTS)
+    @pytest.mark.parametrize("domain,snr_db,noiseless", _PER_SAMPLE_POINTS)
     def test_bytes_equal_per_sample_loop(self, count, domain, snr_db, noiseless):
-        cfg = tiny_config()
-        got = harness.build_dataset(cfg, domain, "test", count, snr_db, keep_spectra=True)
-        features, labels, spectra = _per_sample_dataset(
-            cfg, domain, count, harness.dataset_rng(cfg, domain, "test", snr_db), snr_db, noiseless)
-        assert got.features.tobytes() == features.tobytes()
-        assert got.labels.tobytes() == labels.tobytes()
-        assert got.coset_spectra.tobytes() == spectra.tobytes()
+        _assert_dataset_matches(_per_sample_dataset, tiny_config(), domain, count, snr_db, noiseless)
+
+    @pytest.mark.parametrize("count", _PER_SAMPLE_COUNTS)
+    @pytest.mark.parametrize("domain,snr_db,noiseless", _PER_SAMPLE_POINTS)
+    def test_bytes_equal_per_sample_loop_at_pu_energy_2_5(self, count, domain, snr_db, noiseless):
+        _assert_dataset_matches(_per_sample_dataset, _energy_config(2.5), domain, count, snr_db,
+                                noiseless)
 
 
 _FEATURES = np.arange(3 * 8 * 8 * 2, dtype=np.float32).reshape(3, 8, 8, 2)
@@ -749,7 +777,7 @@ class TestPredictionAccuracy:
         grid = cfg.evaluation.snr_grid
         n_test = harness._FRONT_END_CHUNK // len(grid)
         n_active = cfg.domains.n_active("T2")
-        matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
+        matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern())
         n_subbands = cfg.sensing.n_subbands
         spectra, labels, counted = [], [], []
         for snr_db in grid:
@@ -782,7 +810,7 @@ def _serial_rows(cfg, result) -> list:
     point's test set scored by every detector and by SOMP on its own."""
     spec = cfg.detector_spec()
     e = cfg.evaluation
-    matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern()).values
+    matrix = multicoset.build_measurement_matrix(cfg.sensing.pattern())
     order = multicoset.band_order(cfg.sensing.n_subbands)
     rows = []
     for domain in cfg.domains.target_names():

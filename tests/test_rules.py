@@ -7,24 +7,20 @@ import pytest
 from ftlwss import federation as fed
 from ftlwss import harness, rules
 from ftlwss import multicoset as mc
-from ftlwss import signal_model as sm
 from ftlwss import tensornet as tn
 
 # a valid object of each checked class outside the experiment config
 VALID = {
     tn.DetectorSpec: dict(in_rows=8, in_cols=8),
     fed.FtlConfig: dict(n_sus=2, rounds=3),
-    sm.ScenarioConfig: dict(n_subbands=8, bandwidth_hz=8e6, n_active_pus=2, duration_s=1e-5),
     mc.CosetPattern: dict(offsets=(0, 2), n_subbands=8, nyquist_period_s=1.0),
     harness.SweepRow: dict(domain="T1", scheme="ftl", snr_db=10.0, p_acc=0.5, n_test=8),
 }
-# what a field's closed bound needs beside it to meet the rules spanning fields
-BUILDS_WITH = {(sm.ScenarioConfig, "n_subbands"): {"n_active_pus": 0}}
 DECLARED = [(cls, f) for cls in VALID for f in fields(cls) if f.metadata]
 
 
 def build(cls, name, value):
-    return cls(**{**VALID[cls], **BUILDS_WITH.get((cls, name), {}), name: value})
+    return cls(**{**VALID[cls], name: value})
 
 
 def past(f, limit, direction):
@@ -58,11 +54,9 @@ def test_every_declared_bound_holds_from_python(cls, f):
     (lambda: fed.FtlConfig(n_sus=1, rounds=2.5), "rounds"),
     (lambda: tn.DetectorSpec(in_rows=8, in_cols=8, hidden_units=True), "hidden_units"),
     (lambda: tn.DetectorSpec(in_rows=6.5, in_cols=8), "in_rows"),
-    (lambda: sm.ScenarioConfig(8, float("nan"), 2, 1e-5), "bandwidth_hz"),
-    (lambda: sm.ScenarioConfig(8, 8e6, 2, 1e-5, pu_energy=-1.0), "pu_energy"),
     (lambda: mc.CosetPattern((0, 2.5), 8, 1.0), "offsets"),
 ], ids=["ftl-lr-nan", "ftl-rounds-fraction", "spec-hidden-bool", "spec-rows-fraction",
-        "scenario-bandwidth-nan", "scenario-negative-energy", "pattern-offset-fraction"])
+        "pattern-offset-fraction"])
 def test_checked_classes_name_the_field_they_reject(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         make()
