@@ -44,11 +44,15 @@ once, and each forward block gathers its batch's rows of them. Every
 vector, which the local step and the upload take as it is, so an SU never
 builds a dense gradient; it holds a dense ``fc1_w`` only for the model it
 trains, and frees the decoded broadcast once its upload is built. The
-server sums the uploads into that same form and steps with the same
-``sgd_step``; it starts from the initial model itself and, like every
-step, never writes a model in place. The mask's kept entries travel with
-the model (``ModelWeights.kept``), and the receiver of the broadcasts
-reuses the last model's while the bitset and shape are unchanged. Both
+server holds the global ``fc1_w`` as its kept vector between rounds, sums
+the uploads into that same form and steps it elementwise with the same
+``sgd_step``, and the broadcast writes it as it is; ``run_ftl`` builds
+the dense matrix once, on return. It starts from the initial model itself
+and, like every step, never writes a model in place. The mask's kept
+entries travel with the model (``ModelWeights.kept``). While the bitset
+and shape recur, the receiver of the broadcasts reuses the last model's
+and scatters the kept values into the dense ``fc1_w`` it decoded last
+(one buffer per mask), once nothing holds that model. Both
 are checked against every broadcast's bytes, so a model with other conv1
 weights or another mask is handled as fresh.
 """
@@ -75,8 +79,10 @@ from .tensornet import (
     backward,
     conv1_activations,
     forward,
+    kept_values,
     model_bytes,
     read_model,
+    scatter_kept,
     sgd_step,
 )
 
@@ -107,7 +113,9 @@ class FtlConfig(_Config):
 
 @dataclass
 class ModelBroadcast:
-    """The model for one attempt at a round."""
+    """The model for one attempt at a round. ``run_ftl`` broadcasts its
+    ``fc1_w`` as the kept vector, as it holds it; a decoded one is dense.
+    """
 
     round_idx: int
     spec: DetectorSpec
@@ -166,11 +174,14 @@ def encode_message(msg) -> bytearray:
     return buf
 
 
-def decode_message(data, *, kept: KeptEntries | None = None):
+def decode_message(data, *, kept: KeptEntries | None = None, buffer: np.ndarray | None = None):
     """Decode a message; any malformed input raises ``DecodeError``. A
     broadcast's model is read by ``tensornet.read_model``, with ``kept``,
     the previous broadcast's ``weights.kept``, which the model gets while
-    the bitset and the shape are unchanged.
+    the bitset and the shape are unchanged, and ``buffer``, that
+    broadcast's dense ``fc1_w``, into which the kept values are then
+    scattered. Only a receiver that holds nothing of the previous model any
+    more may pass its ``buffer``.
     """
     reader = ByteReader(data)
     reader.expect_header("message", MESSAGE_MAGIC, MESSAGE_VERSION)
@@ -178,7 +189,7 @@ def decode_message(data, *, kept: KeptEntries | None = None):
     round_idx = reader.u32()
     attempt = reader.u32()
     if msg_type == MSG_BROADCAST:
-        spec, weights = read_model(reader, sparse=True, kept=kept)
+        spec, weights = read_model(reader, sparse=True, kept=kept, buffer=buffer)
         return ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights, attempt=attempt)
     if msg_type == MSG_UPLOAD:
         su_id = reader.u32()
@@ -188,6 +199,16 @@ def decode_message(data, *, kept: KeptEntries | None = None):
         return GradientUpload(round_idx=round_idx, su_id=su_id, n_samples=n_samples,
                               attempt=attempt, **tensors)
     raise DecodeError(f"unknown message type {msg_type}", 8)
+
+
+def _carried(weights: ModelWeights) -> tuple[KeptEntries, np.ndarray | None]:
+    """What a receiver of broadcasts passes ``decode_message`` for the next
+    one: the kept entries of the decoded ``weights`` and, under a mask, its
+    dense ``fc1_w`` (without one it is a view of the frame, which must not
+    be pinned).
+    """
+    kept = weights.kept
+    return kept, None if kept.indices is None else weights.fc1_w
 
 
 def su_round_rng(seed: int, su_id: int, round_idx: int) -> np.random.Generator:
@@ -263,8 +284,10 @@ def aggregate(weights: ModelWeights, uploads: list[GradientUpload], lr: float) -
     in the model dtype, so aggregation is deterministic. Each upload's
     ``fc1_w`` holds the gradient at the kept entries in flat order, so the
     hidden-FC sum is the kept vector `tensornet.sgd_step` takes for a
-    masked model, and the step is that ``sgd_step``: it touches the kept
-    entries only, every pruned weight of the result is +0.0, and the
+    masked model, and the step is that ``sgd_step``. ``weights.fc1_w`` is
+    either the kept vector, as ``run_ftl`` holds it between rounds, which
+    is then stepped elementwise, or the dense matrix, whose step touches
+    the kept entries only and writes +0.0 at every pruned weight. The
     general-feature arrays, the prune mask and its kept entries
     (``weights.kept``) of the result are the same objects as the input's,
     so many rounds under one mask derive the kept indices once.
@@ -346,7 +369,9 @@ class LocalSu:
     the SU keeps its ``conv1_activations`` across rounds, and across runs
     that share it. They are keyed on the spec and on the dtype and bytes of
     the broadcast's ``conv1_w`` and ``conv1_b``, so a broadcast with other
-    conv1 weights recomputes them.
+    conv1 weights recomputes them. Behind a socket (``serve``) the SU also
+    keeps the dense ``fc1_w`` of the last broadcast, which the next one
+    under the same mask is scattered into.
     """
 
     su_id: int
@@ -376,8 +401,10 @@ class LocalSu:
     def serve(self, address: tuple[str, int], cfg: FtlConfig, seed: int) -> None:
         """Answer every broadcast from the server at ``address`` until it
         closes the connection, reusing the last broadcast's kept entries
-        while its mask recurs. A server that closes ends this as a clean EOF
-        does, also when the connection is refused or reset: a listener
+        while its mask recurs, and scattering its kept values into the last
+        broadcast's dense ``fc1_w``, whose model is dropped before the next
+        frame is read. A server that closes ends this as a clean EOF does,
+        also when the connection is refused or reset: a listener
         closed with this SU mid-handshake or still in its accept backlog
         resets it, and so does a server that fails a round on another SU
         and closes with this SU's upload unread.
@@ -386,17 +413,17 @@ class LocalSu:
             sock = socket.create_connection(address)
         except (ConnectionRefusedError, ConnectionResetError):
             return
-        kept = None
+        kept = buffer = None
         with sock:
             try:
                 while (frame := recv_frame(sock)) is not None:
-                    msg = decode_message(frame, kept=kept)
+                    msg = decode_message(frame, kept=kept, buffer=buffer)
                     if not isinstance(msg, ModelBroadcast):
                         raise ProtocolError(f"SU {self.su_id} expected a broadcast, got {type(msg).__name__}")
-                    kept = msg.weights.kept
+                    kept, buffer = _carried(msg.weights)
                     upload = self.answer(msg, cfg, seed)
-                    # free the broadcast (its dense fc1_w and its frame) before
-                    # this SU waits for, and decodes, the next one
+                    # drop the model (and its frame) before this SU waits for
+                    # the next broadcast, which is scattered into its fc1_w
                     del frame, msg
                     send_frame(sock, upload)
             except (ConnectionResetError, BrokenPipeError):
@@ -417,9 +444,12 @@ class InProcessTransport(Transport):
     SUs have finished.
 
     Across rounds the transport keeps the last broadcast's kept entries and
-    each SU its conv1 activations, both checked against the bytes of the
-    next broadcast. The SUs keep theirs across the transports that share
-    them, as the runs of the ftl stage do.
+    its dense ``fc1_w``, and each SU its conv1 activations, all checked
+    against the bytes of the next broadcast: one under the same mask is
+    scattered into that ``fc1_w``, which is handed on only from a round
+    whose SUs have all returned, so no SU still holds it. The SUs keep
+    their activations across the transports that share them, as the runs
+    of the ftl stage do.
     """
 
     def __init__(self, sus: list[LocalSu], cfg: FtlConfig, seed: int):
@@ -427,16 +457,21 @@ class InProcessTransport(Transport):
         self.cfg = cfg
         self.seed = seed
         self._kept: KeptEntries | None = None
+        self._buffer: np.ndarray | None = None
 
     def run_round(self, broadcast_bytes: bytes) -> list[GradientUpload]:
         # read-only: every SU reads these weights, and none may write them
-        msg = decode_message(memoryview(broadcast_bytes).toreadonly(), kept=self._kept)
-        self._kept = msg.weights.kept
+        msg = decode_message(memoryview(broadcast_bytes).toreadonly(), kept=self._kept,
+                             buffer=self._buffer)
+        # the buffer comes back only from a round whose SUs have all returned
+        self._kept, self._buffer = msg.weights.kept, None
         # the heavy numpy work (GEMMs, the im2col copy, dropout draws)
         # releases the GIL, so the SUs overlap on the cores
         with ThreadPoolExecutor(max_workers=min(len(self.sus), os.cpu_count() or 1)) as pool:
-            return list(pool.map(lambda su: decode_message(su.answer(msg, self.cfg, self.seed)),
-                                 self.sus))
+            uploads = list(pool.map(lambda su: decode_message(su.answer(msg, self.cfg, self.seed)),
+                                    self.sus))
+        self._kept, self._buffer = _carried(msg.weights)
+        return uploads
 
 
 # Largest frame recv_frame accepts: above an unpruned full-scale broadcast,
@@ -685,11 +720,15 @@ def run_ftl(
     """Drive the full adaptation: ``rounds`` iterations of broadcast, local
     training on every SU, upload, and size-weighted aggregation.
 
-    Returns the final global model; its convolutional layers are ``init``'s
-    arrays. Models are never written in place, so the rounds start from
-    ``init`` itself, kept entries included.
+    Returns the final global model, with a dense ``fc1_w``; its
+    convolutional layers are ``init``'s arrays. Models are never written in
+    place, so the rounds start from ``init`` itself, kept entries included.
+    Between rounds the global ``fc1_w`` is held as its kept vector, the form
+    the round moves: ``aggregate`` steps it elementwise and the broadcast
+    writes it as it is, so the dense matrix is built once, on return.
     """
-    weights = init
+    kept = init.kept
+    weights = init.with_arrays({**init.arrays(), "fc1_w": kept_values(init.fc1_w, kept.indices)})
     for round_idx in range(cfg.rounds):
         broadcast = ModelBroadcast(round_idx=round_idx, spec=spec, weights=weights)
         uploads = transport.run_round(encode_message(broadcast))
@@ -701,4 +740,5 @@ def run_ftl(
                     f"round {round_idx}: upload from SU {upload.su_id} is for round {upload.round_idx}"
                 )
         weights = aggregate(weights, uploads, cfg.lr)
-    return weights
+    return weights.with_arrays(
+        {**weights.arrays(), "fc1_w": scatter_kept(weights.fc1_w, kept.indices, init.fc1_w.shape)})

@@ -14,8 +14,9 @@ that of a ``scope="ds_only"`` forward, and `sgd_step` steps exactly the
 parameters its gradient dict holds. Under an optional prune mask over the
 hidden FC weight matrix, every backward gives that matrix's gradient as the
 vector of its values at the kept entries, and never builds the dense
-matrix; `sgd_step` takes it in that form only, updates the kept entries and
-writes +0.0 at the pruned ones, so pruned weights stay exactly zero. A model
+matrix; `sgd_step` takes it in that form only. On a dense fc1_w it updates
+the kept entries and writes +0.0 at the pruned ones, so pruned weights stay
+exactly zero; an fc1_w held as that same vector steps elementwise. A model
 carries those entries (`ModelWeights.kept`: the mask's flat indices and
 bitset, derived once per mask object by `KeptEntries.of`), and hands them
 on to every model `sgd_step` or `read_model` makes from it.
@@ -487,11 +488,14 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
     object, so a step on `backward`'s ``scope="ds_only"`` gradients leaves
     the convolutional (general-feature) layers untouched. Each gradient has
     its parameter's shape, but with a prune mask the hidden-FC gradient is
-    the vector of its values at the kept entries, as `backward` gives it:
-    the step is computed there only and every pruned weight is +0.0. The
-    result shares the untouched arrays, the mask and its kept entries with
-    ``weights`` and never writes into it, so many steps under one mask
-    derive the kept indices once.
+    the vector of its values at the kept entries, as `backward` gives it.
+    The rule goes by shape: a gradient of the parameter's shape steps it
+    elementwise, so a masked ``fc1_w`` held as that kept vector (as
+    ``federation.run_ftl`` holds it) steps as any other parameter; a dense
+    masked ``fc1_w`` steps at the kept entries only and every pruned
+    weight of the result is +0.0. The result shares the untouched arrays,
+    the mask and its kept entries with ``weights`` and never writes into
+    it, so many steps under one mask derive the kept indices once.
     """
     if not 0 <= lr < math.inf:  # also false for nan
         raise ValueError(f"learning rate must be finite and non-negative, got {lr!r}")
@@ -509,11 +513,11 @@ def sgd_step(weights: ModelWeights, grads: dict[str, np.ndarray], lr: float) -> 
         if grad.shape != shape:
             raise ValueError(f"gradient shape mismatch on {name}: {shape} vs {grad.shape}")
         step = value.dtype.type(lr) * grad
-        if kept is None:
+        if value.shape == shape:
             fields[name] = np.subtract(value, step, out=step)
         else:
-            fields[name] = np.zeros(value.shape, dtype=step.dtype)
-            fields[name].reshape(-1)[kept] = np.subtract(value.reshape(-1)[kept], step, out=step)
+            fields[name] = scatter_kept(np.subtract(value.reshape(-1)[kept], step, out=step), kept,
+                                        value.shape)
     return weights.with_arrays(fields)
 
 
@@ -523,6 +527,21 @@ def kept_values(array: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
     """
     flat = array.reshape(-1)
     return flat if indices is None else flat[indices]
+
+
+def scatter_kept(values: np.ndarray, indices: np.ndarray | None, shape,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of `kept_values`: the array of ``shape`` with ``values``
+    at the flat ``indices`` and +0.0 elsewhere (``values`` reshaped for
+    None). ``out``, an array of ``shape`` already +0.0 at every entry off
+    ``indices``, is written in place and returned; else one is zero-filled.
+    """
+    if indices is None:
+        return values.reshape(shape)
+    if out is None:
+        out = np.zeros(shape, dtype=values.dtype)
+    out.reshape(-1)[indices] = values
+    return out
 
 
 def mask_gradients(grads: dict[str, np.ndarray],
@@ -706,10 +725,14 @@ def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int, *,
 
     A dense section stores fc1_w as the matrix. A ``sparse`` one stores the
     1-D vector of its values at the kept entries, so its cost grows with
-    the kept entries, not with the matrix. Both end with the mask's bitset.
+    the kept entries, not with the matrix: a 1-D ``weights.fc1_w`` is that
+    vector already and is written as it is, a dense one is gathered. Both
+    end with the mask's bitset. Only a dense ``fc1_w`` makes a checkpoint.
     """
     kept = weights.kept
-    fc1_w = kept_values(weights.fc1_w, kept.indices) if sparse else weights.fc1_w
+    fc1_w = weights.fc1_w
+    if sparse and fc1_w.ndim > 1:  # else it is the kept vector already
+        fc1_w = kept_values(fc1_w, kept.indices)
     arrays = [fc1_w if name == "fc1_w" else getattr(weights, name) for name in PARAM_NAMES]
     mask_nbytes = 1 if kept.bits is None else _MASK_HEADER.size + kept.bits.size
     buf = bytearray(start + _SPEC_HEADER.size + sum(map(tensor_nbytes, arrays)) + mask_nbytes)
@@ -721,12 +744,13 @@ def model_bytes(spec: DetectorSpec, weights: ModelWeights, start: int, *,
     for array in arrays:
         offset = write_tensor(buf, offset, array)
     if kept.bits is not None:  # else the zero byte left there is tag 0, no mask
-        _MASK_HEADER.pack_into(buf, offset, 1, weights.fc1_w.size)
+        _MASK_HEADER.pack_into(buf, offset, 1, kept.mask.size)
         buf[offset + _MASK_HEADER.size:] = memoryview(kept.bits)
     return buf
 
 
-def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = None):
+def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = None,
+               buffer: np.ndarray | None = None):
     """Read the model section that ends ``reader``'s buffer, as `model_bytes`
     writes it dense or ``sparse``; returns (spec, weights). Any malformed
     input raises ``DecodeError``. The tensors are views of the buffer, but a
@@ -734,6 +758,10 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
     +0.0 at the pruned entries. ``kept`` is the previous model's entries,
     from a receiver of many models: the weights get that object, mask
     included, and the bitset is not unpacked, while bitset and shape match.
+    ``buffer`` is then the previous model's dense fc1_w, which the values
+    are scattered into in place, its pruned entries being +0.0 already; a
+    model of another mask or shape gets a fresh matrix. So a receiver
+    passes ``buffer`` only once it holds nothing of that previous model.
     """
     offset = reader.offset
     in_rows, in_cols, conv1, conv2, hidden, drop_conv, drop_fc = _SPEC_HEADER.unpack(
@@ -769,8 +797,8 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
             raise DecodeError(f"mask bitset has bits set past its {nbits} bits", reader.offset - 1)
         if (kept is None or kept.mask is None or kept.mask.shape != shape
                 or not np.array_equal(bits, kept.bits)):
-            kept = KeptEntries.of(
-                np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape))
+            kept, buffer = KeptEntries.of(
+                np.unpackbits(bits, count=nbits, bitorder="little").view(bool).reshape(shape)), None
     elif tag == 0:
         kept = KeptEntries()
     else:
@@ -778,14 +806,11 @@ def read_model(reader: ByteReader, *, sparse: bool, kept: KeptEntries | None = N
     reader.expect_end()
 
     if sparse:
-        values = fc1_w = fields["fc1_w"]
+        values = fields["fc1_w"]
         n_kept = math.prod(shape) if kept.indices is None else kept.indices.size
         if values.size != n_kept:
             raise DecodeError(f"{values.size} fc1_w values for {n_kept} kept entries", offset)
-        if kept.indices is not None:
-            fc1_w = np.zeros(kept.mask.size, dtype=values.dtype)
-            fc1_w[kept.indices] = values
-        fields["fc1_w"] = fc1_w.reshape(shape)
+        fields["fc1_w"] = scatter_kept(values, kept.indices, shape, out=buffer)
     weights = ModelWeights(**fields, prune_mask=kept.mask)
     weights._kept = kept
     return spec, weights

@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -1358,3 +1360,181 @@ class TestLocalTrainingOracle:
         got = fed.local_training(SPEC, read_only, features, labels, 1, 0, cfg, seed=5)
         want = old_local_training(SPEC, weights, features, labels, 1, 0, cfg, seed=5)
         assert_bitwise_equal(got, on_the_wire(want, weights.prune_mask), tn.DOMAIN_SPECIFIC_PARAMS)
+
+
+def dense_loop(spec, init, sus, cfg, seed):
+    """``run_ftl`` as it ran on a dense global model: each round encodes the
+    dense model, every SU trains on a fresh decode of that broadcast, and
+    ``aggregate`` steps the dense model."""
+    weights = init
+    for round_idx in range(cfg.rounds):
+        msg = fed.decode_message(fed.encode_message(fed.ModelBroadcast(round_idx, spec, weights)))
+        uploads = [fed.decode_message(fed.encode_message(fed.local_training(
+            spec, msg.weights, su.features, su.labels, su.su_id, round_idx, cfg, seed)))
+            for su in sorted(sus, key=lambda su: su.su_id)]
+        weights = fed.aggregate(weights, uploads, cfg.lr)
+    return weights
+
+
+def full_scale_pruned(seed=0):
+    from ftlwss import harness, pruning
+
+    spec = harness.full_scale().detector_spec()
+    weights, _ = pruning.prune_model(tn.init_weights(spec, np.random.default_rng(seed)), 0.9)
+    return spec, weights
+
+
+class TestKeptFormServer:
+    TRANSPORTS = {"inproc": fed.InProcessTransport, "loopback": fed.LoopbackSocketTransport}
+
+    @pytest.mark.parametrize("kind", ["inproc", "loopback"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_run_ftl_equals_the_dense_loop(self, kind, masked):
+        # NaN and garbage at pruned entries of init reach neither a broadcast
+        # nor the result
+        init = toy_weights(masked=masked)
+        if masked:
+            pruned = np.flatnonzero(~init.prune_mask)
+            init.fc1_w.reshape(-1)[pruned[::2]] = np.nan
+            init.fc1_w.reshape(-1)[pruned[1::2]] = -3.0
+        before = {n: getattr(init, n).tobytes() for n in tn.PARAM_NAMES}
+        sus = uneven_sus((15, 9, 12))
+        cfg = fed.FtlConfig(n_sus=3, rounds=3, local_epochs=2, batch_size=5, lr=0.05)
+        with self.TRANSPORTS[kind](sus, cfg, seed=6) as transport:
+            got = fed.run_ftl(SPEC, init, cfg, transport)
+        want = dense_loop(SPEC, init, sus, cfg, seed=6)
+        assert tn.checkpoint_bytes(SPEC, got) == tn.checkpoint_bytes(SPEC, want)
+        assert {n: getattr(init, n).tobytes() for n in tn.PARAM_NAMES} == before
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_returned_model_is_dense_and_shares_init(self, masked):
+        init = toy_weights(masked=masked)
+        cfg = fed.FtlConfig(n_sus=2, rounds=2, local_epochs=1, batch_size=5, lr=0.05)
+        out = fed.run_ftl(SPEC, init, cfg, fed.InProcessTransport(uneven_sus((6, 8)), cfg, seed=1))
+        assert out.fc1_w.shape == init.fc1_w.shape and out.fc1_w.dtype == init.fc1_w.dtype
+        for name in tn.GENERAL_FEATURE_PARAMS:
+            assert getattr(out, name) is getattr(init, name), name
+        assert out.prune_mask is init.prune_mask and out.kept is init.kept
+        # what a checkpoint and a forward pass take
+        tn.parse_checkpoint(tn.checkpoint_bytes(SPEC, out))
+        tn.forward(SPEC, out, toy_dataset(count=2)[0])
+
+    def test_server_step_allocates_for_the_kept_entries_only(self):
+        # from the return of one round to the next broadcast, the server
+        # aggregates and encodes: 20.7 MB traced when it stepped the dense
+        # model, zero-filling the 17.7 MB full-scale fc1_w every round
+        spec, init = full_scale_pruned()
+        n_kept = init.kept.indices.size
+        rng = np.random.default_rng(1)
+        shapes = spec.param_shapes()
+        uploads = [fed.GradientUpload(
+            round_idx=0, su_id=su_id, n_samples=25,
+            fc1_w=rng.normal(scale=1e-3, size=n_kept).astype(np.float32),
+            **{n: rng.normal(scale=1e-3, size=shapes[n]).astype(np.float32)
+               for n in tn.DOMAIN_SPECIFIC_PARAMS[1:]}) for su_id in (1, 2)]
+
+        class TracingTransport(fed.Transport):
+            def __init__(self):
+                self.rounds = 0
+                self.peaks = []
+
+            def run_round(self, broadcast_bytes):
+                if self.rounds:  # the peak over what was allocated at the last return
+                    self.peaks.append(tracemalloc.get_traced_memory()[1] - self.base)
+                for upload in uploads:
+                    upload.round_idx = self.rounds
+                self.rounds += 1
+                self.base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                return uploads
+
+        transport = TracingTransport()
+        cfg = fed.FtlConfig(n_sus=2, rounds=3, lr=0.05)
+        tracemalloc.start()
+        try:
+            fed.run_ftl(spec, init, cfg, transport)
+        finally:
+            tracemalloc.stop()
+        assert len(transport.peaks) == 2
+        assert max(transport.peaks) < 8e6
+
+
+@dataclass
+class RecordingSu(fed.LocalSu):
+    """Notes, for each broadcast it answers, the checkpoint bytes of the
+    decoded model, whether every pruned fc1_w entry is +0.0 and whether
+    its fc1_w is the previous broadcast's array; answers with a zero upload.
+    Holds nothing of a model past its answer."""
+
+    seen: list = field(default_factory=list)
+    _last: object = None
+
+    def answer(self, msg, cfg, seed):
+        weights = msg.weights
+        pruned = np.zeros(0) if weights.prune_mask is None else weights.fc1_w[~weights.prune_mask]
+        reused = self._last is not None and self._last() is weights.fc1_w
+        self._last = weakref.ref(weights.fc1_w)
+        self.seen.append((tn.checkpoint_bytes(msg.spec, weights),
+                          bool(np.all(pruned == 0) and not np.signbit(pruned).any()), reused))
+        shapes = msg.spec.param_shapes()
+        zero = {n: np.zeros(shapes[n], np.float32) for n in tn.DOMAIN_SPECIFIC_PARAMS}
+        zero["fc1_w"] = tn.kept_values(zero["fc1_w"], weights.kept.indices)
+        return fed.encode_message(fed.GradientUpload(
+            round_idx=msg.round_idx, su_id=self.su_id, n_samples=1, attempt=msg.attempt, **zero))
+
+
+class TestSuBuffer:
+    @pytest.mark.parametrize("kind", ["inproc", "loopback"])
+    def test_decodes_equal_fresh_decodes_across_masks(self, kind):
+        # masks A, A (other values), B, A, then a model of another spec: the
+        # buffer carries over while the mask recurs, never into another mask
+        a = toy_weights(masked=True)
+        a_stepped = tn.ModelWeights(**{**a.arrays(), "fc1_w": 2 * a.fc1_w},
+                                    prune_mask=a.prune_mask.copy())
+        b = toy_weights(seed=5, masked=True)
+        other_spec = tn.DetectorSpec(in_rows=5, in_cols=7, conv1_filters=2, conv2_filters=3,
+                                     hidden_units=4)
+        other = tn.init_weights(other_spec, np.random.default_rng(3))
+        mask = np.random.default_rng(4).random(other.fc1_w.shape) > 0.3
+        other.fc1_w = np.where(mask, other.fc1_w, np.float32(0))
+        other.prune_mask = mask
+        models = [(SPEC, a), (SPEC, a_stepped), (SPEC, b), (SPEC, a), (other_spec, other)]
+        broadcasts = [bytes(fed.encode_message(fed.ModelBroadcast(i, spec, w)))
+                      for i, (spec, w) in enumerate(models)]
+        held = fed.decode_message(broadcasts[0]).weights
+        held_bytes = tn.checkpoint_bytes(SPEC, held)
+
+        sus = [RecordingSu(su_id, *toy_dataset(seed=su_id, count=4)) for su_id in (1, 2)]
+        cfg = fed.FtlConfig(n_sus=2, rounds=1, timeout_s=10)
+        transport_cls = fed.InProcessTransport if kind == "inproc" else fed.LoopbackSocketTransport
+        with transport_cls(sus, cfg, seed=0) as transport:
+            for data in broadcasts:
+                transport.run_round(data)
+        for su in sus:
+            fresh = [tn.checkpoint_bytes(m.spec, m.weights)
+                     for m in map(fed.decode_message, broadcasts)]
+            assert [got for got, _, _ in su.seen] == fresh
+            assert all(zeroed for _, zeroed, _ in su.seen)
+            assert [reused for _, _, reused in su.seen] == [False, True, False, False, False]
+        assert tn.checkpoint_bytes(SPEC, held) == held_bytes
+
+    def test_recurring_mask_decode_allocates_little(self):
+        # the full-scale fc1_w is 17.7 MB; its kept values are scattered into
+        # the buffer of the previous decode under the same mask
+        spec, weights = full_scale_pruned()
+        stepped = tn.ModelWeights(**{**weights.arrays(), "fc1_w": 2 * weights.fc1_w},
+                                  prune_mask=weights.prune_mask)
+        first = fed.decode_message(fed.encode_message(fed.ModelBroadcast(0, spec, weights)))
+        kept, buffer = first.weights.kept, first.weights.fc1_w
+        del first
+        data = fed.encode_message(fed.ModelBroadcast(1, spec, stepped))
+        tracemalloc.start()
+        try:
+            again = fed.decode_message(data, kept=kept, buffer=buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert again.weights.fc1_w is buffer and again.weights.kept is kept
+        assert tn.checkpoint_bytes(spec, again.weights) == \
+            tn.checkpoint_bytes(spec, fed.decode_message(data).weights)
